@@ -75,20 +75,37 @@ cluster-smoke:
 			"{\"terminal\":2,\"serving\":[0,0],\"neighbor\":[1,0],\"serving_db\":-90,\"ssn_db\":-83.0,\"cssp_db\":-1.5,\"dmb\":1.0,\"walked_km\":1.2,\"speed_kmh\":10}" \
 			| /tmp/fuzzyho-hocluster -nodes 127.0.0.1:7191,127.0.0.1:7192'
 
-# Race-enabled membership chaos: kill/restart and leave/join of TCP nodes
-# mid-replay (state migrating over the wire), the ROUTER itself killed
-# mid-migration and restarted from its intent journal, submissions
-# overlapping an in-flight migration, membership ops over the wire
-# control plane, the reconnect-vs-drain takeover regression, and the
-# hoload -churn path growing and shrinking an in-process cluster under
-# live load.  Asserts zero lost terminal state and byte-identical
-# decision sequences.  The shell leg then drives the operator surface
-# end to end: runtime addnode/removenode through the admin HTTP
-# endpoints, kill -9 of the router, and a restart on the same journal
-# recovering the changed membership.
+# Race-enabled membership chaos: leave/join mid-replay on both
+# transports (state migrating in-process and over the wire), kill/restart
+# of a TCP node, the ROUTER itself killed mid-migration and restarted
+# from its intent journal, submissions overlapping an in-flight
+# migration on both transports, copy-before-release at every migration
+# phase, membership ops over the wire control plane, the
+# reconnect-vs-drain takeover regression, and the hoload -churn path
+# growing and shrinking an in-process cluster under live load.  Asserts
+# zero lost terminal state and byte-identical decision sequences.  The
+# shell leg then drives the operator surface end to end: runtime
+# addnode/removenode through the admin HTTP endpoints, kill -9 of the
+# router, and a restart on the same journal recovering the changed
+# membership.
+#
+# `go test -run` passes silently when an alternative matches nothing, so
+# every listed package:test must first appear in `go test -list`.
+CHAOS_TESTS = cluster:TestMembershipEquivalence cluster:TestTCPNodeKillRestartRecovers \
+	cluster:TestTCPRouterKillRestartResumesFromJournal cluster:TestMigrationOverlapsSubmissions \
+	cluster:TestLocalCopyBeforeRelease cluster:TestDaemonMembershipCtlOps \
+	serve:TestBindingTakeoverByIdentity serve:TestNodeClientIdentityTakeover
+empty :=
+space := $(empty) $(empty)
+
 cluster-chaos-smoke:
+	@for spec in $(CHAOS_TESTS); do \
+		pkg=./internal/$${spec%%:*}; t=$${spec#*:}; \
+		$(GO) test -list "^$$t$$" $$pkg | grep -qx "$$t" || \
+			{ echo "cluster-chaos-smoke: $$t is not a test in $$pkg" >&2; exit 1; }; \
+	done
 	$(GO) test -race -count=1 \
-		-run 'TestTCPMembershipEquivalence|TestTCPNodeKillRestartRecovers|TestTCPRouterKillRestartResumesFromJournal|TestLocalMembershipEquivalence|TestLocalMigrationOverlapsSubmissions|TestDaemonMembershipCtlOps|TestBindingTakeoverByIdentity|TestNodeClientIdentityTakeover' \
+		-run '^($(subst $(space),|,$(notdir $(subst :,/,$(CHAOS_TESTS)))))$$' \
 		./internal/cluster ./internal/serve
 	$(GO) run -race ./cmd/hoload -terminals 256 -shards 2 -cluster 2 -duration 1s -churn 250ms -replicas 2 -speeds 0,30 -compiled
 	$(GO) build -o /tmp/fuzzyho-hoserve ./cmd/hoserve

@@ -153,9 +153,10 @@ func main() {
 
 	// Runtime membership ops, exposed on both operator surfaces: the wire
 	// control plane ({"ctl":"addnode"} on the front door) and the admin
-	// HTTP endpoints (POST /admin/addnode).  The TCP backend joins a
-	// running hoserve daemon by address; the in-process backend starts a
-	// fresh engine (no address to give).
+	// HTTP endpoints (POST /admin/addnode).  Joining is the one
+	// transport-specific op: the TCP backend joins a running hoserve
+	// daemon by address; the in-process backend starts a fresh engine (no
+	// address to give).  Removal is Router.RemoveNode on either.
 	addNode := func(addr string) (int, error) {
 		switch r := router.(type) {
 		case *cluster.TCP:
@@ -170,16 +171,6 @@ func main() {
 			return r.AddNode()
 		default:
 			return 0, fmt.Errorf("addnode: unsupported router backend")
-		}
-	}
-	removeNode := func(node int) error {
-		switch r := router.(type) {
-		case *cluster.TCP:
-			return r.RemoveNode(node)
-		case *cluster.Local:
-			return r.RemoveNode(node)
-		default:
-			return fmt.Errorf("removenode: unsupported router backend")
 		}
 	}
 
@@ -247,7 +238,7 @@ func main() {
 					if err != nil {
 						return nil, fmt.Errorf("removenode: node=%q: %w", r.FormValue("node"), err)
 					}
-					if err := removeNode(node); err != nil {
+					if err := router.RemoveNode(node); err != nil {
 						return nil, err
 					}
 					return map[string]any{"node": node, "members": router.Members()}, nil
@@ -288,7 +279,7 @@ func main() {
 			return serve.WireStats{Points: reg.Export()}
 		},
 		AddNode:    addNode,
-		RemoveNode: removeNode,
+		RemoveNode: router.RemoveNode,
 	}
 	if *listen == "" {
 		runStdio(router, daemon, reporter, *snapFile)

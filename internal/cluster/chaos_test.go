@@ -35,9 +35,15 @@ func TestTCPRouterKillRestartResumesFromJournal(t *testing.T) {
 		crashAt     string // phase boundary where the router "dies"
 		wantMembers []int
 	}{
+		// Died after the first copy, before anything landed: nothing
+		// moved, so the restarted router keeps the old ring.
+		{name: "crash-after-copy-rolls-back", crashAt: "copy", wantMembers: []int{0, 1}},
 		// Died after copies landed but before the cutover record: the
 		// restarted router must reclaim the copies and keep the old ring.
 		{name: "crash-before-cutover-rolls-back", crashAt: "restored", wantMembers: []int{0, 1}},
+		// Died after every source released but before the cutover record:
+		// the reclaimed copies are the only ones left and must go home.
+		{name: "crash-after-release-rolls-back", crashAt: "pre-cutover", wantMembers: []int{0, 1}},
 		// Died after the cutover record became durable: the restarted
 		// router must finish the join and route to the new member.
 		{name: "crash-after-cutover-rolls-forward", crashAt: "cutover", wantMembers: []int{0, 1, 2}},
@@ -79,7 +85,7 @@ func TestTCPRouterKillRestartResumesFromJournal(t *testing.T) {
 			// "Kill" the router at the phase boundary: the migration is
 			// abandoned with no rollback and no journal truncation, exactly
 			// the state a SIGKILL would leave behind.
-			router1.crashPoint = func(phase string) bool { return phase == tc.crashAt }
+			router1.hook = func(phase string) bool { return phase == tc.crashAt }
 			if _, err := router1.AddNode(addr2); !errors.Is(err, errMigrationAbandoned) {
 				t.Fatalf("AddNode with crash at %q = %v, want errMigrationAbandoned", tc.crashAt, err)
 			}
@@ -131,44 +137,23 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestLocalMigrationOverlapsSubmissions pins the two-phase overlap
-// contract: while a migration is frozen mid-copy, submissions for
-// UNMOVED arcs decide immediately, submissions for MOVING arcs buffer
+// TestMigrationOverlapsSubmissions pins the two-phase overlap contract
+// on both transports: while a migration is frozen mid-copy, submissions
+// for UNMOVED arcs decide immediately, submissions for MOVING arcs buffer
 // (decisions do not advance), and the cutover releases the buffer so the
 // full run stays byte-identical to a static single engine.
-func TestLocalMigrationOverlapsSubmissions(t *testing.T) {
+func TestMigrationOverlapsSubmissions(t *testing.T) {
 	// Three speeds → 12 terminals, so the second half has both moving
 	// and unmoved arcs under the 2→3 member ring change.
 	reports, terminals := paperGridReports(t, []float64{0, 30, 50}, nil)
 	single := serve.Config{Shards: 4, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
 	ref := runSingleEngine(t, single, reports, terminals)
 
-	rec := newOutcomeRecorder(terminals)
-	var recMu sync.Mutex
-	l, err := NewLocal(LocalConfig{
-		Nodes:  2,
-		Engine: serve.Config{Shards: 2, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm},
-		OnDecision: func(_ int, o serve.Outcome) {
-			recMu.Lock()
-			rec.record(o)
-			recMu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	mid := len(reports) / 2
-	replayChunks(t, l.SubmitBatch, reports[:mid], 1, nil)
-	if err := l.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
 	// Partition the second half exactly as the router will: terminals the
 	// grown ring reassigns to the new member are "moving", the rest are
 	// "unmoved".  Ring points depend only on member IDs, so these rings
 	// match the router's own.
+	mid := len(reports) / 2
 	oldRing, err := NewRingMembers([]int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -189,67 +174,182 @@ func TestLocalMigrationOverlapsSubmissions(t *testing.T) {
 		t.Fatalf("degenerate partition: %d moving, %d unmoved", len(moving), len(unmoved))
 	}
 
-	// Freeze AddNode at the copy phase so the migration window stays open
-	// while we probe it.
-	entered, hold := make(chan struct{}), make(chan struct{})
-	l.migHook = func(phase string) {
-		if phase == "copy" {
-			close(entered)
-			<-hold
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			rec := newOutcomeRecorder(terminals)
+			var recMu sync.Mutex
+			router, c, addNode := tr.start(t, func(_ int, o serve.Outcome) {
+				recMu.Lock()
+				rec.record(o)
+				recMu.Unlock()
+			})
+			replayChunks(t, router.SubmitBatch, reports[:mid], 1, nil)
+			if err := router.Flush(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+
+			// Freeze AddNode after its first copy so the migration window
+			// stays open while we probe it.
+			entered, hold := make(chan struct{}), make(chan struct{})
+			release := sync.OnceFunc(func() { close(hold) })
+			defer release()
+			paused := false
+			c.hook = func(phase string) bool {
+				if phase == "copy" && !paused {
+					paused = true
+					close(entered)
+					<-hold
+				}
+				return false
+			}
+			addErr := make(chan error, 1)
+			go func() {
+				id, err := addNode()
+				if err == nil && id != 2 {
+					err = errors.New("AddNode returned wrong ID")
+				}
+				addErr <- err
+			}()
+			<-entered
+
+			if ms := router.Migration(); !ms.Active || ms.Op != "addnode" || ms.Node != 2 {
+				t.Fatalf("mid-migration status %+v, want active addnode for node 2", ms)
+			}
+			base := router.Stats().Totals().Decisions
+
+			// Unmoved arcs must not stall: their decisions land while the
+			// migration is still mid-copy.
+			if err := router.SubmitBatch(unmoved); err != nil {
+				t.Fatal(err)
+			}
+			if err := router.Flush(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			got := router.Stats().Totals().Decisions
+			if got != base+uint64(len(unmoved)) {
+				t.Fatalf("unmoved decisions %d, want %d: unmoved arcs stalled during migration", got-base, len(unmoved))
+			}
+
+			// Moving arcs buffer: no decisions, all reports held for cutover.
+			if err := router.SubmitBatch(moving); err != nil {
+				t.Fatal(err)
+			}
+			if ms := router.Migration(); ms.Buffered != len(moving) {
+				t.Fatalf("buffered %d, want %d", ms.Buffered, len(moving))
+			}
+			if dec := router.Stats().Totals().Decisions; dec != got {
+				t.Fatalf("decisions advanced to %d while moving reports should be buffered", dec)
+			}
+
+			// Release the migration; cutover flushes the buffer in order.
+			release()
+			if err := <-addErr; err != nil {
+				t.Fatal(err)
+			}
+			if err := router.Flush(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			checkSequencesEqual(t, tr.name+"/overlap", rec, ref)
+			tot := router.Stats().Totals()
+			if tot.Decisions != uint64(len(reports)) || tot.Lost != 0 {
+				t.Errorf("totals %+v, want decisions=%d lost=0", tot, len(reports))
+			}
+		})
+	}
+}
+
+// TestLocalCopyBeforeRelease pins the in-process transport to copy →
+// restore → release: paused at every shared hook phase of an AddNode and
+// then a RemoveNode, every terminal is live on at least one member
+// engine — the joining one included — so no instant of a membership
+// change holds a terminal's state nowhere.  The replay then finishes
+// byte-identical to a static single engine.
+func TestLocalCopyBeforeRelease(t *testing.T) {
+	reports, terminals := paperGridReports(t, []float64{0, 30, 50}, nil)
+	single := serve.Config{Shards: 4, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
+	ref := runSingleEngine(t, single, reports, terminals)
+
+	rec := newOutcomeRecorder(terminals)
+	var recMu sync.Mutex
+	l, err := NewLocal(LocalConfig{
+		Nodes:  2,
+		Engine: membershipNodeConfig,
+		OnDecision: func(_ int, o serve.Outcome) {
+			recMu.Lock()
+			rec.record(o)
+			recMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mid := len(reports) / 2
+	replayChunks(t, l.SubmitBatch, reports[:mid], 1, nil)
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+
+	// The router links a joining member in only at cutover; capture it
+	// as it is started.
+	var joining *member
+	connect := l.connect
+	l.connect = func(id int, addr string) (*member, error) {
+		m, err := connect(id, addr)
+		joining = m
+		return m, err
+	}
+	op := ""
+	paused := map[string]bool{}
+	l.hook = func(phase string) bool {
+		paused[op+"/"+phase] = true
+		var engines []*serve.Engine
+		l.memMu.RLock()
+		for _, m := range l.nodes {
+			engines = append(engines, m.engine)
+		}
+		l.memMu.RUnlock()
+		if op == "addnode" {
+			engines = append(engines, joining.engine)
+		}
+		live := make([]bool, terminals)
+		for _, e := range engines {
+			snaps, err := e.SnapshotTerminals()
+			if err != nil {
+				t.Errorf("%s paused at %q: snapshot: %v", op, phase, err)
+			}
+			for _, s := range snaps {
+				live[s.Terminal] = true
+			}
+		}
+		for tid, ok := range live {
+			if !ok {
+				t.Errorf("%s paused at %q: terminal %d is live on no member engine", op, phase, tid)
+			}
+		}
+		return false
+	}
+	op = "addnode"
+	if _, err := l.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	op = "removenode"
+	if err := l.RemoveNode(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []string{"addnode", "removenode"} {
+		for _, p := range []string{"copy", "restored", "pre-cutover", "cutover"} {
+			if !paused[o+"/"+p] {
+				t.Errorf("%s never paused at %q", o, p)
+			}
 		}
 	}
-	addErr := make(chan error, 1)
-	go func() {
-		id, err := l.AddNode()
-		if err == nil && id != 2 {
-			err = errors.New("AddNode returned wrong ID")
-		}
-		addErr <- err
-	}()
-	<-entered
 
-	if ms := l.Migration(); !ms.Active || ms.Op != "addnode" || ms.Node != 2 {
-		t.Fatalf("mid-migration status %+v, want active addnode for node 2", ms)
-	}
-	base := l.Stats().Totals().Decisions
-
-	// Unmoved arcs must not stall: their decisions land while the
-	// migration is still mid-copy.
-	if err := l.SubmitBatch(unmoved); err != nil {
+	replayChunks(t, l.SubmitBatch, reports[mid:], 1, nil)
+	if err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got := l.Stats().Totals().Decisions
-	if got != base+uint64(len(unmoved)) {
-		t.Fatalf("unmoved decisions %d, want %d: unmoved arcs stalled during migration", got-base, len(unmoved))
-	}
-
-	// Moving arcs buffer: no decisions, all reports held for cutover.
-	if err := l.SubmitBatch(moving); err != nil {
-		t.Fatal(err)
-	}
-	if ms := l.Migration(); ms.Buffered != len(moving) {
-		t.Fatalf("buffered %d, want %d", ms.Buffered, len(moving))
-	}
-	if dec := l.Stats().Totals().Decisions; dec != got {
-		t.Fatalf("decisions advanced to %d while moving reports should be buffered", dec)
-	}
-
-	// Release the migration; cutover flushes the buffer in order.
-	close(hold)
-	if err := <-addErr; err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	checkSequencesEqual(t, "local/overlap", rec, ref)
-	tot := l.Stats().Totals()
-	if tot.Decisions != uint64(len(reports)) || tot.Lost != 0 {
-		t.Errorf("totals %+v, want decisions=%d lost=0", tot, len(reports))
-	}
+	checkSequencesEqual(t, "local/copy-before-release", rec, ref)
 }
 
 // TestDaemonMembershipCtlOps drives membership through the daemon wire
@@ -278,7 +378,7 @@ func TestDaemonMembershipCtlOps(t *testing.T) {
 		Submit:     router.SubmitBatch,
 		Drain:      func() error { return router.Flush(10 * time.Second) },
 		AddNode:    router.AddNode,
-		RemoveNode: func(node int) error { return router.RemoveNode(node) },
+		RemoveNode: router.RemoveNode,
 	}
 	client, server := net.Pipe()
 	done := make(chan struct{})

@@ -6,67 +6,40 @@ import (
 	"repro/internal/serve"
 )
 
-// migrationPred builds the "no longer mine" predicate a daemon applies
-// during a membership change: every terminal the ring over members does
-// NOT give to self.  One rule covers both directions:
-//
-//   - grow: an existing member (self ∈ members) gives up the arcs the
-//     new member took — ~1/(N+1) of its terminals;
-//   - shrink: the departing member (self ∉ members) owns nothing under
-//     the new ring and gives up everything it holds.
-func migrationPred(members []int, vnodes, self int) (func(serve.TerminalID) bool, error) {
-	ring, err := NewRingMembers(members, vnodes)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: migration ring: %w", err)
-	}
-	if !contains(ring.Members(), self) {
-		// Departing member: nothing is ours under the new ring.
-		return func(serve.TerminalID) bool { return true }, nil
-	}
-	return func(t serve.TerminalID) bool { return ring.NodeOf(t) != self }, nil
-}
-
 // MigrationHooks returns serve.Daemon Extract/Restore/Release
 // implementations backed by engine e, closing the loop between the wire
 // control plane and the ring: a router driving a membership change tells
 // each daemon the NEW member set, and the daemon itself computes which
-// of its terminals the new ring no longer assigns to it.
+// of its terminals the new ring no longer assigns to it — the arcs a new
+// member took when self is in the set, everything it holds when self is
+// the member leaving.
 //
-// The hooks implement the two-phase move: extract with keep copies the
-// moving terminals without removing them (the engine is drained first by
-// the daemon, so every snapshot carries the terminal's complete decision
-// history); once the copies have landed on the destination, release
-// drops the originals.  A plain extract (keep=false) is the one-shot
-// move; restore with skipLive is the idempotent replay form crash
-// recovery uses.
+// The hooks are the in-process member's own migration methods, so a
+// daemon moves state exactly as an in-process cluster does: extract
+// with keep copies the moving terminals without removing them (the
+// engine is drained first by the daemon, so every snapshot carries the
+// terminal's complete decision history); once the copies have landed on
+// the destination, release drops the originals.  A plain extract
+// (keep=false) is the one-shot move rollback uses; restore with skipLive
+// is the idempotent replay form crash recovery uses.
 func MigrationHooks(e *serve.Engine) (
 	extract func(members []int, vnodes, self int, keep bool) ([]serve.TerminalSnapshot, error),
 	restore func(snaps []serve.TerminalSnapshot, skipLive bool) error,
 	release func(members []int, vnodes, self int) (int, error),
 ) {
 	extract = func(members []int, vnodes, self int, keep bool) ([]serve.TerminalSnapshot, error) {
-		pred, err := migrationPred(members, vnodes, self)
+		ring, err := NewRingMembers(members, vnodes)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: migration ring: %w", err)
 		}
-		if keep {
-			return e.SnapshotWhere(pred)
-		}
-		return e.ExtractSnapshots(pred)
-	}
-	restore = func(snaps []serve.TerminalSnapshot, skipLive bool) error {
-		if skipLive {
-			_, err := e.RestoreSnapshotsSkipLive(snaps)
-			return err
-		}
-		return e.RestoreSnapshots(snaps)
+		return (&member{id: self, engine: e}).extract(ring, keep)
 	}
 	release = func(members []int, vnodes, self int) (int, error) {
-		pred, err := migrationPred(members, vnodes, self)
+		ring, err := NewRingMembers(members, vnodes)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("cluster: migration ring: %w", err)
 		}
-		return e.DiscardTerminals(pred)
+		return (&member{id: self, engine: e}).release(ring)
 	}
-	return extract, restore, release
+	return extract, (&member{engine: e}).restore, release
 }

@@ -1,13 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -44,56 +39,15 @@ type LocalConfig struct {
 	MigrateBufferCap int
 }
 
-// localNode is one in-process member: an engine plus its route ledger.
-type localNode struct {
-	id        int
-	engine    *serve.Engine
-	submitted atomic.Uint64
-}
-
-// Local is the in-process Router backend: the cheapest way to run one
-// terminal population across several engines (tests, single-box NUMA-ish
-// scaling) and the reference the TCP backend is checked against.
-//
-// Membership is elastic: AddNode/RemoveNode migrate exactly the
-// terminals whose ring arc moved, and submissions keep flowing while the
-// migration runs — unmoved arcs route normally, moving arcs buffer until
-// the cutover flips the ring (see migration).
+// Local is the in-process Router: the router core over N serve.Engines
+// in one process — the cheapest way to run one terminal population
+// across several engines (tests, single-box NUMA-ish scaling) and the
+// reference the TCP transport is checked against.  Membership changes
+// run the same copy → restore → release machine as over TCP, with each
+// engine serving the control plane a daemon would.
 type Local struct {
+	core
 	cfg LocalConfig
-
-	// changeMu serializes membership changes — one migration at a time.
-	// memMu orders the brief ring mutations against routing: submits hold
-	// the read side; only the install and cutover steps take the write
-	// side, so routing never stalls for a whole migration.
-	changeMu sync.Mutex
-	memMu    sync.RWMutex
-	ring     *Ring
-	nodes    map[int]*localNode
-	nextID   int
-	retired  []NodeStats
-	// mig is non-nil while a membership change is in flight; submit paths
-	// consult it under the read lock (see migration).
-	mig     *migration
-	migStat migTracker
-
-	// migHook is a test-only hook called at the "copy" and "cutover"
-	// boundaries of a membership change, so tests can hold a migration
-	// open and drive submissions through the route-to-both window.
-	migHook func(phase string)
-
-	// scatter recycles the per-call node → sub-slice tables.
-	scatter sync.Pool
-
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// hook consults the test-only migration hook.
-func (l *Local) hook(phase string) {
-	if l.migHook != nil {
-		l.migHook(phase)
-	}
 }
 
 // NewLocal validates the configuration, builds and starts the node
@@ -106,29 +60,18 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Local{
-		cfg:    cfg,
-		ring:   ring,
-		nodes:  make(map[int]*localNode, cfg.Nodes),
-		nextID: cfg.Nodes,
-	}
-	l.scatter.New = func() any { return &map[int][]serve.Report{} }
-	for n := 0; n < cfg.Nodes; n++ {
-		node, err := l.startNode(n)
-		if err != nil {
-			for _, started := range l.nodes {
-				started.engine.Stop()
-			}
-			return nil, err
-		}
-		l.nodes[n] = node
+	l := &Local{cfg: cfg}
+	l.configure(cfg.VirtualNodes, cfg.MigrateBufferCap, cfg.OrphanDir, l.startNode)
+	if err := l.start(ring, nil, -1); err != nil {
+		l.Close()
+		return nil, err
 	}
 	return l, nil
 }
 
-// startNode builds and starts one member engine (does not link it into
-// the member map).
-func (l *Local) startNode(id int) (*localNode, error) {
+// startNode builds and starts one member engine (in-process members have
+// no address).
+func (l *Local) startNode(id int, _ string) (*member, error) {
 	ecfg := l.cfg.Engine
 	if l.cfg.OnDecision != nil {
 		ecfg.OnDecision = func(o serve.Outcome) { l.cfg.OnDecision(id, o) }
@@ -144,76 +87,7 @@ func (l *Local) startNode(id int) (*localNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
-	return &localNode{id: id, engine: e}, nil
-}
-
-// NumNodes implements Router.
-//
-//fuzzyho:nolockio
-func (l *Local) NumNodes() int {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	return l.ring.Nodes()
-}
-
-// Members returns the live member IDs in ascending order.
-//
-//fuzzyho:nolockio
-func (l *Local) Members() []int {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	return l.ring.Members()
-}
-
-// NodeOf implements Router.
-//
-//fuzzyho:nolockio
-func (l *Local) NodeOf(id serve.TerminalID) int {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	return l.ring.NodeOf(id)
-}
-
-// Engine returns member id's engine (read-only use: stats, shard
-// count), or nil after the member departed.
-func (l *Local) Engine(id int) *serve.Engine {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	if n, ok := l.nodes[id]; ok {
-		return n.engine
-	}
-	return nil
-}
-
-// beginMigration installs the route-to-both window: from here until
-// cutover (or abort), submissions for moving terminals buffer instead of
-// routing, and everything else routes under the old ring.
-func (l *Local) beginMigration(op string, node int, oldRing, newRing *Ring) {
-	bcap := l.cfg.MigrateBufferCap
-	if bcap == 0 {
-		bcap = DefaultMigrateBufferCap
-	}
-	m := &migration{oldRing: oldRing, newRing: newRing, cap: bcap}
-	l.memMu.Lock()
-	l.mig = m
-	l.memMu.Unlock()
-	l.migStat.begin(op, node)
-}
-
-// abortMigration dismantles the window after a rolled-back change: the
-// buffered moving-terminal reports are released under the UNCHANGED old
-// ring (their owners got their state back).
-func (l *Local) abortMigration() error {
-	l.memMu.Lock()
-	buf := l.mig.take()
-	l.mig = nil
-	err := l.submitBatchLocked(buf)
-	l.memMu.Unlock()
-	l.migStat.end()
-	if err != nil {
-		return fmt.Errorf("cluster: resubmitting %d reports buffered during the aborted migration: %w", len(buf), err)
-	}
-	return nil
+	return &member{id: id, engine: e}, nil
 }
 
 // AddNode starts a fresh member engine, migrates to it exactly the
@@ -223,179 +97,28 @@ func (l *Local) abortMigration() error {
 // the cutover flips the ring — every moved terminal resumes its decision
 // sequence on the new node exactly where it stopped on the old one.
 func (l *Local) AddNode() (int, error) {
-	l.changeMu.Lock()
-	defer l.changeMu.Unlock()
-	l.memMu.RLock()
-	oldRing := l.ring
-	id := l.nextID
-	srcs := l.sortedNodes()
-	l.memMu.RUnlock()
-	newRing, err := NewRingMembers(append(oldRing.Members(), id), l.cfg.VirtualNodes)
-	if err != nil {
-		return 0, err
-	}
-	node, err := l.startNode(id)
-	if err != nil {
-		return 0, err
-	}
-	l.beginMigration("addnode", id, oldRing, newRing)
-	l.hook("copy")
-	// Pull the new member's terminals out of every current owner.  The
-	// extract rides each engine's shard queues behind every report already
-	// submitted, so the snapshots carry complete histories; reports
-	// arriving DURING the pull are for buffered (moving) terminals and
-	// wait for cutover.
-	var moved []serve.TerminalSnapshot
-	migErr := func() error {
-		for _, src := range srcs {
-			l.migStat.phase(fmt.Sprintf("copy:%d", src.id))
-			snaps, err := src.engine.ExtractSnapshots(func(t serve.TerminalID) bool {
-				return newRing.NodeOf(t) == id
-			})
-			if err != nil {
-				return fmt.Errorf("cluster: extracting for new node %d from node %d: %w", id, src.id, err)
-			}
-			moved = append(moved, snaps...)
-		}
-		l.migStat.phase(fmt.Sprintf("restore:%d", id))
-		if err := node.engine.RestoreSnapshots(moved); err != nil {
-			return fmt.Errorf("cluster: restoring into new node %d: %w", id, err)
-		}
-		return nil
-	}()
-	if migErr != nil {
-		// Put back what the owners already gave up, then release the
-		// buffered reports under the unchanged ring.
-		rbErr := l.restoreBack(oldRing, moved)
-		node.engine.Stop()
-		abErr := l.abortMigration()
-		return 0, errors.Join(migErr, rbErr, abErr)
-	}
-	l.hook("cutover")
-	l.migStat.phase("cutover")
-	// Commit: flip the ring and release the buffered moving-arc reports
-	// under the same write lock, so no post-cutover submission can outrun
-	// them and break per-terminal order.
-	l.memMu.Lock()
-	l.ring = newRing
-	l.nodes[id] = node
-	l.nextID = id + 1
-	buf := l.mig.take()
-	l.mig = nil
-	ferr := l.submitBatchLocked(buf)
-	l.memMu.Unlock()
-	l.migStat.end()
-	if ferr != nil {
-		return id, fmt.Errorf("cluster: migration committed, but releasing %d buffered reports failed: %w", len(buf), ferr)
-	}
-	return id, nil
+	return l.addNode("")
 }
 
-// RemoveNode migrates every terminal member id owns to the members the
-// shrunk ring assigns them to, freezes the departing node's stats, and
-// stops its engine.  Submissions keep flowing throughout: only the
-// departing member's arcs buffer, everything else routes normally.
-func (l *Local) RemoveNode(id int) error {
-	l.changeMu.Lock()
-	defer l.changeMu.Unlock()
-	l.memMu.RLock()
-	node, ok := l.nodes[id]
-	nLive := len(l.nodes)
-	oldRing := l.ring
-	l.memMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("cluster: node %d is not a member", id)
+// Engine returns member id's engine (read-only use: stats, shard
+// count), or nil after the member departed.
+func (l *Local) Engine(id int) *serve.Engine {
+	if m := l.member(id); m != nil {
+		return m.engine
 	}
-	if nLive == 1 {
-		return fmt.Errorf("cluster: cannot remove the last member")
+	return nil
+}
+
+// EngineStats returns member id's full per-shard serve.Stats (the
+// in-process transport's extra observability over the merged Stats
+// view); zero after the member departed.
+//
+//fuzzyho:nolockio
+func (l *Local) EngineStats(id int) serve.Stats {
+	if m := l.member(id); m != nil {
+		return m.engine.Stats()
 	}
-	members := oldRing.Members()
-	rest := make([]int, 0, len(members)-1)
-	for _, m := range members {
-		if m != id {
-			rest = append(rest, m)
-		}
-	}
-	newRing, err := NewRingMembers(rest, l.cfg.VirtualNodes)
-	if err != nil {
-		return err
-	}
-	l.beginMigration("removenode", id, oldRing, newRing)
-	l.hook("copy")
-	migErr := func() error {
-		l.migStat.phase(fmt.Sprintf("copy:%d", id))
-		moved, err := node.engine.ExtractSnapshots(func(serve.TerminalID) bool { return true })
-		if err != nil {
-			return fmt.Errorf("cluster: extracting node %d: %w", id, err)
-		}
-		// Scatter the departing member's terminals to their new owners.
-		byDest := map[int][]serve.TerminalSnapshot{}
-		for _, s := range moved {
-			d := newRing.NodeOf(s.Terminal)
-			byDest[d] = append(byDest[d], s)
-		}
-		var delivered []int
-		for _, d := range sortedKeys(byDest) {
-			l.migStat.phase(fmt.Sprintf("restore:%d", d))
-			if err := l.nodes[d].engine.RestoreSnapshots(byDest[d]); err != nil {
-				// Roll the migration back: reclaim what already landed and
-				// return everything to the departing member.  The reclaimed
-				// copies equal the extracted snapshots (reports for moving
-				// terminals buffer, so no destination decided anything),
-				// which is why restoring `moved` restores the world.
-				movedSet := make(map[serve.TerminalID]bool, len(moved))
-				for _, s := range moved {
-					movedSet[s.Terminal] = true
-				}
-				errs := []error{fmt.Errorf("cluster: restoring into node %d: %w", d, err)}
-				for _, dd := range delivered {
-					if _, xerr := l.nodes[dd].engine.ExtractSnapshots(func(t serve.TerminalID) bool {
-						return movedSet[t]
-					}); xerr != nil {
-						errs = append(errs, fmt.Errorf("cluster: reclaiming from node %d: %w", dd, xerr))
-					}
-				}
-				if rerr := node.engine.RestoreSnapshots(moved); rerr != nil {
-					// The departing member cannot take its state back: the
-					// snapshots now live nowhere, so quarantine them rather
-					// than lose them with this process.
-					errs = append(errs,
-						fmt.Errorf("cluster: rollback to node %d also failed: %w", id, rerr),
-						orphanError(l.cfg.OrphanDir, moved))
-				}
-				return errors.Join(errs...)
-			}
-			delivered = append(delivered, d)
-		}
-		return nil
-	}()
-	if migErr != nil {
-		return errors.Join(migErr, l.abortMigration())
-	}
-	l.hook("cutover")
-	l.migStat.phase("cutover")
-	// Commit: freeze the departing member's final counters, drop it from
-	// the ring, and release the buffered reports — all of which now route
-	// to remaining members, since every arc of id moved.
-	l.memMu.Lock()
-	st := l.nodeStats(node)
-	st.Departed = true
-	l.retired = append(l.retired, st)
-	delete(l.nodes, id)
-	l.ring = newRing
-	buf := l.mig.take()
-	l.mig = nil
-	ferr := l.submitBatchLocked(buf)
-	l.memMu.Unlock()
-	l.migStat.end()
-	var errs []error
-	if ferr != nil {
-		errs = append(errs, fmt.Errorf("cluster: migration committed, but releasing %d buffered reports failed: %w", len(buf), ferr))
-	}
-	if err := node.engine.Stop(); err != nil {
-		errs = append(errs, fmt.Errorf("cluster: stopping node %d: %w", id, err))
-	}
-	return errors.Join(errs...)
+	return serve.Stats{}
 }
 
 // SnapshotAll drains every member and returns the whole cluster's
@@ -404,11 +127,11 @@ func (l *Local) SnapshotAll() ([]serve.TerminalSnapshot, error) {
 	l.memMu.RLock()
 	defer l.memMu.RUnlock()
 	var all []serve.TerminalSnapshot
-	for _, n := range l.sortedNodes() {
-		n.engine.Flush()
-		snaps, err := n.engine.SnapshotTerminals()
+	for _, m := range l.sortedNodes() {
+		m.engine.Flush()
+		snaps, err := m.engine.SnapshotTerminals()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: snapshotting node %d: %w", n.id, err)
+			return nil, fmt.Errorf("cluster: snapshotting node %d: %w", m.id, err)
 		}
 		all = append(all, snaps...)
 	}
@@ -420,310 +143,11 @@ func (l *Local) SnapshotAll() ([]serve.TerminalSnapshot, error) {
 func (l *Local) RestoreAll(snaps []serve.TerminalSnapshot) error {
 	l.memMu.RLock()
 	defer l.memMu.RUnlock()
-	byDest := map[int][]serve.TerminalSnapshot{}
-	for _, s := range snaps {
-		d := l.ring.NodeOf(s.Terminal)
-		byDest[d] = append(byDest[d], s)
-	}
-	for _, d := range sortedKeys(byDest) {
-		if err := l.nodes[d].engine.RestoreSnapshots(byDest[d]); err != nil {
+	byDest := byOwner(l.ring, snaps)
+	for _, d := range l.ring.members {
+		if err := l.nodes[d].restore(byDest[d], false); err != nil {
 			return fmt.Errorf("cluster: restoring into node %d: %w", d, err)
 		}
 	}
 	return nil
-}
-
-// restoreBack returns extracted snapshots to the engines ring assigns
-// them to (their sources), after a failed migration, skipping terminals
-// an engine still holds.  Snapshots that can land nowhere are
-// quarantined, never dropped.
-func (l *Local) restoreBack(ring *Ring, snaps []serve.TerminalSnapshot) error {
-	if len(snaps) == 0 {
-		return nil
-	}
-	l.memMu.RLock()
-	nodes := make(map[int]*localNode, len(l.nodes))
-	for id, n := range l.nodes {
-		nodes[id] = n
-	}
-	l.memMu.RUnlock()
-	byDest := map[int][]serve.TerminalSnapshot{}
-	for _, s := range snaps {
-		d := ring.NodeOf(s.Terminal)
-		byDest[d] = append(byDest[d], s)
-	}
-	var errs []error
-	var orphans []serve.TerminalSnapshot
-	for _, d := range sortedKeys(byDest) {
-		n, ok := nodes[d]
-		if !ok {
-			errs = append(errs, fmt.Errorf("cluster: owner %d of %d reclaimed terminals is not a live member", d, len(byDest[d])))
-			orphans = append(orphans, byDest[d]...)
-			continue
-		}
-		if _, err := n.engine.RestoreSnapshotsSkipLive(byDest[d]); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: returning %d terminals to node %d: %w", len(byDest[d]), d, err))
-			orphans = append(orphans, byDest[d]...)
-		}
-	}
-	if len(orphans) > 0 {
-		errs = append(errs, orphanError(l.cfg.OrphanDir, orphans))
-	}
-	return errors.Join(errs...)
-}
-
-// sortedNodes returns the live members in ascending ID order.
-//
-//fuzzyho:nolockio
-func (l *Local) sortedNodes() []*localNode {
-	out := make([]*localNode, 0, len(l.nodes))
-	for _, n := range l.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// sortedKeys collects a map's keys in ascending order — the pattern that
-// turns map iteration into a deterministic visit order.
-//
-//fuzzyho:nolockio
-//fuzzyho:deterministic
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	//fuzzyho:allow order-insensitive reduction: the keys are sorted below, so the result cannot observe iteration order
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// Submit implements Router.  During a membership change a report for a
-// moving terminal buffers until cutover; everything else routes as if no
-// change were in flight.
-//
-//fuzzyho:nolockio
-func (l *Local) Submit(r serve.Report) error {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	if l.mig != nil && l.mig.moving(r.Terminal) {
-		l.mig.add(r)
-		return nil
-	}
-	node := l.nodes[l.ring.NodeOf(r.Terminal)]
-	// Account before the engine call, as the engine itself does: once a
-	// report is queued the node may decide it immediately, and a counter
-	// that lags lets Stats observe decisions > submitted.
-	node.submitted.Add(1)
-	//fuzzyho:allow backpressure by design: the engine's shard consumers drain independently of memMu, so this wait is bounded by shard progress, never by the membership change itself
-	if err := node.engine.Submit(r); err != nil {
-		node.submitted.Add(^uint64(0)) // roll back the optimistic accounting
-		return fmt.Errorf("cluster: node %d: %w", node.id, err)
-	}
-	return nil
-}
-
-// SubmitBatch implements Router: reports scatter into per-node sub-slices
-// (preserving per-terminal order) and each node gets one coalesced
-// Engine.SubmitBatch call, which blocks under that node's backpressure.
-// During a membership change, moving-terminal reports peel off into the
-// migration buffer first.
-//
-//fuzzyho:nolockio
-func (l *Local) SubmitBatch(rs []serve.Report) error {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	if l.mig != nil {
-		rs = l.mig.intercept(rs)
-	}
-	//fuzzyho:allow backpressure by design: shard queues drain independently of memMu (see submitBatchLocked)
-	return l.submitBatchLocked(rs)
-}
-
-// submitBatchLocked scatters under a held member lock (read side for
-// submissions, write side for the cutover/abort buffer flush).
-//
-//fuzzyho:nolockio
-func (l *Local) submitBatchLocked(rs []serve.Report) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	if l.ring.Nodes() == 1 {
-		node := l.nodes[l.ring.Members()[0]]
-		node.submitted.Add(uint64(len(rs)))
-		//fuzzyho:allow backpressure by design: the engine's shard consumers drain independently of memMu, so this wait is bounded by shard progress, never by the membership change itself
-		if err := node.engine.SubmitBatch(rs); err != nil {
-			node.submitted.Add(^uint64(len(rs) - 1))
-			return fmt.Errorf("cluster: node %d: %w", node.id, err)
-		}
-		return nil
-	}
-	bufs := l.scatter.Get().(*map[int][]serve.Report)
-	defer l.putScatter(bufs)
-	for i := range rs {
-		n := l.ring.NodeOf(rs[i].Terminal)
-		(*bufs)[n] = append((*bufs)[n], rs[i])
-	}
-	for _, id := range sortedKeys(*bufs) {
-		sub := (*bufs)[id]
-		if len(sub) == 0 {
-			continue
-		}
-		node := l.nodes[id]
-		node.submitted.Add(uint64(len(sub)))
-		//fuzzyho:allow backpressure by design: the engine's shard consumers drain independently of memMu, so this wait is bounded by shard progress, never by the membership change itself
-		if err := node.engine.SubmitBatch(sub); err != nil {
-			node.submitted.Add(^uint64(len(sub) - 1))
-			return fmt.Errorf("cluster: node %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// TrySubmitBatch implements Router: per-report TrySubmit against the
-// owning node, shedding (and counting) everything from the first
-// backlogged node on.  Reports accepted before the backlog stay accepted.
-// A full migration buffer sheds moving-terminal reports the same way.
-//
-//fuzzyho:nolockio
-func (l *Local) TrySubmitBatch(rs []serve.Report) error {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	shed := 0
-	firstNode := -1
-	if l.mig != nil {
-		var bshed, bnode int
-		rs, bshed, bnode = l.mig.interceptTry(rs)
-		if bshed > 0 {
-			shed = bshed
-			firstNode = bnode
-		}
-	}
-	backlogged := map[int]bool{}
-	for i := range rs {
-		n := l.ring.NodeOf(rs[i].Terminal)
-		if backlogged[n] {
-			// Order within a backlogged node must not be violated by
-			// accepting later reports after shedding earlier ones.
-			shed++
-			continue
-		}
-		node := l.nodes[n]
-		node.submitted.Add(1)
-		err := node.engine.TrySubmit(rs[i])
-		if err != nil {
-			node.submitted.Add(^uint64(0)) // roll back the optimistic accounting
-		}
-		switch {
-		case err == nil:
-		case errors.Is(err, serve.ErrBacklogged):
-			backlogged[n] = true
-			if firstNode < 0 {
-				firstNode = n
-			}
-			shed++
-		default:
-			return fmt.Errorf("cluster: node %d: %w", n, err)
-		}
-	}
-	if shed > 0 {
-		return &BacklogError{Node: firstNode, Shed: shed}
-	}
-	return nil
-}
-
-//fuzzyho:nolockio
-func (l *Local) putScatter(bufs *map[int][]serve.Report) {
-	for id, sub := range *bufs {
-		(*bufs)[id] = sub[:0]
-	}
-	l.scatter.Put(bufs)
-}
-
-// Flush implements Router.  In-process queues drain deterministically, so
-// the timeout is not consulted: Engine.Flush returns once every accepted
-// report is decided.
-func (l *Local) Flush(time.Duration) error {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	for _, n := range l.sortedNodes() {
-		n.engine.Flush()
-	}
-	return nil
-}
-
-// nodeStats snapshots one live member's counters.
-//
-//fuzzyho:nolockio
-func (l *Local) nodeStats(n *localNode) NodeStats {
-	tot := n.engine.Stats().Totals()
-	return NodeStats{
-		Node:       n.id,
-		Submitted:  n.submitted.Load(),
-		Decisions:  tot.Decisions,
-		Handovers:  tot.Handovers,
-		PingPongs:  tot.PingPongs,
-		Errors:     tot.Errors,
-		Terminals:  tot.Terminals,
-		QueueDepth: tot.QueueDepth,
-	}
-}
-
-// Stats implements Router, merging each node's serve.Stats totals.
-// Departed members appear after the live ones with frozen counters, so
-// cluster totals still account every decision ever made.
-//
-//fuzzyho:nolockio
-func (l *Local) Stats() Stats {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	st := Stats{Nodes: make([]NodeStats, 0, len(l.nodes)+len(l.retired))}
-	for _, n := range l.sortedNodes() {
-		st.Nodes = append(st.Nodes, l.nodeStats(n))
-	}
-	st.Nodes = append(st.Nodes, l.retired...)
-	return st
-}
-
-// Migration implements Router.
-//
-//fuzzyho:nolockio
-func (l *Local) Migration() MigrationStatus {
-	l.memMu.RLock()
-	buffered := 0
-	if l.mig != nil {
-		buffered = l.mig.buffered()
-	}
-	l.memMu.RUnlock()
-	return l.migStat.status(buffered)
-}
-
-// EngineStats returns member id's full per-shard serve.Stats (the
-// in-process backend's extra observability over the merged Stats view);
-// zero after the member departed.
-//
-//fuzzyho:nolockio
-func (l *Local) EngineStats(id int) serve.Stats {
-	l.memMu.RLock()
-	defer l.memMu.RUnlock()
-	if n, ok := l.nodes[id]; ok {
-		return n.engine.Stats()
-	}
-	return serve.Stats{}
-}
-
-// Close implements Router: every engine is drained (Stop decides all
-// accepted reports) and stopped.
-func (l *Local) Close() error {
-	l.closeOnce.Do(func() {
-		l.memMu.Lock()
-		defer l.memMu.Unlock()
-		for _, n := range l.sortedNodes() {
-			if err := n.engine.Stop(); err != nil && l.closeErr == nil {
-				l.closeErr = fmt.Errorf("cluster: node %d: %w", n.id, err)
-			}
-		}
-	})
-	return l.closeErr
 }

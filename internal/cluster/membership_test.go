@@ -114,74 +114,116 @@ func replayChunks(t *testing.T, submit func([]serve.Report) error, reports []ser
 	}
 }
 
-// TestLocalMembershipEquivalence grows and shrinks an in-process cluster
-// mid-replay — AddNode after the first third, RemoveNode(0) after the
-// second — and demands every terminal's decision sequence byte-identical
-// to a static single engine: migration moves authority, never history.
-func TestLocalMembershipEquivalence(t *testing.T) {
+// membershipNodeConfig is the per-member engine of the membership
+// table tests, on either transport.
+var membershipNodeConfig = serve.Config{Shards: 2, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
+
+// transports are the two ways the router core reaches its members.  Each
+// start builds a 2-member router (IDs 0 and 1) with a third member ready
+// to join, returning the router, its core (for the test hook) and the
+// call that joins the spare.  Everything it starts is torn down by
+// t.Cleanup.
+var transports = []struct {
+	name  string
+	start func(t *testing.T, onDecision func(node int, o serve.Outcome)) (Router, *core, func() (int, error))
+}{
+	{"local", func(t *testing.T, onDecision func(int, serve.Outcome)) (Router, *core, func() (int, error)) {
+		l, err := NewLocal(LocalConfig{Nodes: 2, Engine: membershipNodeConfig, OnDecision: onDecision})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l, &l.core, l.AddNode
+	}},
+	{"tcp", func(t *testing.T, onDecision func(int, serve.Outcome)) (Router, *core, func() (int, error)) {
+		addrs := make([]string, 3)
+		for i := range addrs {
+			addr, stop := startNodeDaemon(t, membershipNodeConfig)
+			t.Cleanup(stop)
+			addrs[i] = addr
+		}
+		r, err := DialTCP(TCPConfig{
+			Addrs:      addrs[:2],
+			OnDecision: onDecision,
+			OnError:    func(node int, err error) { t.Errorf("node %d: %v", node, err) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r, &r.core, func() (int, error) { return r.AddNode(addrs[2]) }
+	}},
+}
+
+// TestMembershipEquivalence is the membership acceptance pin on both
+// transports: a node joins after the first third of the replay and node
+// 0 leaves after the second (state migrating in-process, or over the
+// wire control plane), and every terminal's decision sequence stays
+// byte-identical to a static single engine — migration moves authority,
+// never history: no terminal state lost, duplicated, or interleaved.
+func TestMembershipEquivalence(t *testing.T) {
 	reports, terminals := paperGridReports(t, []float64{0, 30, 50}, nil)
 	single := serve.Config{Shards: 4, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
 	ref := runSingleEngine(t, single, reports, terminals)
 
-	rec := newOutcomeRecorder(terminals)
-	var recMu sync.Mutex
-	l, err := NewLocal(LocalConfig{
-		Nodes:  2,
-		Engine: serve.Config{Shards: 2, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm},
-		OnDecision: func(_ int, o serve.Outcome) {
-			recMu.Lock()
-			rec.record(o)
-			recMu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayChunks(t, l.SubmitBatch, reports, 3, func(chunk int) {
-		switch chunk {
-		case 1:
-			id, err := l.AddNode()
-			if err != nil {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			rec := newOutcomeRecorder(terminals)
+			var recMu sync.Mutex
+			router, _, addNode := tr.start(t, func(_ int, o serve.Outcome) {
+				recMu.Lock()
+				rec.record(o)
+				recMu.Unlock()
+			})
+			replayChunks(t, router.SubmitBatch, reports, 3, func(chunk int) {
+				switch chunk {
+				case 1:
+					// Join: node 2 takes its arcs from both incumbents.
+					id, err := addNode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if id != 2 {
+						t.Fatalf("AddNode ID %d, want 2", id)
+					}
+				case 2:
+					// Leave: node 0 hands everything it holds to nodes 1 and 2.
+					if err := router.RemoveNode(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if err := router.Flush(20 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if id != 2 {
-				t.Fatalf("AddNode ID %d, want 2", id)
+			if got := router.Members(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+				t.Fatalf("final members %v, want [1 2]", got)
 			}
-		case 2:
-			if err := l.RemoveNode(0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if err := l.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Members(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("final members %v, want [1 2]", got)
-	}
-	checkSequencesEqual(t, "local/elastic", rec, ref)
+			checkSequencesEqual(t, tr.name+"/elastic", rec, ref)
 
-	st := l.Stats()
-	tot := st.Totals()
-	if tot.Submitted != uint64(len(reports)) || tot.Decisions != uint64(len(reports)) || tot.Lost != 0 {
-		t.Errorf("totals %+v, want submitted=decisions=%d lost=0", tot, len(reports))
-	}
-	// The departed member must survive in Stats as a frozen snapshot, or
-	// its decisions vanish from the ledger.
-	var departed *NodeStats
-	for i := range st.Nodes {
-		if st.Nodes[i].Departed {
-			departed = &st.Nodes[i]
-		}
-	}
-	if departed == nil {
-		t.Fatal("removed node absent from Stats")
-	}
-	if departed.Node != 0 || departed.Decisions == 0 {
-		t.Errorf("departed stats %+v, want node 0 with decisions", departed)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+			st := router.Stats()
+			tot := st.Totals()
+			if tot.Submitted != uint64(len(reports)) || tot.Decisions != uint64(len(reports)) || tot.Lost != 0 {
+				t.Errorf("totals %+v, want submitted=decisions=%d lost=0", tot, len(reports))
+			}
+			// The departed member must survive in Stats as a frozen snapshot,
+			// or its decisions vanish from the ledger.
+			var departed *NodeStats
+			for i := range st.Nodes {
+				if st.Nodes[i].Departed {
+					departed = &st.Nodes[i]
+				}
+			}
+			if departed == nil {
+				t.Fatal("removed node absent from Stats")
+			}
+			if departed.Node != 0 || departed.Decisions == 0 {
+				t.Errorf("departed stats %+v, want node 0 with decisions", departed)
+			}
+			if err := router.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -198,83 +240,6 @@ func TestLocalRemoveGuards(t *testing.T) {
 	}
 	if err := l.RemoveNode(0); err == nil || !strings.Contains(err.Error(), "last member") {
 		t.Errorf("RemoveNode(0) on sole member = %v, want last-member refusal", err)
-	}
-}
-
-// TestTCPMembershipEquivalence is the acceptance chaos pin over real
-// sockets: a node leaves and a new one joins mid-replay (state migrating
-// over the wire control plane both times) and every terminal's decision
-// sequence stays byte-identical to the static single-engine run — no
-// terminal state lost, duplicated, or interleaved.
-func TestTCPMembershipEquivalence(t *testing.T) {
-	reports, terminals := paperGridReports(t, []float64{0, 30, 50}, nil)
-	single := serve.Config{Shards: 4, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
-	ref := runSingleEngine(t, single, reports, terminals)
-
-	nodeCfg := serve.Config{Shards: 2, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
-	addr0, stop0 := startNodeDaemon(t, nodeCfg)
-	defer stop0()
-	addr1, stop1 := startNodeDaemon(t, nodeCfg)
-	defer stop1()
-	addr2, stop2 := startNodeDaemon(t, nodeCfg)
-	defer stop2()
-
-	rec := newOutcomeRecorder(terminals)
-	var recMu sync.Mutex
-	router, err := DialTCP(TCPConfig{
-		Addrs: []string{addr0, addr1},
-		OnDecision: func(_ int, o serve.Outcome) {
-			recMu.Lock()
-			rec.record(o)
-			recMu.Unlock()
-		},
-		OnError: func(node int, err error) { t.Errorf("node %d: %v", node, err) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayChunks(t, router.SubmitBatch, reports, 3, func(chunk int) {
-		switch chunk {
-		case 1:
-			// Join: node 2 takes its arcs from both incumbents.
-			id, err := router.AddNode(addr2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != 2 {
-				t.Fatalf("AddNode ID %d, want 2", id)
-			}
-		case 2:
-			// Leave: node 0 hands everything it holds to nodes 1 and 2.
-			if err := router.RemoveNode(0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if err := router.Flush(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := router.Members(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("final members %v, want [1 2]", got)
-	}
-	checkSequencesEqual(t, "tcp/elastic", rec, ref)
-
-	st := router.Stats()
-	tot := st.Totals()
-	if tot.Submitted != uint64(len(reports)) || tot.Decisions != uint64(len(reports)) || tot.Lost != 0 {
-		t.Errorf("totals %+v, want submitted=decisions=%d lost=0", tot, len(reports))
-	}
-	var sawDeparted bool
-	for _, ns := range st.Nodes {
-		if ns.Departed && ns.Node == 0 {
-			sawDeparted = true
-		}
-	}
-	if !sawDeparted {
-		t.Error("departed node 0 absent from Stats")
-	}
-	if err := router.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // as cluster_node_* series labeled node="<id>".  The collector reads
 // Router.Stats() at export time — the same snapshot the -stats loop and
 // Totals() render — so /metrics and Stats() cannot disagree on a
-// quiesced cluster.  Works for both backends; departed members keep
+// quiesced cluster.  Works for both transports; departed members keep
 // exporting their frozen final counters so totals stay accountable.
 func RegisterMetrics(r *obs.Registry, router Router) {
 	r.Collector(func(emit func(obs.Point)) {
@@ -40,7 +40,7 @@ func RegisterMetrics(r *obs.Registry, router Router) {
 			gauge("cluster_node_departed", departed)
 		}
 	})
-	// The TCP backend additionally exports the raw client-ledger counters
+	// The TCP transport additionally exports the raw client-ledger counters
 	// delivery debugging wants: redials (every dial attempt, including
 	// failed ones — the gap against cluster_node_reconnects_total is
 	// connection flappiness) and lost reports, per node.

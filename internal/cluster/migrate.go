@@ -16,7 +16,7 @@ import (
 // blocking submits are exempt — they already accepted backpressure).
 const DefaultMigrateBufferCap = 1 << 16
 
-// errMigrationAbandoned is what the crashPoint test hook turns a
+// errMigrationAbandoned is what the test hook (core.hook) turns a
 // migration into: the router walks away mid-change exactly as a killed
 // process would — no rollback, no journal truncation — so recovery
 // tests can replay the journal from a realistic half-done state.
@@ -46,57 +46,22 @@ func (m *migration) moving(t serve.TerminalID) bool {
 	return m.oldRing.NodeOf(t) != m.newRing.NodeOf(t)
 }
 
-// add buffers one moving-terminal report.  Appends never block: a
-// submitter stalled here while holding the router's read lock would
-// deadlock the cutover's write lock.
-//
-//fuzzyho:nolockio
-func (m *migration) add(r serve.Report) {
-	m.mu.Lock()
-	m.buf = append(m.buf, r)
-	m.mu.Unlock()
-}
-
-// intercept splits rs for a blocking submit: moving-terminal reports are
+// intercept splits rs for a submit: moving-terminal reports are
 // buffered, the returned slice holds the rest (routable under the old
 // ring).  The input slice is never mutated; when nothing moves it is
 // returned as-is with no allocation — the common case, since a change
-// moves ~1/N of the key space.
+// moves ~1/N of the key space.  Buffering never blocks: a submitter
+// stalled here while holding the router's read lock would deadlock the
+// cutover's write lock.
+//
+// On the fail-fast path (try) moving reports past the buffer cap are
+// shed instead — counted, with the destination node of the first shed
+// report — so the buffer cannot grow unboundedly.  Only this call's own
+// reports are ever shed: reports a blocking submit already buffered were
+// accepted and stay accepted.
 //
 //fuzzyho:nolockio
-func (m *migration) intercept(rs []serve.Report) []serve.Report {
-	split := -1
-	for i := range rs {
-		if m.moving(rs[i].Terminal) {
-			split = i
-			break
-		}
-	}
-	if split < 0 {
-		return rs
-	}
-	rest := make([]serve.Report, 0, len(rs)-1)
-	rest = append(rest, rs[:split]...)
-	m.mu.Lock()
-	for _, r := range rs[split:] {
-		if m.moving(r.Terminal) {
-			m.buf = append(m.buf, r)
-		} else {
-			rest = append(rest, r)
-		}
-	}
-	m.mu.Unlock()
-	return rest
-}
-
-// interceptTry is intercept for the fail-fast path: moving reports past
-// the buffer cap are shed (counted, with the destination node of the
-// first shed report) instead of growing the buffer unboundedly.  Only
-// this call's own reports are ever shed — reports a blocking submit
-// already buffered were accepted and stay accepted.
-//
-//fuzzyho:nolockio
-func (m *migration) interceptTry(rs []serve.Report) (rest []serve.Report, shed int, node int) {
+func (m *migration) intercept(rs []serve.Report, try bool) (rest []serve.Report, shed int, node int) {
 	node = -1
 	split := -1
 	for i := range rs {
@@ -112,18 +77,17 @@ func (m *migration) interceptTry(rs []serve.Report) (rest []serve.Report, shed i
 	rest = append(rest, rs[:split]...)
 	m.mu.Lock()
 	for _, r := range rs[split:] {
-		if !m.moving(r.Terminal) {
+		switch {
+		case !m.moving(r.Terminal):
 			rest = append(rest, r)
-			continue
-		}
-		if len(m.buf) >= m.cap {
+		case try && len(m.buf) >= m.cap:
 			shed++
 			if node < 0 {
 				node = m.newRing.NodeOf(r.Terminal)
 			}
-			continue
+		default:
+			m.buf = append(m.buf, r)
 		}
-		m.buf = append(m.buf, r)
 	}
 	m.mu.Unlock()
 	return rest, shed, node

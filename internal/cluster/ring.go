@@ -1,10 +1,11 @@
 // Package cluster is the horizontal scaling layer above internal/serve:
 // it partitions the terminal population across N engine nodes with a
 // consistent-hash ring over TerminalID and routes report batches to the
-// node owning each terminal, behind one Router interface with two
-// backends — in-process (N serve.Engines in one process, for tests and
-// single-box scaling) and TCP (the newline-JSON wire protocol to remote
-// hoserve daemons).
+// node owning each terminal, behind one Router interface: one router
+// core (ring, membership migration, journal, scatter) over two
+// transports — in-process (N serve.Engines in one process, for tests
+// and single-box scaling) and TCP (the newline-JSON wire protocol to
+// remote hoserve daemons).
 //
 // The load-bearing guarantee is determinism: because the ring assigns
 // every terminal to exactly one node and submission order is preserved
@@ -43,11 +44,12 @@ type ringPoint struct {
 // ring points depend only on its own ID: a ring over {0,1,2} and a ring
 // over {0,1,2,5} place the shared members' points identically, so
 // adding or removing one member moves only the ~1/(N+1) of terminals
-// whose owning arc changed.  Elastic membership (Local.AddNode and
-// friends) is built on exactly this property.
+// whose owning arc changed.  Elastic membership (AddNode/RemoveNode) is
+// built on exactly this property.
 type Ring struct {
 	points  []ringPoint
 	members []int // sorted, unique
+	vnodes  int   // virtual nodes per member
 	// lut is the fast path of NodeOf: bucket b covers the hash prefix
 	// range [b<<lutShift, (b+1)<<lutShift); when every hash in the bucket
 	// resolves to one member the entry holds that member, otherwise -1
@@ -105,7 +107,7 @@ func NewRingMembers(members []int, virtualNodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate member ID %d", m)
 		}
 	}
-	r := &Ring{points: make([]ringPoint, 0, len(sorted)*virtualNodes), members: sorted}
+	r := &Ring{points: make([]ringPoint, 0, len(sorted)*virtualNodes), members: sorted, vnodes: virtualNodes}
 	for _, m := range sorted {
 		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(m, v), node: m})

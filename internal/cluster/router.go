@@ -8,15 +8,16 @@ import (
 )
 
 // Router routes measurement reports to the engine node owning each
-// terminal.  Both backends guarantee per-terminal submission order is
+// terminal.  Local and TCP implement it with one router core over two
+// transports, and both guarantee per-terminal submission order is
 // preserved end to end, which is what makes cluster decision sequences
 // identical to a single engine's.
 //
-// Backpressure semantics differ by backend and are part of the contract:
+// Backpressure is part of the contract:
 //
-//   - SubmitBatch blocks while a destination cannot accept (the
-//     in-process backend delegates to Engine.SubmitBatch's bounded
-//     queues; the TCP backend blocks on the owning node's send queue).
+//   - SubmitBatch blocks while a destination cannot accept (in-process,
+//     Engine.SubmitBatch's bounded queues; over TCP, the owning node's
+//     send queue).
 //   - TrySubmitBatch never blocks: a full destination fails fast with a
 //     *BacklogError (errors.Is serve.ErrBacklogged) naming the node and
 //     how many reports were shed — sub-batches bound for other nodes are
@@ -42,6 +43,11 @@ type Router interface {
 	Members() []int
 	// NodeOf returns the ring's owner for a terminal.
 	NodeOf(id serve.TerminalID) int
+	// RemoveNode migrates every terminal member id owns to the members
+	// left, copy before release, and retires the member.  (AddNode is
+	// transport-specific: an in-process member is started, a TCP one
+	// dialed.)
+	RemoveNode(id int) error
 	// Migration snapshots the in-flight membership change, if any:
 	// Active=false means the ring is stable.  Submissions never block on
 	// a migration — unmoved arcs route normally and moving arcs buffer —
@@ -86,7 +92,7 @@ func (e *BacklogError) Unwrap() error { return serve.ErrBacklogged }
 // NodeStats is one member's counter snapshot.
 type NodeStats struct {
 	// Node is the member index (-1 in aggregated totals); Addr its dial
-	// address for the TCP backend ("" in-process).
+	// address over TCP ("" in-process).
 	Node int
 	Addr string
 	// Submitted counts reports routed to the node; Decisions the

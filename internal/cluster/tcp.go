@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
@@ -76,70 +73,20 @@ type TCPConfig struct {
 	SchemaHash uint64
 }
 
-// tcpNode is one remote member: its client plus identity.
-type tcpNode struct {
-	id     int
-	addr   string
-	client *serve.NodeClient
-}
-
-// TCP is the multi-process Router backend: it speaks the existing
-// newline-JSON wire protocol to remote hoserve daemons, with a dedicated
-// ordered connection and writer per node, batch coalescing per
+// TCP is the multi-process Router: the router core over remote hoserve
+// daemons, speaking the existing newline-JSON wire protocol with a
+// dedicated ordered connection and writer per node, batch coalescing per
 // destination, per-node backpressure and reconnect-with-error-surfacing
 // (see serve.NodeClient for the delivery contract).
 //
 // Membership is elastic when the daemons serve the snapshot control
 // plane (hoserve does): AddNode/RemoveNode move exactly the terminals
-// whose ring arc changed in two overlapped phases (copy, then release
-// after a cutover record), so decision sequences continue across the
-// migration as if nothing moved — and submissions keep flowing while it
-// runs: unmoved arcs route normally, moving arcs buffer until cutover.
-// With a Journal configured the change is also crash-safe; see
-// TCPConfig.Journal.
+// whose ring arc changed, copy before release, while submissions keep
+// flowing.  With a Journal configured the change is also crash-safe;
+// see TCPConfig.Journal.
 type TCP struct {
-	cfg     TCPConfig
-	journal *Journal
-
-	// changeMu serializes membership changes — one migration at a time.
-	// memMu orders the brief ring mutations against routing: submits
-	// hold the read side; only the short prepare and cutover steps take
-	// the write side.  The copy/restore/release window itself runs under
-	// neither — that is the two-phase overlap.
-	changeMu sync.Mutex
-	memMu    sync.RWMutex
-	ring     *Ring
-	nodes    map[int]*tcpNode
-	nextID   int
-	retired  []NodeStats
-	// mig is non-nil while a membership change is in flight; submit
-	// paths consult it under the read lock (see migration).
-	mig     *migration
-	migStat migTracker
-
-	// crashPoint is a test-only hook: returning true at a named phase
-	// boundary abandons the migration exactly as a killed router would —
-	// no rollback, no journal truncation — so recovery tests can replay
-	// the journal from a realistic half-done state.
-	crashPoint func(phase string) bool
-
-	scatter sync.Pool
-
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// vnodes is the effective per-member virtual-node count.
-func (t *TCP) vnodes() int {
-	if t.cfg.VirtualNodes != 0 {
-		return t.cfg.VirtualNodes
-	}
-	return DefaultVirtualNodes
-}
-
-// crashed consults the test-only crash hook at a phase boundary.
-func (t *TCP) crashed(phase string) bool {
-	return t.crashPoint != nil && t.crashPoint(phase)
+	core
+	cfg TCPConfig
 }
 
 // DialTCP connects to every node daemon and returns the router.  All
@@ -156,9 +103,9 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 	if cfg.MigrateTimeout == 0 {
 		cfg.MigrateTimeout = DefaultMigrateTimeout
 	}
-	t := &TCP{cfg: cfg, nodes: make(map[int]*tcpNode, len(cfg.Addrs))}
-	t.scatter.New = func() any { return &map[int][]serve.Report{} }
-
+	t := &TCP{cfg: cfg}
+	t.configure(cfg.VirtualNodes, cfg.MigrateBufferCap, cfg.OrphanDir, t.dialNode)
+	t.onError = cfg.OnError
 	members := make([]int, 0, len(cfg.Addrs))
 	addrs := make(map[int]string, len(cfg.Addrs))
 	for i, a := range cfg.Addrs {
@@ -173,118 +120,49 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.journal = j
-		pending = st
+		t.journal, pending = j, st
 		if st.HasCheckpoint {
-			members = st.Members
-			addrs = st.Addrs
-			if st.NextID > t.nextID {
-				t.nextID = st.NextID
-			}
+			members, addrs = st.Members, st.Addrs
+			t.nextID = max(t.nextID, st.NextID)
 		} else if st.Intent != nil {
-			t.journal.Close()
+			j.Close()
 			return nil, fmt.Errorf("cluster: journal %s carries an intent but no checkpoint; refusing to guess the base membership", cfg.Journal)
 		}
 	}
-	fail := func(err error) (*TCP, error) {
-		for _, dialed := range t.sortedNodes() {
-			dialed.client.Close()
-		}
-		if t.journal != nil {
-			t.journal.Close()
-		}
-		return nil, err
-	}
-	if len(members) == 0 {
-		return fail(fmt.Errorf("cluster: no node addresses"))
+	// A member whose removal committed before the previous router died may
+	// legitimately be gone already; recovery finishes dropping it.
+	gone := -1
+	if in := pending.Intent; in != nil && pending.Cutover && in.Op == "removenode" {
+		gone = in.Node
 	}
 	ring, err := NewRingMembers(members, cfg.VirtualNodes)
+	if len(members) == 0 {
+		err = fmt.Errorf("cluster: no node addresses")
+	}
+	if err == nil {
+		err = t.start(ring, addrs, gone)
+	}
+	if err == nil && pending.Intent != nil {
+		if err = t.recoverIntent(pending); err != nil {
+			err = fmt.Errorf("cluster: journal replay: %w", err)
+		}
+	}
+	if err == nil {
+		err = t.checkpoint()
+	}
 	if err != nil {
-		return fail(err)
-	}
-	t.ring = ring
-	for _, m := range members {
-		if m >= t.nextID {
-			t.nextID = m + 1
-		}
-		addr, ok := addrs[m]
-		if !ok {
-			return fail(fmt.Errorf("cluster: journal names member %d with no address", m))
-		}
-		node, err := t.dialNode(m, addr)
-		if err != nil {
-			if in := pending.Intent; in != nil && pending.Cutover && in.Op == "removenode" && in.Node == m {
-				// The member was mid-removal and its change committed; its
-				// daemon may legitimately be gone already.  Recovery below
-				// finishes dropping it from the ring.
-				continue
-			}
-			return fail(err)
-		}
-		t.nodes[m] = node
-	}
-	if pending.Intent != nil {
-		if err := t.recoverIntent(pending); err != nil {
-			return fail(fmt.Errorf("cluster: journal replay: %w", err))
-		}
-	}
-	if err := t.checkpoint(); err != nil {
-		return fail(err)
+		t.Close()
+		return nil, err
 	}
 	return t, nil
 }
 
-// checkpoint rewrites the journal (if any) to the current membership,
-// truncating any completed intent.
-func (t *TCP) checkpoint() error {
-	if t.journal == nil {
-		return nil
-	}
-	t.memMu.RLock()
-	members := t.ring.Members()
-	addrs := make(map[int]string, len(t.nodes))
-	for id, n := range t.nodes {
-		addrs[id] = n.addr
-	}
-	next := t.nextID
-	t.memMu.RUnlock()
-	return t.journal.Checkpoint(members, addrs, next)
-}
-
-// journalIntent durably records a change before any state moves; with no
-// journal it is a no-op (the change then simply is not crash-safe).
-func (t *TCP) journalIntent(rec IntentRecord) error {
-	if t.journal == nil {
-		return nil
-	}
-	if err := t.journal.Intent(rec); err != nil {
-		return fmt.Errorf("cluster: journaling %s intent: %w", rec.Op, err)
-	}
-	return nil
-}
-
-// journalPhase records best-effort progress — recovery does not depend
-// on phase records (replay is idempotent), so a failed append must not
-// fail the migration.
-func (t *TCP) journalPhase(rec PhaseRecord) {
-	if t.journal != nil {
-		t.journal.Phase(rec)
-	}
-}
-
-// journalCutover durably commits the in-flight change.  Unlike phase
-// records its failure fails the migration: without the record, a crash
-// would roll back a change whose release already ran.
-func (t *TCP) journalCutover() error {
-	if t.journal == nil {
-		return nil
-	}
-	return t.journal.Cutover()
-}
-
 // dialNode dials one member daemon (does not link it into the member
 // map).
-func (t *TCP) dialNode(id int, addr string) (*tcpNode, error) {
+func (t *TCP) dialNode(id int, addr string) (*member, error) {
+	if addr == "" {
+		return nil, fmt.Errorf("cluster: node %d has no address", id)
+	}
 	ccfg := serve.NodeClientConfig{
 		QueueDepth:    t.cfg.QueueDepth,
 		RedialWait:    t.cfg.RedialWait,
@@ -292,6 +170,7 @@ func (t *TCP) dialNode(id int, addr string) (*tcpNode, error) {
 		MaxRedials:    t.cfg.MaxRedials,
 		CloseGrace:    t.cfg.CloseGrace,
 		SchemaHash:    t.cfg.SchemaHash,
+		Dial:          t.cfg.Dial,
 	}
 	if t.cfg.OnDecision != nil {
 		ccfg.OnOutcome = func(o serve.Outcome) { t.cfg.OnDecision(id, o) }
@@ -299,79 +178,11 @@ func (t *TCP) dialNode(id int, addr string) (*tcpNode, error) {
 	if t.cfg.OnError != nil {
 		ccfg.OnError = func(err error) { t.cfg.OnError(id, err) }
 	}
-	if t.cfg.Dial != nil {
-		ccfg.Dial = t.cfg.Dial
-	}
 	c, err := serve.DialNode(addr, ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
-	return &tcpNode{id: id, addr: addr, client: c}, nil
-}
-
-// NumNodes implements Router.
-func (t *TCP) NumNodes() int {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	return t.ring.Nodes()
-}
-
-// Members returns the live member IDs in ascending order.
-func (t *TCP) Members() []int {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	return t.ring.Members()
-}
-
-// NodeOf implements Router.
-func (t *TCP) NodeOf(id serve.TerminalID) int {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	return t.ring.NodeOf(id)
-}
-
-// Client returns member id's client (read-only use: counters, address),
-// or nil after the member departed.
-func (t *TCP) Client(id int) *serve.NodeClient {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	if n, ok := t.nodes[id]; ok {
-		return n.client
-	}
-	return nil
-}
-
-// beginMigration installs the route-to-both window: from here until
-// cutover (or abort), submissions for moving terminals buffer instead of
-// routing, and everything else routes under the old ring.
-func (t *TCP) beginMigration(op string, node int, oldRing, newRing *Ring) {
-	bcap := t.cfg.MigrateBufferCap
-	if bcap == 0 {
-		bcap = DefaultMigrateBufferCap
-	}
-	m := &migration{oldRing: oldRing, newRing: newRing, cap: bcap}
-	t.memMu.Lock()
-	t.mig = m
-	t.memMu.Unlock()
-	t.migStat.begin(op, node)
-}
-
-// abortMigration dismantles the window after a rolled-back change: the
-// buffered moving-terminal reports are released under the UNCHANGED old
-// ring (their owners kept — or got back — their state).
-func (t *TCP) abortMigration() error {
-	t.memMu.Lock()
-	buf := t.mig.take()
-	t.mig = nil
-	err := t.submitBatch(buf, func(n int, sub []serve.Report) error {
-		return t.nodes[n].client.Send(sub)
-	})
-	t.memMu.Unlock()
-	t.migStat.end()
-	if err != nil {
-		return fmt.Errorf("cluster: resubmitting %d reports buffered during the aborted migration: %w", len(buf), err)
-	}
-	return nil
+	return &member{id: id, addr: addr, client: c, timeout: t.cfg.MigrateTimeout}, nil
 }
 
 // AddNode dials addr as a fresh member and migrates to it exactly the
@@ -386,621 +197,16 @@ func (t *TCP) abortMigration() error {
 // router killed mid-change replays the journal on restart (see DialTCP).
 // Returns the new member's ID.
 func (t *TCP) AddNode(addr string) (int, error) {
-	t.changeMu.Lock()
-	defer t.changeMu.Unlock()
-	t.memMu.RLock()
-	oldRing := t.ring
-	id := t.nextID
-	srcs := t.sortedNodes()
-	t.memMu.RUnlock()
-	newMembers := append(oldRing.Members(), id)
-	newRing, err := NewRingMembers(newMembers, t.cfg.VirtualNodes)
-	if err != nil {
-		return 0, err
-	}
-	node, err := t.dialNode(id, addr)
-	if err != nil {
-		return 0, err
-	}
-	vnodes := t.vnodes()
-	if err := t.journalIntent(IntentRecord{
-		Op: "addnode", Node: id, Addr: addr,
-		Members: oldRing.Members(), NewMembers: newMembers, VNodes: vnodes,
-	}); err != nil {
-		node.client.Close()
-		return 0, err
-	}
-	t.beginMigration("addnode", id, oldRing, newRing)
-
-	migErr := func() error {
-		for _, src := range srcs {
-			t.migStat.phase(fmt.Sprintf("copy:%d", src.id))
-			if t.crashed("copy") {
-				return errMigrationAbandoned
-			}
-			// Copy before release: at every instant some daemon holds a
-			// complete replica of each moving terminal, which is what
-			// makes a crash anywhere recoverable.
-			snaps, err := src.client.Extract(newMembers, vnodes, src.id, true, t.cfg.MigrateTimeout)
-			if err != nil {
-				return fmt.Errorf("cluster: copying for new node %d from node %d: %w", id, src.id, err)
-			}
-			if len(snaps) > 0 {
-				if err := node.client.Restore(snaps, false, t.cfg.MigrateTimeout); err != nil {
-					return fmt.Errorf("cluster: restoring into new node %d: %w", id, err)
-				}
-				if t.crashed("restored") {
-					return errMigrationAbandoned
-				}
-				if _, err := src.client.Release(newMembers, vnodes, src.id, t.cfg.MigrateTimeout); err != nil {
-					return fmt.Errorf("cluster: releasing moved arcs on node %d: %w", src.id, err)
-				}
-			}
-			t.journalPhase(PhaseRecord{Phase: "moved", Source: src.id, Count: len(snaps)})
-		}
-		if t.crashed("pre-cutover") {
-			return errMigrationAbandoned
-		}
-		t.migStat.phase("cutover")
-		if err := t.journalCutover(); err != nil {
-			return fmt.Errorf("cluster: journaling cutover: %w", err)
-		}
-		if t.crashed("cutover") {
-			return errMigrationAbandoned
-		}
-		return nil
-	}()
-	if migErr != nil {
-		if errors.Is(migErr, errMigrationAbandoned) {
-			// Simulated router crash: leave the daemons' half-moved state
-			// and the journaled intent exactly as a dead process would.
-			// Only the new node's client is torn down — a real crash
-			// closes that socket too.
-			node.client.Close()
-			return 0, migErr
-		}
-		// Roll back: pull everything the new node received and return it
-		// to the owners the old ring names.  Sources that already
-		// released get their arcs back; sources that did not skip the
-		// duplicates (skip-live restore).
-		rbErr := t.reclaimInto(node, oldRing.Members(), vnodes, oldRing)
-		node.client.Close()
-		abErr := t.abortMigration()
-		ckErr := t.checkpoint()
-		return 0, errors.Join(migErr, rbErr, abErr, ckErr)
-	}
-
-	// Commit: flip the ring and release the buffered moving-arc reports
-	// to the new node under the same write lock, so no post-cutover
-	// submission can outrun them and break per-terminal order.
-	t.memMu.Lock()
-	t.ring = newRing
-	t.nodes[id] = node
-	t.nextID = id + 1
-	buf := t.mig.take()
-	t.mig = nil
-	ferr := t.submitBatch(buf, func(n int, sub []serve.Report) error {
-		return t.nodes[n].client.Send(sub)
-	})
-	t.memMu.Unlock()
-	t.migStat.end()
-	err = t.checkpoint()
-	if ferr != nil {
-		err = errors.Join(fmt.Errorf("cluster: migration committed, but releasing %d buffered reports failed: %w", len(buf), ferr), err)
-	}
-	return id, err
+	return t.addNode(addr)
 }
 
-// RemoveNode migrates every terminal member id owns to the members the
-// shrunk ring assigns them to (copy to the new owners, then release the
-// originals), freezes the departing node's final counters into Stats
-// (Departed), and closes its client.  Submissions keep flowing
-// throughout: only the departing member's arcs buffer, everything else
-// routes normally.  Crash-safe with a journal, like AddNode.
-func (t *TCP) RemoveNode(id int) error {
-	t.changeMu.Lock()
-	defer t.changeMu.Unlock()
-	t.memMu.RLock()
-	node, ok := t.nodes[id]
-	nLive := len(t.nodes)
-	oldRing := t.ring
-	t.memMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("cluster: node %d is not a member", id)
-	}
-	if nLive == 1 {
-		return fmt.Errorf("cluster: cannot remove the last member")
-	}
-	members := oldRing.Members()
-	rest := make([]int, 0, len(members)-1)
-	for _, m := range members {
-		if m != id {
-			rest = append(rest, m)
-		}
-	}
-	newRing, err := NewRingMembers(rest, t.cfg.VirtualNodes)
-	if err != nil {
-		return err
-	}
-	vnodes := t.vnodes()
-	if err := t.journalIntent(IntentRecord{
-		Op: "removenode", Node: id, Addr: node.addr,
-		Members: members, NewMembers: rest, VNodes: vnodes,
-	}); err != nil {
-		return err
-	}
-	t.beginMigration("removenode", id, oldRing, newRing)
-
-	migErr := func() error {
-		t.migStat.phase(fmt.Sprintf("copy:%d", id))
-		if t.crashed("copy") {
-			return errMigrationAbandoned
-		}
-		// The departing member is not in the remaining set, which the
-		// daemon hook reads as "everything I hold"; keep leaves it
-		// authoritative until release.
-		moved, err := node.client.Extract(rest, vnodes, id, true, t.cfg.MigrateTimeout)
-		if err != nil {
-			return fmt.Errorf("cluster: copying node %d: %w", id, err)
-		}
-		byDest := map[int][]serve.TerminalSnapshot{}
-		for _, s := range moved {
-			d := newRing.NodeOf(s.Terminal)
-			byDest[d] = append(byDest[d], s)
-		}
-		for _, d := range sortedKeys(byDest) {
-			t.migStat.phase(fmt.Sprintf("restore:%d", d))
-			if err := t.nodes[d].client.Restore(byDest[d], false, t.cfg.MigrateTimeout); err != nil {
-				return fmt.Errorf("cluster: restoring into node %d: %w", d, err)
-			}
-			t.journalPhase(PhaseRecord{Phase: "moved", Source: d, Count: len(byDest[d])})
-		}
-		if t.crashed("restored") {
-			return errMigrationAbandoned
-		}
-		t.migStat.phase("release")
-		if _, err := node.client.Release(rest, vnodes, id, t.cfg.MigrateTimeout); err != nil {
-			return fmt.Errorf("cluster: releasing node %d: %w", id, err)
-		}
-		t.migStat.phase("cutover")
-		if err := t.journalCutover(); err != nil {
-			return fmt.Errorf("cluster: journaling cutover: %w", err)
-		}
-		if t.crashed("cutover") {
-			return errMigrationAbandoned
-		}
-		return nil
-	}()
-	if migErr != nil {
-		if errors.Is(migErr, errMigrationAbandoned) {
-			return migErr
-		}
-		// Roll back: the departing member still holds its originals
-		// (release runs last), so stripping the copies off the remaining
-		// members restores the pre-change world.  If release itself
-		// failed the departing member may hold nothing — then the
-		// reclaimed copies restore it (skip-live covers both cases).
-		var rbErrs []error
-		for _, d := range rest {
-			t.memMu.RLock()
-			dn := t.nodes[d]
-			t.memMu.RUnlock()
-			back, xerr := dn.client.Extract(members, vnodes, d, false, t.cfg.MigrateTimeout)
-			if xerr != nil {
-				rbErrs = append(rbErrs, fmt.Errorf("cluster: reclaiming from node %d: %w", d, xerr))
-				continue
-			}
-			if rerr := t.returnToOwners(oldRing, back); rerr != nil {
-				rbErrs = append(rbErrs, rerr)
-			}
-		}
-		abErr := t.abortMigration()
-		ckErr := t.checkpoint()
-		return errors.Join(append(rbErrs, migErr, abErr, ckErr)...)
-	}
-
-	// Commit: freeze the departing member's final counters, drop it from
-	// the ring, and release the buffered reports — all of which now route
-	// to remaining members, since every arc of id moved.
-	t.memMu.Lock()
-	st := t.nodeStats(node)
-	st.Departed = true
-	t.retired = append(t.retired, st)
-	delete(t.nodes, id)
-	t.ring = newRing
-	buf := t.mig.take()
-	t.mig = nil
-	ferr := t.submitBatch(buf, func(n int, sub []serve.Report) error {
-		return t.nodes[n].client.Send(sub)
-	})
-	t.memMu.Unlock()
-	t.migStat.end()
-	var errs []error
-	if ferr != nil {
-		errs = append(errs, fmt.Errorf("cluster: migration committed, but releasing %d buffered reports failed: %w", len(buf), ferr))
-	}
-	if err := node.client.Close(); err != nil && !errors.Is(err, serve.ErrClientClosed) {
-		errs = append(errs, fmt.Errorf("cluster: closing node %d: %w", id, err))
-	}
-	if err := t.checkpoint(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
-// reclaimInto pulls everything member `from` holds that ownerRing (over
-// ownerMembers) does not assign to it — for a node being rolled out of
-// an addnode, its ID is not in ownerMembers, so that is everything —
-// and returns the state to the owners.  Failed returns quarantine the
-// orphans instead of losing them with the router's memory.
-func (t *TCP) reclaimInto(from *tcpNode, ownerMembers []int, vnodes int, ownerRing *Ring) error {
-	back, err := from.client.Extract(ownerMembers, vnodes, from.id, false, t.cfg.MigrateTimeout)
-	if err != nil {
-		return fmt.Errorf("cluster: reclaiming from node %d failed — its terminal state is still on the daemon at %s: %w", from.id, from.addr, err)
-	}
-	return t.returnToOwners(ownerRing, back)
-}
-
-// returnToOwners restores snapshots to the members ring assigns them to,
-// skipping terminals an owner still holds (rollback reaches here with a
-// mix of released and still-held arcs).  Snapshots that can land nowhere
-// are quarantined, never dropped.
-func (t *TCP) returnToOwners(ring *Ring, snaps []serve.TerminalSnapshot) error {
-	if len(snaps) == 0 {
-		return nil
-	}
-	t.memMu.RLock()
-	nodes := make(map[int]*tcpNode, len(t.nodes))
-	for id, n := range t.nodes {
-		nodes[id] = n
-	}
-	t.memMu.RUnlock()
-	byDest := map[int][]serve.TerminalSnapshot{}
-	for _, s := range snaps {
-		d := ring.NodeOf(s.Terminal)
-		byDest[d] = append(byDest[d], s)
-	}
-	var errs []error
-	var orphans []serve.TerminalSnapshot
-	for _, d := range sortedKeys(byDest) {
-		dn, ok := nodes[d]
-		if !ok {
-			errs = append(errs, fmt.Errorf("cluster: owner %d of %d reclaimed terminals is not a live member", d, len(byDest[d])))
-			orphans = append(orphans, byDest[d]...)
-			continue
-		}
-		if err := dn.client.Restore(byDest[d], true, t.cfg.MigrateTimeout); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: returning %d terminals to node %d: %w", len(byDest[d]), d, err))
-			orphans = append(orphans, byDest[d]...)
-		}
-	}
-	if len(orphans) > 0 {
-		errs = append(errs, orphanError(t.cfg.OrphanDir, orphans))
-	}
-	return errors.Join(errs...)
-}
-
-// recoverIntent completes or rolls back the half-done membership change
-// a previous router process left in the journal.  Before the cutover
-// record the change never committed: the copies are pulled back off the
-// destination(s) and the old membership stands.  At or past cutover the
-// change is completed — the re-copy/skip-live-restore/release sweep is
-// idempotent, so replaying a partially executed phase is safe.  Runs at
-// construction, before the router serves anything.
-func (t *TCP) recoverIntent(st JournalState) error {
-	in := st.Intent
-	oldRing, err := NewRingMembers(in.Members, in.VNodes)
-	if err != nil {
-		return fmt.Errorf("old ring: %w", err)
-	}
-	newRing, err := NewRingMembers(in.NewMembers, in.VNodes)
-	if err != nil {
-		return fmt.Errorf("new ring: %w", err)
-	}
-	vnodes := in.VNodes
-	switch in.Op {
-	case "addnode":
-		dest, err := t.dialNode(in.Node, in.Addr)
-		if err != nil {
-			return fmt.Errorf("dialing half-joined node %d at %s: %w", in.Node, in.Addr, err)
-		}
-		if !st.Cutover {
-			// Roll back: whatever landed on the new node goes back to the
-			// owners the old ring names; the join never happened.
-			rbErr := t.reclaimInto(dest, in.Members, vnodes, oldRing)
-			dest.client.Close()
-			return rbErr
-		}
-		// Roll forward: finish the copy/restore/release sweep (no-ops for
-		// sources that completed before the crash) and seat the member.
-		for _, src := range t.sortedNodes() {
-			snaps, err := src.client.Extract(in.NewMembers, vnodes, src.id, true, t.cfg.MigrateTimeout)
-			if err != nil {
-				dest.client.Close()
-				return fmt.Errorf("re-copying from node %d: %w", src.id, err)
-			}
-			if len(snaps) > 0 {
-				if err := dest.client.Restore(snaps, true, t.cfg.MigrateTimeout); err != nil {
-					dest.client.Close()
-					return fmt.Errorf("re-restoring into node %d: %w", in.Node, err)
-				}
-			}
-			if _, err := src.client.Release(in.NewMembers, vnodes, src.id, t.cfg.MigrateTimeout); err != nil {
-				dest.client.Close()
-				return fmt.Errorf("releasing node %d: %w", src.id, err)
-			}
-		}
-		t.nodes[in.Node] = dest
-		t.ring = newRing
-		if in.Node >= t.nextID {
-			t.nextID = in.Node + 1
-		}
-		return nil
-	case "removenode":
-		if !st.Cutover {
-			// Roll back: the departing member still holds its originals
-			// (or gets them back skip-live); strip the copies off the
-			// remaining members.
-			var errs []error
-			for _, m := range in.NewMembers {
-				dn, ok := t.nodes[m]
-				if !ok {
-					errs = append(errs, fmt.Errorf("member %d from the journal is not dialed", m))
-					continue
-				}
-				back, err := dn.client.Extract(in.Members, vnodes, m, false, t.cfg.MigrateTimeout)
-				if err != nil {
-					errs = append(errs, fmt.Errorf("reclaiming from node %d: %w", m, err))
-					continue
-				}
-				if err := t.returnToOwners(oldRing, back); err != nil {
-					errs = append(errs, err)
-				}
-			}
-			return errors.Join(errs...)
-		}
-		// Roll forward: drain whatever the departing member still holds
-		// to the new owners and drop it from the ring.  A departing
-		// daemon that is already gone is tolerated — cutover means every
-		// copy landed (and was released) before the crash.
-		if node, ok := t.nodes[in.Node]; ok {
-			moved, err := node.client.Extract(in.NewMembers, vnodes, in.Node, true, t.cfg.MigrateTimeout)
-			if err != nil {
-				return fmt.Errorf("re-copying departing node %d: %w", in.Node, err)
-			}
-			byDest := map[int][]serve.TerminalSnapshot{}
-			for _, s := range moved {
-				byDest[newRing.NodeOf(s.Terminal)] = append(byDest[newRing.NodeOf(s.Terminal)], s)
-			}
-			for _, d := range sortedKeys(byDest) {
-				dn, ok := t.nodes[d]
-				if !ok {
-					return fmt.Errorf("owner %d of re-copied terminals is not dialed", d)
-				}
-				if err := dn.client.Restore(byDest[d], true, t.cfg.MigrateTimeout); err != nil {
-					return fmt.Errorf("re-restoring into node %d: %w", d, err)
-				}
-			}
-			if _, err := node.client.Release(in.NewMembers, vnodes, in.Node, t.cfg.MigrateTimeout); err != nil {
-				return fmt.Errorf("releasing departing node %d: %w", in.Node, err)
-			}
-			fin := t.nodeStats(node)
-			fin.Departed = true
-			t.retired = append(t.retired, fin)
-			delete(t.nodes, in.Node)
-			node.client.Close()
-		}
-		t.ring = newRing
-		return nil
-	default:
-		return fmt.Errorf("unknown intent op %q", in.Op)
-	}
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// sortedNodes returns the live members in ascending ID order.
-//
-//fuzzyho:nolockio
-func (t *TCP) sortedNodes() []*tcpNode {
-	out := make([]*tcpNode, 0, len(t.nodes))
-	for _, n := range t.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// Submit implements Router.  During a membership change a report for a
-// moving terminal buffers until cutover; everything else routes as if no
-// change were in flight.  Runs under memMu's read side: the client send
-// below parks on a select (queue slot or client death), never on the
-// network — lockcheck audits the rest of the path.
-//
-//fuzzyho:nolockio
-func (t *TCP) Submit(r serve.Report) error {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	if t.mig != nil && t.mig.moving(r.Terminal) {
-		t.mig.add(r)
-		return nil
-	}
-	n := t.ring.NodeOf(r.Terminal)
-	if err := t.nodes[n].client.Send([]serve.Report{r}); err != nil {
-		return fmt.Errorf("cluster: node %d: %w", n, err)
+// Client returns member id's client (read-only use: counters, address),
+// or nil after the member departed.
+func (t *TCP) Client(id int) *serve.NodeClient {
+	if m := t.member(id); m != nil {
+		return m.client
 	}
 	return nil
-}
-
-// SubmitBatch implements Router: reports scatter into per-node sub-slices
-// and each destination gets one coalesced wire line, blocking on that
-// node's send queue under backpressure.  During a membership change,
-// moving-terminal reports peel off into the migration buffer first.
-//
-//fuzzyho:nolockio
-func (t *TCP) SubmitBatch(rs []serve.Report) error {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	if t.mig != nil {
-		rs = t.mig.intercept(rs)
-	}
-	return t.submitBatch(rs, func(n int, sub []serve.Report) error {
-		return t.nodes[n].client.Send(sub)
-	})
-}
-
-// TrySubmitBatch implements Router: like SubmitBatch but a full node
-// queue sheds that node's sub-batch and fails with *BacklogError instead
-// of blocking; other nodes' sub-batches are still accepted.  A full
-// migration buffer sheds moving-terminal reports the same way.
-//
-//fuzzyho:nolockio
-func (t *TCP) TrySubmitBatch(rs []serve.Report) error {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	shed := 0
-	firstNode := -1
-	if t.mig != nil {
-		var bshed, bnode int
-		rs, bshed, bnode = t.mig.interceptTry(rs)
-		if bshed > 0 {
-			shed = bshed
-			firstNode = bnode
-		}
-	}
-	err := t.submitBatch(rs, func(n int, sub []serve.Report) error {
-		err := t.nodes[n].client.TrySend(sub)
-		if errors.Is(err, serve.ErrBacklogged) {
-			shed += len(sub)
-			if firstNode < 0 {
-				firstNode = n
-			}
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if shed > 0 {
-		return &BacklogError{Node: firstNode, Shed: shed}
-	}
-	return nil
-}
-
-// Migration implements Router.
-//
-//fuzzyho:nolockio
-func (t *TCP) Migration() MigrationStatus {
-	t.memMu.RLock()
-	buffered := 0
-	if t.mig != nil {
-		buffered = t.mig.buffered()
-	}
-	t.memMu.RUnlock()
-	return t.migStat.status(buffered)
-}
-
-// submitBatch scatters under a held read lock.
-//
-//fuzzyho:nolockio
-func (t *TCP) submitBatch(rs []serve.Report, send func(n int, sub []serve.Report) error) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	if t.ring.Nodes() == 1 {
-		sole := t.ring.Members()[0]
-		if err := send(sole, rs); err != nil {
-			return fmt.Errorf("cluster: node %d: %w", sole, err)
-		}
-		return nil
-	}
-	bufs := t.scatter.Get().(*map[int][]serve.Report)
-	defer t.putScatter(bufs)
-	for i := range rs {
-		n := t.ring.NodeOf(rs[i].Terminal)
-		(*bufs)[n] = append((*bufs)[n], rs[i])
-	}
-	for _, n := range sortedKeys(*bufs) {
-		sub := (*bufs)[n]
-		if len(sub) == 0 {
-			continue
-		}
-		if err := send(n, sub); err != nil {
-			return fmt.Errorf("cluster: node %d: %w", n, err)
-		}
-	}
-	return nil
-}
-
-//fuzzyho:nolockio
-func (t *TCP) putScatter(bufs *map[int][]serve.Report) {
-	for n, sub := range *bufs {
-		(*bufs)[n] = sub[:0]
-	}
-	t.scatter.Put(bufs)
-}
-
-// Flush implements Router: waits until every node's ledger balances
-// (delivered + lost ≥ submitted) within the shared timeout.  Node
-// failures are returned joined, not hidden.
-func (t *TCP) Flush(timeout time.Duration) error {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	deadline := time.Now().Add(timeout)
-	var errs []error
-	for _, n := range t.sortedNodes() {
-		remaining := time.Until(deadline)
-		if remaining < 0 {
-			remaining = 0
-		}
-		if err := n.client.Flush(remaining); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.id, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// nodeStats snapshots one live member's client ledger.
-//
-//fuzzyho:nolockio
-func (t *TCP) nodeStats(n *tcpNode) NodeStats {
-	cnt := n.client.Counters()
-	return NodeStats{
-		Node:       n.id,
-		Addr:       n.addr,
-		Submitted:  cnt.Submitted,
-		Decisions:  cnt.Delivered,
-		Lost:       cnt.Lost,
-		Handovers:  cnt.Handovers,
-		PingPongs:  cnt.PingPongs,
-		Errors:     cnt.RemoteErrors,
-		Reconnects: cnt.Reconnects,
-		QueueDepth: cnt.QueuedLines,
-	}
-}
-
-// Stats implements Router from the per-node client ledgers.  Terminal
-// counts are not carried on the wire and read 0.  Departed members
-// appear after the live ones with frozen counters.
-//
-//fuzzyho:nolockio
-func (t *TCP) Stats() Stats {
-	t.memMu.RLock()
-	defer t.memMu.RUnlock()
-	st := Stats{Nodes: make([]NodeStats, 0, len(t.nodes)+len(t.retired))}
-	for _, n := range t.sortedNodes() {
-		st.Nodes = append(st.Nodes, t.nodeStats(n))
-	}
-	st.Nodes = append(st.Nodes, t.retired...)
-	return st
 }
 
 // ClientCounters is one member's raw serve.NodeCounters snapshot paired
@@ -1020,38 +226,8 @@ func (t *TCP) ClientCounters() []ClientCounters {
 	t.memMu.RLock()
 	defer t.memMu.RUnlock()
 	out := make([]ClientCounters, 0, len(t.nodes))
-	for _, n := range t.sortedNodes() {
-		out = append(out, ClientCounters{Node: n.id, Addr: n.addr, Counters: n.client.Counters()})
+	for _, m := range t.sortedNodes() {
+		out = append(out, ClientCounters{Node: m.id, Addr: m.addr, Counters: m.client.Counters()})
 	}
 	return out
-}
-
-// Close implements Router: every node client drains its queue to the
-// node, reads the remaining decisions and closes.  Reports still held in
-// an in-flight migration's buffer are in no client's ledger, so Close
-// surfaces their count through OnError instead of dropping them silently.
-func (t *TCP) Close() error {
-	t.closeOnce.Do(func() {
-		t.memMu.Lock()
-		defer t.memMu.Unlock()
-		var errs []error
-		if t.mig != nil {
-			if buf := t.mig.take(); len(buf) > 0 && t.cfg.OnError != nil {
-				t.cfg.OnError(-1, fmt.Errorf("cluster: %d buffered reports dropped by Close during an in-flight migration", len(buf)))
-			}
-			t.mig = nil
-		}
-		for _, n := range t.sortedNodes() {
-			if err := n.client.Close(); err != nil && !errors.Is(err, serve.ErrClientClosed) {
-				errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.id, err))
-			}
-		}
-		if t.journal != nil {
-			if err := t.journal.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("cluster: closing journal: %w", err))
-			}
-		}
-		t.closeErr = errors.Join(errs...)
-	})
-	return t.closeErr
 }

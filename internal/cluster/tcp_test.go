@@ -358,6 +358,15 @@ func TestTCPClusterBackpressure(t *testing.T) {
 	for i := 0; i < 20000 && !sawBacklog; i++ {
 		err := router.TrySubmitBatch(rs)
 		if err == nil {
+			// Pace on the healthy node: its writer takes the queued line
+			// before the next batch, so only the stalled node's 2-line
+			// queue can fill.
+			for deadline := time.Now().Add(10 * time.Second); router.Client(0).Counters().QueuedLines > 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("healthy node's send queue never drained")
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
 			continue
 		}
 		var be *BacklogError

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint escape-check bench bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet lint escape-check bench-build bench bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,11 @@ lint:
 # hotpath functions against the committed baseline; any new escape fails.
 escape-check:
 	$(GO) run ./cmd/hovet -escape -baseline escape_baseline.txt ./...
+
+# perfbench is its own Go module, so ./... above never compiles it: vet
+# and build it here, so an API change it depends on fails the pipeline.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 
 # Full benchmark/reproduction record (slow).
 bench:
@@ -166,4 +171,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine -fuzztime 10s
 
-ci: vet lint escape-check build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke
+ci: vet lint escape-check build bench-build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

@@ -228,6 +228,39 @@ func BenchmarkEvaluateCompiledBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/decision")
 }
 
+// BenchmarkEvaluateCompiledBatchTrend is BenchmarkEvaluateCompiledBatch on
+// trendfuzzy's 4-input surface: the N-axis kernel walk the serve shards
+// score trend frames through.
+func BenchmarkEvaluateCompiledBatchTrend(b *testing.B) {
+	cs, err := handover.DefaultTrendSurface()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !cs.Exact() {
+		b.Fatal("trend FLC did not compile to the exact kernel")
+	}
+	const n = 64
+	var cols [4][n]float64
+	for a, v := range cs.System().Inputs() {
+		span := v.Max - v.Min
+		for i := 0; i < n; i++ {
+			// Co-prime strides per axis spread the rows over the segment combos.
+			cols[a][i] = v.Min + span*float64((i*(2*a+3))%17)/16
+		}
+	}
+	in := [][]float64{cols[0][:], cols[1][:], cols[2][:], cols[3][:]}
+	var dst [n]float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cs.EvaluateBatch(dst[:], in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/decision")
+}
+
 // BenchmarkEvaluateLattice measures the interpolation-lattice fallback at
 // the default resolution (forced: the paper's FLC normally takes the
 // kernel) — the compiled mode operator ablations get.

@@ -16,7 +16,8 @@ import (
 //     min/max norms, height defuzzification), every input axis is compiled
 //     into a breakpoint segment table — per segment, the ≤ 2 active terms
 //     and their linear grade forms — and a query is d segment lookups,
-//     2^d table-indexed min/max folds and one weighted average.  The
+//     prefix mins doubled over the first d−1 axes, 2^d table-indexed
+//     min/max folds against the last axis and one weighted average.  The
 //     kernel reproduces EvaluateInto's arithmetic operation for operation
 //     (the construction validates every segment formula against the
 //     membership functions bit-for-bit), so its reported error bound is
@@ -61,9 +62,10 @@ const compiledSlack = 2.0
 const kernelMaxOutTerms = 8
 
 // kernelMaxAxes bounds the input-axis count the exact kernel supports: the
-// generic query walks 2^d segment-term combos with stack-resident per-axis
-// state, so d is capped where that walk (256 combos) stops being the fast
-// path anyway.  The 3-axis paper shape keeps its fully unrolled query.
+// generic query keeps a stack-resident table of 2^(d−1) prefix mins
+// (kernelWalk) and folds 2^d segment-term combos, so d is capped where
+// that walk (256 combos) stops being the fast path anyway.  The 3-axis
+// paper shape keeps its fully unrolled query.
 const kernelMaxAxes = 8
 
 // kernelProbeRes is the per-axis probe resolution used to cross-check the
@@ -71,6 +73,11 @@ const kernelMaxAxes = 8
 // bit-identical by construction; the probe is a defensive regression net,
 // so a modest grid suffices.
 const kernelProbeRes = 33
+
+// kernelProbePoints caps the probe grid beyond three axes, where a fixed
+// per-axis resolution would grow as res^d: 13⁴ points keeps construction
+// in milliseconds up to kernelMaxAxes.
+const kernelProbePoints = 13 * 13 * 13 * 13
 
 // kernelTerm is one active term's grade form on a segment, unified as the
 // affine (x - p)·r + c: plateaus use r = 0, c = 1; rising flanks
@@ -112,7 +119,7 @@ type kernelRule struct {
 // surfaceKernel is the exact compiled form of a grid-shaped N-input
 // system (2 ≤ N ≤ kernelMaxAxes).  The 3-axis case — the paper's FLC —
 // additionally gets a fully unrolled query (eval); every other axis count
-// runs the generic combo walk (evalN) over the same tables.
+// runs the doubling prefix-min walk (walk) over the same tables.
 type surfaceKernel struct {
 	dims     int
 	axes     []kernelAxis
@@ -506,7 +513,7 @@ func (k *surfaceKernel) eval(x0, x1, x2 float64) (float64, error) {
 
 // evalAt dispatches one exact-kernel query by axis count: the paper's
 // 3-axis shape keeps its fully unrolled eval, everything else runs the
-// generic combo walk.  xs must be NaN-free, like eval.
+// doubling walk.  xs must be NaN-free, like eval.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
@@ -514,65 +521,73 @@ func (k *surfaceKernel) evalAt(xs []float64) (float64, error) {
 	if k.dims == 3 {
 		return k.eval(xs[0], xs[1], xs[2])
 	}
-	return k.evalN(xs)
+	var w kernelWalk
+	return k.walk(xs, &w)
 }
 
-// evalN is the generic N-axis exact-kernel query: one segment lookup and
-// two grade forms per axis, then a 2^d walk over the segment-term combos
-// folding min over the selected grades into the dense rule table — the
-// same min-folds and max-aggregation as the reference grid inference,
-// with duplicated slots standing in for single-term segments exactly as
-// in the unrolled 3-axis eval.  All state is stack-resident; the walk
-// allocates nothing.
+// kernelWalk is the doubling walk's prefix table: entry j holds the min
+// over the grades that combo j selects on the axes walked so far (bit a of
+// j picks axis a's second slot) and the summed rule-table offset.  At
+// 2^(kernelMaxAxes−1) entries it is 1.5 KiB, so batch queries declare one
+// per batch on the stack and every row reuses it.
+type kernelWalk struct {
+	m   [1 << (kernelMaxAxes - 1)]float64
+	idx [1 << (kernelMaxAxes - 1)]int32
+}
+
+// walk is the N-axis exact-kernel query: one segment lookup and two grade
+// forms per axis.  Axes 0…d−2 double the prefix table — entry j becomes
+// (min(m_j, g0), idx_j + b0) at j and (min(m_j, g1), idx_j + b1) at j + n
+// — so each combo's min costs one branch-free builtin min per axis; the
+// last axis folds the 2^(d−1) prefixes straight into the activation
+// accumulator with eval's cfold/fold.  Those compare before they store:
+// few combos raise an output term's activation, and a store on every
+// combo would chain each fold to the previous one through memory.  These
+// are the reference grid inference's min-folds and max-aggregation on the
+// same values, with duplicated slots standing in for single-term segments
+// as in the unrolled eval; both are order-free on grades in [0, 1].  Axis
+// 0 starts from the neutral 1.0, so a flank grade rounding above 1 is
+// clamped as the reference fold clamps it.  xs must be NaN-free, like
+// eval.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
-func (k *surfaceKernel) evalN(xs []float64) (float64, error) {
+func (k *surfaceKernel) walk(xs []float64, w *kernelWalk) (float64, error) {
 	d := k.dims
-	var g [kernelMaxAxes][2]float64
-	var b [kernelMaxAxes][2]int32
-	for a := 0; a < d; a++ {
+	sg, x := k.axes[0].find(xs[0])
+	w.m[0] = min(1, (x-sg.f0.p)*sg.f0.r+sg.f0.c)
+	w.m[1] = min(1, (x-sg.f1.p)*sg.f1.r+sg.f1.c)
+	w.idx[0], w.idx[1] = sg.b0, sg.b1
+	n := 2
+	for a := 1; a < d-1; a++ {
 		sg, x := k.axes[a].find(xs[a])
-		g[a][0] = (x-sg.f0.p)*sg.f0.r + sg.f0.c
-		g[a][1] = (x-sg.f1.p)*sg.f1.r + sg.f1.c
-		b[a][0] = sg.b0
-		b[a][1] = sg.b1
+		g0 := (x-sg.f0.p)*sg.f0.r + sg.f0.c
+		g1 := (x-sg.f1.p)*sg.f1.r + sg.f1.c
+		m0, i0 := w.m[:n], w.idx[:n]
+		m1, i1 := w.m[n:2*n], w.idx[n:2*n]
+		for j, m := range m0 {
+			m1[j] = min(m, g1)
+			i1[j] = i0[j] + sg.b1
+			m0[j] = min(m, g0)
+			i0[j] += sg.b0
+		}
+		n *= 2
 	}
+	sg, x = k.axes[d-1].find(xs[d-1])
+	g0 := (x-sg.f0.p)*sg.f0.r + sg.f0.c
+	g1 := (x-sg.f1.p)*sg.f1.r + sg.f1.c
+	ms, ids := w.m[:n], w.idx[:n]
 	var act [kernelMaxOutTerms]float64
 	if k.complete {
 		outs := k.outs
-		for combo := 0; combo < 1<<d; combo++ {
-			m := 1.0 // neutral for min over grades in [0, 1]
-			idx := int32(0)
-			for a := 0; a < d; a++ {
-				s := (combo >> a) & 1
-				if v := g[a][s]; v < m {
-					m = v
-				}
-				idx += b[a][s]
-			}
-			if ot := outs[idx] & (kernelMaxOutTerms - 1); m > act[ot] {
-				act[ot] = m
-			}
+		for j, m := range ms {
+			cfold(m, g0, outs[ids[j]+sg.b0], &act)
+			cfold(m, g1, outs[ids[j]+sg.b1], &act)
 		}
 	} else {
-		for combo := 0; combo < 1<<d; combo++ {
-			m := 1.0
-			idx := int32(0)
-			for a := 0; a < d; a++ {
-				s := (combo >> a) & 1
-				if v := g[a][s]; v < m {
-					m = v
-				}
-				idx += b[a][s]
-			}
-			r := &k.rules[idx]
-			if ot := r.out; ot >= 0 {
-				m *= r.w
-				if m > act[ot&(kernelMaxOutTerms-1)] {
-					act[ot&(kernelMaxOutTerms-1)] = m
-				}
-			}
+		for j, m := range ms {
+			k.fold(m, g0, ids[j]+sg.b0, &act)
+			k.fold(m, g1, ids[j]+sg.b1, &act)
 		}
 	}
 	var num, den float64
@@ -631,11 +646,20 @@ func (cs *CompiledSurface) probeKernel() error {
 	sc := cs.sys.NewScratch()
 	xs := sc.Xs()
 	maxErr := 0.0
-	// Beyond three axes the probe grid grows as res^d; a coarser grid keeps
-	// construction fast while still sweeping every segment combination.
+	// Beyond three axes, probe the largest per-axis resolution from 13 down
+	// to 3 (both edges and the middle) whose d-th power fits
+	// kernelProbePoints: 13 at d = 4, 3 at d = 8.
 	res := kernelProbeRes
 	if cs.dims > 3 {
-		res = 13
+		for res = 13; res > 3; res-- {
+			pts := 1
+			for a := 0; a < cs.dims && pts <= kernelProbePoints; a++ {
+				pts *= res
+			}
+			if pts <= kernelProbePoints {
+				break
+			}
+		}
 	}
 	var walk func(ax int) error
 	walk = func(ax int) error {
@@ -953,6 +977,7 @@ func (cs *CompiledSurface) EvaluateBatch(dst []float64, cols [][]float64) error 
 	}
 	if k := cs.kern; k != nil {
 		var xs [kernelMaxAxes]float64
+		var w kernelWalk
 		for i := range dst {
 			bad := false
 			for a := 0; a < cs.dims; a++ {
@@ -967,7 +992,7 @@ func (cs *CompiledSurface) EvaluateBatch(dst []float64, cols [][]float64) error 
 				dst[i] = math.NaN()
 				continue
 			}
-			y, err := k.evalN(xs[:cs.dims])
+			y, err := k.walk(xs[:cs.dims], &w)
 			if err != nil {
 				y = math.NaN() // no rule fired: mark the row, keep the batch going
 			}

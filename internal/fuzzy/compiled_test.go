@@ -1,6 +1,8 @@
 package fuzzy
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,6 +59,116 @@ func paperShapedSystem(t *testing.T, opts Options) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// axesSystem is a d-input grid-shaped system: terms = 2 gives every axis
+// two overlapping shoulders, terms = 3 a shoulder–triangle–shoulder
+// partition, with breakpoints drawn per axis so single-term plateaus and
+// two-term overlaps both occur.  The full AND rulebase maps combo i to one
+// of four output terms; edit may reweight a rule, or drop it by returning
+// false.
+func axesSystem(t *testing.T, d, terms int, edit func(i int, r *Rule) bool) *System {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(100*d + terms)))
+	inputs := make([]*Variable, d)
+	for a := range inputs {
+		lo, hi := -1-rng.Float64(), 1+rng.Float64()
+		span := hi - lo
+		p1 := lo + span*(0.15+0.1*rng.Float64())
+		p2 := lo + span*(0.45+0.1*rng.Float64())
+		p3 := lo + span*(0.75+0.1*rng.Float64())
+		name := fmt.Sprintf("x%d", a)
+		if terms == 2 {
+			inputs[a] = MustVariable(name, lo, hi,
+				Term{"l", ShoulderLeft(p1, p2)}, Term{"h", ShoulderRight(p1, p2)})
+		} else {
+			inputs[a] = MustVariable(name, lo, hi,
+				Term{"l", ShoulderLeft(p1, p2)}, Term{"m", Tri(p1, p2, p3)}, Term{"h", ShoulderRight(p2, p3)})
+		}
+	}
+	y := MustVariable("y", 0, 1,
+		Term{"vl", Trap(0, 0, 0.2, 0.4)},
+		Term{"lo", Tri(0.2, 0.4, 0.6)},
+		Term{"lh", Tri(0.4, 0.6, 0.8)},
+		Term{"hg", Trap(0.6, 1, 1, 1)},
+	)
+	var rb RuleBase
+	combo := make([]int, d)
+	for i := 0; ; i++ {
+		r := Rule{Then: Clause{Var: "y", Term: y.TermNames()[(i*7)%4]}}
+		for a, ti := range combo {
+			r.If = append(r.If, Clause{Var: inputs[a].Name, Term: inputs[a].TermNames()[ti]})
+		}
+		if edit(i, &r) {
+			rb.Add(r)
+		}
+		a := 0
+		for ; a < d; a++ {
+			if combo[a]++; combo[a] < terms {
+				break
+			}
+			combo[a] = 0
+		}
+		if a == d {
+			break
+		}
+	}
+	sys, err := NewSystem(y, rb, Options{}, inputs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// evalN is the reference the kernel's doubling walk must match bit for
+// bit: for each of the 2^d segment-term combos it computes the d-way min
+// from the neutral 1.0 on its own, then folds it into the dense rule
+// table.
+func (k *surfaceKernel) evalN(xs []float64) (float64, error) {
+	d := k.dims
+	var g [kernelMaxAxes][2]float64
+	var b [kernelMaxAxes][2]int32
+	for a := 0; a < d; a++ {
+		sg, x := k.axes[a].find(xs[a])
+		g[a][0] = (x-sg.f0.p)*sg.f0.r + sg.f0.c
+		g[a][1] = (x-sg.f1.p)*sg.f1.r + sg.f1.c
+		b[a][0] = sg.b0
+		b[a][1] = sg.b1
+	}
+	var act [kernelMaxOutTerms]float64
+	for combo := 0; combo < 1<<d; combo++ {
+		m := 1.0 // neutral for min over grades in [0, 1]
+		idx := int32(0)
+		for a := 0; a < d; a++ {
+			s := (combo >> a) & 1
+			if v := g[a][s]; v < m {
+				m = v
+			}
+			idx += b[a][s]
+		}
+		if k.complete {
+			if ot := k.outs[idx]; m > act[ot] {
+				act[ot] = m
+			}
+			continue
+		}
+		if r := k.rules[idx]; r.out >= 0 {
+			if m *= r.w; m > act[r.out] {
+				act[r.out] = m
+			}
+		}
+	}
+	var num, den float64
+	for i, m := range k.mid {
+		if a := act[i]; a > 0 {
+			num += a * m
+			den += a
+		}
+	}
+	if den == 0 {
+		return 0, ErrNoActivation
+	}
+	return num / den, nil
 }
 
 // randomInputs fills xs with uniform samples over (and slightly beyond)
@@ -332,6 +444,122 @@ func TestCompiledQueriesAllocationFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("force=%v: %g allocs per query round, want 0", force, allocs)
+		}
+	}
+	// The N-axis walk: scalar and batch queries on a 4-axis kernel.
+	cs4, err := NewCompiledSurface(axesSystem(t, 4, 3, func(int, *Rule) bool { return true }), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	cols, dst := make([][]float64, 4), make([]float64, n)
+	for a := range cols {
+		cols[a] = make([]float64, n)
+		for i := range cols[a] {
+			cols[a][i] = float64((i*(a+2))%9)/4 - 1
+		}
+	}
+	xs := []float64{-0.5, 0, 0.5, 1}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := cs4.Evaluate(xs); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs4.EvaluateBatch(dst, cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("4-axis kernel: %g allocs per query round, want 0", allocs)
+	}
+}
+
+func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
+	// The doubling walk must reproduce the per-combo oracle bit for bit —
+	// scalar and batch; complete, holed and weighted tables; 2 to 8 axes —
+	// and agree with the exact path on values and on ErrNoActivation.
+	tables := []struct {
+		name string
+		edit func(i int, r *Rule) bool
+	}{
+		{"complete", func(int, *Rule) bool { return true }},
+		{"hole", func(i int, _ *Rule) bool { return i != 0 }}, // the all-first-terms combo
+		{"weighted", func(i int, r *Rule) bool { r.Weight = float64(i%4+1) / 4; return true }},
+	}
+	for _, d := range []int{2, 4, 5, 8} {
+		terms := 3
+		if d == 8 {
+			terms = 2 // 3^8 combos exceed the dense rule table
+		}
+		for _, tc := range tables {
+			t.Run(fmt.Sprintf("d=%d/%s", d, tc.name), func(t *testing.T) {
+				sys := axesSystem(t, d, terms, tc.edit)
+				cs, err := NewCompiledSurface(sys, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cs.Exact() {
+					t.Fatal("grid-shaped system compiled to the lattice, want the exact kernel")
+				}
+				if cs.kern.complete != (tc.name == "complete") {
+					t.Fatalf("kernel complete = %v for the %s table", cs.kern.complete, tc.name)
+				}
+				const n = 4096
+				rng := rand.New(rand.NewSource(int64(d)))
+				cols := make([][]float64, d)
+				for a := range cols {
+					cols[a] = make([]float64, n)
+				}
+				row := make([]float64, d)
+				for i := 0; i < n; i++ {
+					randomInputs(sys, rng, row)
+					for a, v := range sys.Inputs() {
+						switch i {
+						case 0: // far below every universe: the all-first-terms corner
+							row[a] = v.Min - 3*(v.Max-v.Min)
+						case 1:
+							row[a] = v.Max + 3*(v.Max-v.Min)
+						}
+						cols[a][i] = row[a]
+					}
+				}
+				dst := make([]float64, n)
+				if err := cs.EvaluateBatch(dst, cols); err != nil {
+					t.Fatal(err)
+				}
+				sc := sys.NewScratch()
+				noRule := 0
+				for i := range dst {
+					for a := range row {
+						row[a] = cols[a][i]
+					}
+					want, wantErr := cs.kern.evalN(row)
+					got, err := cs.Evaluate(row)
+					copy(sc.Xs(), row)
+					exact, exactErr := sys.EvaluateInto(sc, sc.Xs())
+					if wantErr != nil {
+						if !errors.Is(wantErr, ErrNoActivation) || !errors.Is(err, ErrNoActivation) ||
+							!errors.Is(exactErr, ErrNoActivation) || !math.IsNaN(dst[i]) {
+							t.Fatalf("row %d %v: oracle err %v, walk err %v, exact err %v, batch %g",
+								i, row, wantErr, err, exactErr, dst[i])
+						}
+						noRule++
+						continue
+					}
+					if err != nil || exactErr != nil {
+						t.Fatalf("row %d %v: walk err %v, exact err %v, oracle fired", i, row, err, exactErr)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) ||
+						math.Float64bits(dst[i]) != math.Float64bits(want) {
+						t.Fatalf("row %d %v: walk %v, batch %v, oracle %v", i, row, got, dst[i], want)
+					}
+					if e := math.Abs(exact - got); e > 1e-9 {
+						t.Fatalf("row %d %v: walk %g vs exact %g (|Δ| %g)", i, row, got, exact, e)
+					}
+				}
+				if (noRule > 0) != (tc.name == "hole") {
+					t.Fatalf("%d rows fired no rule on the %s table", noRule, tc.name)
+				}
+			})
 		}
 	}
 }

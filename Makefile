@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint escape-check bench-build bench bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check lint escape-check bench-build bench bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over every tracked Go file (perfbench included; the untracked
+# .bench_build/ is not): fails listing each file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:" >&2; echo "$$out" >&2; exit 1; fi
 
 # Project analyzer suite (cmd/hovet): hotpath allocation audit,
 # determinism, lock-safety and wire codec pairing, driven by //fuzzyho:
@@ -171,4 +177,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine -fuzztime 10s
 
-ci: vet lint escape-check build bench-build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke
+ci: vet fmt-check lint escape-check build bench-build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

@@ -8,7 +8,7 @@ import (
 
 // HotpathAnalyzer enforces the 0 B/decision steady-state invariant on
 // functions annotated //fuzzyho:hotpath: the serve decision loop
-// (shard.process / processColumnar), the compiled segment kernel, the
+// (shard.processBatch / decideRun), the compiled segment kernel, the
 // terminal-store probes, obs Observe/Add and the wire append codecs.
 // The runtime guard for the same property is
 // TestServeSteadyStateBytesPerShardCount, which samples; this analyzer

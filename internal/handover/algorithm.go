@@ -118,6 +118,31 @@ type BatchScorer interface {
 	DecideScored(m *cell.Measurement, prevServingDB float64, havePrev bool, hd float64, st ScoreStatus) (Decision, error)
 }
 
+// AsBatchScorer returns a's BatchScorer view: a itself when it already is
+// one, otherwise an adapter that declares the paper schema (schema-less
+// algorithms consume the paper's measurement features), has no batch
+// stage, and completes every row with a.Decide — so one frame pipeline
+// serves every algorithm.
+func AsBatchScorer(a Algorithm) BatchScorer {
+	if bs, ok := a.(BatchScorer); ok {
+		return bs
+	}
+	return &decideScorer{a}
+}
+
+// decideScorer is AsBatchScorer's adapter for per-report algorithms.
+type decideScorer struct{ Algorithm }
+
+func (*decideScorer) Schema() *FeatureSchema { return paperSchema }
+
+//fuzzyho:hotpath
+func (*decideScorer) ScoreFrame(*FeatureFrame) error { return nil }
+
+//fuzzyho:hotpath
+func (d *decideScorer) DecideScored(m *cell.Measurement, prevServingDB float64, havePrev bool, _ float64, _ ScoreStatus) (Decision, error) {
+	return d.Algorithm.Decide(*m, prevServingDB, havePrev)
+}
+
 // Fuzzy adapts the paper's core.Controller to the Algorithm interface.
 // Decisions run on the controller's allocation-free fast path with a
 // per-instance scratch, so — like every stateful Algorithm — one Fuzzy

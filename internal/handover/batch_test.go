@@ -65,6 +65,17 @@ func TestScoreFrameMatchesDecide(t *testing.T) {
 			checkScoredWalk(t, NewFuzzy(tc.mk()), NewFuzzy(tc.mk()), randomMeasurements(512, 42))
 		})
 	}
+	// Algorithms without a batch stage take the same path through
+	// AsBatchScorer's adapter (HysteresisTTT carries a streak across
+	// epochs).
+	for _, mk := range []func() Algorithm{
+		func() Algorithm { return NewHysteresisTTT(3, 2) },
+		func() Algorithm { return DistanceBased{TriggerNorm: 0.9} },
+	} {
+		t.Run(mk().Name(), func(t *testing.T) {
+			checkScoredWalk(t, mk(), AsBatchScorer(mk()), randomMeasurements(512, 42))
+		})
+	}
 }
 
 // checkScoredWalk scores a stream through bat's columnar path and walks
@@ -103,7 +114,7 @@ func checkScoredWalk(t *testing.T, seq Algorithm, bat BatchScorer, ms []cell.Mea
 			if bat.Schema().Stateful() {
 				// A commit clears the terminal's derived state; the rest of
 				// the stream must be re-gathered from the reset derivation,
-				// exactly as the serve shard's sequential stateful path does.
+				// exactly as a serve shard's next stateful run is.
 				derived.Reset()
 				rest := ms[i+1:]
 				if len(rest) > 0 {
@@ -358,6 +369,12 @@ func TestFeatureSchemaIdentity(t *testing.T) {
 	}
 	if !TrendFeatureSchema().Stateful() {
 		t.Fatal("trend schema does not claim its stateful feature")
+	}
+	if f := NewFuzzy(nil); AsBatchScorer(f) != BatchScorer(f) {
+		t.Fatal("AsBatchScorer wrapped an algorithm that already is a BatchScorer")
+	}
+	if SchemaHashOf(Hysteresis{MarginDB: 3}) != PaperFeatureSchema().Hash() {
+		t.Fatal("schema-less algorithm does not serve the paper schema")
 	}
 	ab, err := NewFeatureSchema(FeatureCSSP(), FeatureSSN())
 	if err != nil {

@@ -192,19 +192,6 @@ func FeatureExtension(name string, def float64) Feature {
 		}}
 }
 
-// schemaFuse names the fully built-in column shapes Gather writes with
-// straight-line code instead of the generic per-feature loop — the gather
-// pass is one of the two per-report passes a serving shard runs, so the
-// two shipped schemas get the same code shape the old positional
-// transpose had.
-type schemaFuse uint8
-
-const (
-	fuseNone  schemaFuse = iota
-	fusePaper            // cssp, ssn, dmb
-	fuseTrend            // cssp, ssn, dmb, ssn_trend
-)
-
 // FeatureSchema is an ordered, named feature list — the declared input
 // shape of a BatchScorer.  Order is part of the identity: column k of a
 // frame is feature k, and the schema hash (exchanged in the cluster hello)
@@ -213,7 +200,6 @@ type FeatureSchema struct {
 	features []Feature
 	stateful bool
 	hash     uint64
-	fuse     schemaFuse
 }
 
 // NewFeatureSchema validates and builds a schema from ordered features.
@@ -251,30 +237,7 @@ func NewFeatureSchema(features ...Feature) (*FeatureSchema, error) {
 		}
 	}
 	s.hash = h
-	s.fuse = fuseOf(s.features)
 	return s, nil
-}
-
-// fuseOf recognises the built-in column shapes by their kind sequence.
-func fuseOf(features []Feature) schemaFuse {
-	kinds := func(want ...featureKind) bool {
-		if len(features) != len(want) {
-			return false
-		}
-		for i, k := range want {
-			if features[i].kind != k {
-				return false
-			}
-		}
-		return true
-	}
-	switch {
-	case kinds(featCSSP, featSSN, featDMB):
-		return fusePaper
-	case kinds(featCSSP, featSSN, featDMB, featTrend):
-		return fuseTrend
-	}
-	return fuseNone
 }
 
 func mustSchema(features ...Feature) *FeatureSchema {
@@ -415,26 +378,6 @@ func (f *FeatureFrame) grow(n int) {
 func (f *FeatureFrame) Gather(i int, m *cell.Measurement, ext []ExtValue, d *DerivedState) {
 	f.Serving[i] = m.ServingDB
 	f.Speed[i] = m.SpeedKmh
-	switch f.schema.fuse {
-	case fusePaper:
-		f.cols[0][i] = m.CSSPdB
-		f.cols[1][i] = m.NeighborDB
-		f.cols[2][i] = m.DMBNorm
-	case fuseTrend:
-		f.cols[0][i] = m.CSSPdB
-		f.cols[1][i] = m.NeighborDB
-		f.cols[2][i] = m.DMBNorm
-		f.cols[3][i] = d.Trend.Observe(m.NeighborDB)
-	default:
-		f.gatherGeneric(i, m, ext, d)
-	}
-}
-
-// gatherGeneric is the per-feature extraction loop behind Gather for
-// schemas outside the fused built-in shapes.
-//
-//fuzzyho:hotpath
-func (f *FeatureFrame) gatherGeneric(i int, m *cell.Measurement, ext []ExtValue, d *DerivedState) {
 	feats := f.schema.features
 	for k := range feats {
 		ft := &feats[k]
@@ -478,16 +421,9 @@ func frameSchemaErr(name string, want *FeatureSchema, f *FeatureFrame) error {
 	return fmt.Errorf("handover: %s scoring a frame with schema %v (want %v)", name, f.schema.Names(), want.Names())
 }
 
-// SchemaHashOf returns the feature-schema hash algorithm a declares,
-// falling back to the paper schema for algorithms without a frame path
-// (they consume exactly the paper's measurement features, so they
-// interoperate with paper-schema peers).
-func SchemaHashOf(a Algorithm) uint64 {
-	if bs, ok := a.(BatchScorer); ok {
-		return bs.Schema().Hash()
-	}
-	return paperSchema.Hash()
-}
+// SchemaHashOf returns the feature-schema hash algorithm a serves: its
+// AsBatchScorer view's schema.
+func SchemaHashOf(a Algorithm) uint64 { return AsBatchScorer(a).Schema().Hash() }
 
 // ClampToUniverse clamps x into [lo, hi], mapping NaN to lo — the same
 // saturation core.ClampInputs applies to the paper inputs, exposed for

@@ -74,11 +74,11 @@ func TestAdaptiveColumnarMatchesPerReport(t *testing.T) {
 						t.Fatal(err)
 					}
 					// The point of the test is the columnar pipeline: the
-					// shared AdaptiveFuzzy must have been recognised as a
-					// BatchScorer.
+					// shards must score through AdaptiveFuzzy's own batch
+					// stage, not a per-report adapter.
 					for _, s := range e.shards {
-						if s.scorer == nil {
-							t.Fatal("AdaptiveFuzzy not engaged as BatchScorer; the columnar path is not under test")
+						if _, ok := s.scorer.(*handover.AdaptiveFuzzy); !ok {
+							t.Fatalf("shard scorer is %T, not AdaptiveFuzzy; its batch stage is not under test", s.scorer)
 						}
 					}
 					if err := e.Start(); err != nil {

@@ -25,9 +25,11 @@ func steadyBatch(n, nTerminals int) []Report {
 
 // TestSubmitBatchSteadyStateAllocs is the acceptance regression: once
 // every terminal has been seen (state structs built, scratches warm), the
-// whole SubmitBatch → shard → EvaluateInto → counters path must run
-// without heap allocations.  AllocsPerRun counts mallocs process-wide, so
-// the shard goroutines are included in the measurement.
+// whole SubmitBatch → shard → frame pipeline → counters path must run
+// without heap allocations — and so must one Submit per report, whose
+// 1-row sub-batches take the same frame pipeline.  AllocsPerRun counts
+// mallocs process-wide, so the shard goroutines are included in the
+// measurement.
 func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the regression runs in the non-race job")
@@ -42,24 +44,27 @@ func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	defer e.Stop()
 
 	batch := steadyBatch(256, 32)
-	// Warm: create terminals, grow maps, build scratches, cache sudogs.
-	for i := 0; i < 4; i++ {
-		if err := e.SubmitBatch(batch); err != nil {
-			t.Fatal(err)
+	for _, mode := range submitModes {
+		// Warm: create terminals, grow maps, build scratches, cache
+		// sudogs, fill the mode's sub-batch buffer population.
+		for i := 0; i < 4; i++ {
+			if err := mode.submit(e, batch); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
 		}
-		e.Flush()
-	}
 
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := e.SubmitBatch(batch); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := mode.submit(e, batch); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+		})
+		perDecision := allocs / float64(len(batch))
+		if perDecision >= 0.01 {
+			t.Errorf("%s: steady state allocates %.1f per batch (%.4f per decision), want 0",
+				mode.name, allocs, perDecision)
 		}
-		e.Flush()
-	})
-	perDecision := allocs / float64(len(batch))
-	if perDecision >= 0.01 {
-		t.Errorf("steady-state SubmitBatch allocates %.1f per batch (%.4f per decision), want 0",
-			allocs, perDecision)
 	}
 	if got := e.Stats().Totals().Handovers; got != 0 {
 		t.Fatalf("steady batch executed %d handovers; the workload is not steady-state", got)
@@ -134,9 +139,9 @@ func TestServeSteadyStateBytesPerShardCount(t *testing.T) {
 			}
 			return a
 		}}},
-		// trendfuzzy's stateful schema drives the stateful columnar paths;
-		// the 32-terminal cycling batch repeats terminals within sub-batches,
-		// so this pins the sequential one-row-frame fallback at 0 allocs too.
+		// trendfuzzy's stateful schema: the 32-terminal cycling batch
+		// repeats terminals within sub-batches, so this pins the stateful
+		// split into runs at 0 allocs too.
 		{"trendfuzzy", Config{AlgorithmFactory: func() handover.Algorithm {
 			a, err := handover.NewCompiledTrendFuzzy()
 			if err != nil {

@@ -25,6 +25,24 @@ func simStreams(t *testing.T, cfgs []sim.Config) ([][]Report, []*sim.Result) {
 	return streams, results
 }
 
+// submitModes are the ingest shapes the determinism pins replay: one
+// SubmitBatch (sub-batches of up to maxSubBatch reports) and one Submit
+// per report (1-row sub-batches).
+var submitModes = []struct {
+	name   string
+	submit func(e *Engine, rs []Report) error
+}{
+	{"batch", (*Engine).SubmitBatch},
+	{"submit", func(e *Engine, rs []Report) error {
+		for _, r := range rs {
+			if err := e.Submit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+}
+
 // paperFleetConfigs expands both paper scenarios across replicas × speeds —
 // a small fleet with runs that do and do not hand over.
 func paperFleetConfigs() []sim.Config {
@@ -93,8 +111,8 @@ func checkAgainstSim(t *testing.T, rec recorder, results []*sim.Result, shards i
 // TestDeterminismMatchesSim is the multi-shard determinism guarantee:
 // replaying sim-generated walks for a fleet of terminals through the
 // engine — reports interleaved round-robin across terminals, any shard
-// count — yields per-terminal decision sequences identical to the
-// single-threaded sim path.
+// count, batched or one Submit per report — yields per-terminal decision
+// sequences identical to the single-threaded sim path.
 func TestDeterminismMatchesSim(t *testing.T) {
 	cfgs := paperFleetConfigs()
 	streams, results := simStreams(t, cfgs)
@@ -102,39 +120,43 @@ func TestDeterminismMatchesSim(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rec := newRecorder(len(cfgs))
-			e, err := New(Config{
-				Shards:           shards,
-				QueueDepth:       64,
-				PingPongWindowKm: sim.DefaultPingPongWindowKm,
-				OnDecision:       rec.record,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.SubmitBatch(reports); err != nil {
-				t.Fatal(err)
-			}
-			e.Flush()
-			if err := e.Stop(); err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstSim(t, rec, results, shards)
+			for _, mode := range submitModes {
+				t.Run(mode.name, func(t *testing.T) {
+					rec := newRecorder(len(cfgs))
+					e, err := New(Config{
+						Shards:           shards,
+						QueueDepth:       64,
+						PingPongWindowKm: sim.DefaultPingPongWindowKm,
+						OnDecision:       rec.record,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.Start(); err != nil {
+						t.Fatal(err)
+					}
+					if err := mode.submit(e, reports); err != nil {
+						t.Fatal(err)
+					}
+					e.Flush()
+					if err := e.Stop(); err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstSim(t, rec, results, shards)
 
-			totals := e.Stats().Totals()
-			wantHO, wantPP := uint64(0), uint64(0)
-			for _, res := range results {
-				wantHO += uint64(res.HandoverCount())
-				wantPP += uint64(res.PingPongCount)
-			}
-			if totals.Decisions != uint64(len(reports)) ||
-				totals.Handovers != wantHO || totals.PingPongs != wantPP ||
-				totals.Terminals != uint64(len(cfgs)) || totals.Errors != 0 {
-				t.Errorf("totals %+v, want decisions=%d handovers=%d pingpongs=%d terminals=%d",
-					totals, len(reports), wantHO, wantPP, len(cfgs))
+					totals := e.Stats().Totals()
+					wantHO, wantPP := uint64(0), uint64(0)
+					for _, res := range results {
+						wantHO += uint64(res.HandoverCount())
+						wantPP += uint64(res.PingPongCount)
+					}
+					if totals.Decisions != uint64(len(reports)) ||
+						totals.Handovers != wantHO || totals.PingPongs != wantPP ||
+						totals.Terminals != uint64(len(cfgs)) || totals.Errors != 0 {
+						t.Errorf("totals %+v, want decisions=%d handovers=%d pingpongs=%d terminals=%d",
+							totals, len(reports), wantHO, wantPP, len(cfgs))
+					}
+				})
 			}
 		})
 	}
@@ -200,49 +222,86 @@ func TestDeterminismTrendFuzzy(t *testing.T) {
 	}
 }
 
-// TestDeterminismTrendFuzzySequentialBatches covers the stateful repeat
-// fallback: submitting each terminal's stream contiguously puts repeated
-// terminals inside single sub-batches, forcing processStatefulSequential's
-// one-row frames — whose decisions must still match the sim reference.
+// TestDeterminismTrendFuzzySequentialBatches covers stateful repeats:
+// submitting each terminal's stream contiguously puts one terminal many
+// times into a sub-batch, so the stateful schema splits it into runs at
+// every repeat.  The 40-leg walks span several sub-batches per terminal
+// and hand over mid-sub-batch, ahead of FLC-scored reports of the same
+// terminal.  Gathering a repeat before its predecessor commits lets the
+// handover's trend reset land after the later reports advanced the
+// derivation, wiping it, and the terminal's next sub-batch scores from a
+// wrong trend — which the sim reference rejects.
 func TestDeterminismTrendFuzzySequentialBatches(t *testing.T) {
 	factory, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := trendFleetConfigs(factory)
+	for i := range cfgs {
+		cfgs[i].NWalk = 40
+	}
 	streams, results := simStreams(t, cfgs)
 	var reports []Report
 	for _, s := range streams {
 		reports = append(reports, s...)
 	}
 
-	rec := newRecorder(len(cfgs))
-	e, err := New(Config{
-		Shards:           4,
-		QueueDepth:       64,
-		AlgorithmFactory: factory,
-		PingPongWindowKm: sim.DefaultPingPongWindowKm,
-		OnDecision:       rec.record,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		rec := newRecorder(len(cfgs))
+		e, err := New(Config{
+			Shards:           shards,
+			QueueDepth:       64,
+			AlgorithmFactory: factory,
+			PingPongWindowKm: sim.DefaultPingPongWindowKm,
+			OnDecision:       rec.record,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The stream must exercise the ordering: an executed handover
+		// followed, inside the same sub-batch, by an FLC-scored report of
+		// the same terminal.
+		pos := make([]int, shards)
+		epoch := make([]int, len(cfgs))
+		hoBatch := make([]int, len(cfgs))
+		scoredAfterHO := 0
+		for i := range hoBatch {
+			hoBatch[i] = -1
+		}
+		for _, r := range reports {
+			sh, id := e.ShardOf(r.Terminal), r.Terminal
+			sub := pos[sh] / maxSubBatch
+			pos[sh]++
+			ep := results[id].Epochs[epoch[id]]
+			epoch[id]++
+			if hoBatch[id] == sub && ep.Decision.Scored {
+				scoredAfterHO++
+			}
+			if ep.Executed {
+				hoBatch[id] = sub
+			}
+		}
+		if scoredAfterHO == 0 {
+			t.Fatalf("shards=%d: no FLC-scored report follows a handover inside a sub-batch; the ordering is not under test", shards)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SubmitBatch(reports); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+		if err := e.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstSim(t, rec, results, shards)
 	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SubmitBatch(reports); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstSim(t, rec, results, 4)
 }
 
 // TestDeterminismPerTerminalAlgorithms covers the stateful-algorithm mode:
 // per-terminal HysteresisTTT instances must reproduce the sim sequences,
-// streak state and all, under concurrent sharding.
+// streak state and all, under concurrent sharding, batched or one Submit
+// per report.
 func TestDeterminismPerTerminalAlgorithms(t *testing.T) {
 	factory := func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }
 	cfgs := paperFleetConfigs()
@@ -252,33 +311,37 @@ func TestDeterminismPerTerminalAlgorithms(t *testing.T) {
 	streams, results := simStreams(t, cfgs)
 	reports := InterleaveReports(streams)
 
-	rec := newRecorder(len(cfgs))
-	e, err := New(Config{
-		Shards:                4,
-		QueueDepth:            64,
-		AlgorithmFactory:      factory,
-		PerTerminalAlgorithms: true,
-		PingPongWindowKm:      sim.DefaultPingPongWindowKm,
-		OnDecision:            rec.record,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SubmitBatch(reports); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstSim(t, rec, results, 4)
+	for _, mode := range submitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			rec := newRecorder(len(cfgs))
+			e, err := New(Config{
+				Shards:                4,
+				QueueDepth:            64,
+				AlgorithmFactory:      factory,
+				PerTerminalAlgorithms: true,
+				PingPongWindowKm:      sim.DefaultPingPongWindowKm,
+				OnDecision:            rec.record,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := mode.submit(e, reports); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			if err := e.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstSim(t, rec, results, 4)
 
-	// The probe is only meaningful if the TTT baseline actually fires
-	// somewhere in the fleet.
-	if e.Stats().Totals().Handovers == 0 {
-		t.Error("TTT fleet executed no handovers; streak state never exercised")
+			// The probe is only meaningful if the TTT baseline actually
+			// fires somewhere in the fleet.
+			if e.Stats().Totals().Handovers == 0 {
+				t.Error("TTT fleet executed no handovers; streak state never exercised")
+			}
+		})
 	}
 }

@@ -5,8 +5,8 @@
 // The engine partitions the terminal population across shards.  Each shard
 // is one goroutine that exclusively owns the state of its terminals
 // (previous serving power, attachment, dwell/ping-pong history) and a
-// handover.Algorithm instance driven on the allocation-free EvaluateInto
-// fast path — steady-state serving performs zero heap allocations per
+// handover.BatchScorer instance driven through one allocation-free frame
+// pipeline — steady-state serving performs zero heap allocations per
 // decision.  Reports are routed to shards by a 64-bit hash of the terminal
 // ID, so one terminal's reports are always processed in submission order by
 // the same goroutine: per-terminal decision sequences are deterministic and
@@ -80,15 +80,16 @@ type Config struct {
 	// selects DefaultQueueDepth; negative is invalid.
 	QueueDepth int
 	// AlgorithmFactory builds the decision algorithm (nil: the paper's
-	// fuzzy controller).  It is called once per shard — or once per
+	// fuzzy controller).  It is called once per shard — and once per
 	// terminal when PerTerminalAlgorithms is set — and must be safe to
 	// call from multiple goroutines.
 	AlgorithmFactory func() handover.Algorithm
 	// PerTerminalAlgorithms gives every terminal its own algorithm
-	// instance instead of sharing one per shard.  Required for
-	// algorithms with cross-epoch state (e.g. HysteresisTTT's streak
-	// counter); the paper's fuzzy controller is stateless across epochs
-	// and serves all of a shard's terminals from one instance.
+	// instance to complete its decisions (the shard's instance still
+	// scores the frames).  Required for algorithms with cross-epoch
+	// state (e.g. HysteresisTTT's streak counter); the paper's fuzzy
+	// controller is stateless across epochs and serves all of a shard's
+	// terminals from one instance.
 	PerTerminalAlgorithms bool
 	// Compiled serves decisions from the compiled control surface: the
 	// default fuzzy controller is built around the process-wide compiled
@@ -297,31 +298,16 @@ func New(cfg Config) (*Engine, error) {
 		}
 		if cfg.PerTerminalAlgorithms {
 			s.newAlgo = factory
-		} else {
-			s.algo = factory()
-			s.algo.Reset()
-			// The columnar batch pipeline engages when the shared
-			// algorithm can score whole sub-batches (the paper's fuzzy
-			// controller, exact or compiled, and the schema extensions).
-			if bs, ok := s.algo.(handover.BatchScorer); ok {
-				s.scorer = bs
-				s.stateful = bs.Schema().Stateful()
-				s.cols = newBatchCols(bs.Schema())
-			}
 		}
+		s.scorer = handover.AsBatchScorer(factory())
+		s.scorer.Reset()
+		s.stateful = s.scorer.Schema().Stateful()
+		s.cols = newBatchCols(s.scorer.Schema())
 		e.shards[i] = s
 	}
 	// The engine's schema hash is what cluster peers compare in the hello
-	// exchange: algorithms that don't declare a schema score the paper's
-	// three wire antecedents, so they interoperate under the paper hash.
-	e.schemaHash = handover.PaperFeatureSchema().Hash()
-	if cfg.PerTerminalAlgorithms {
-		if bs, ok := factory().(handover.BatchScorer); ok {
-			e.schemaHash = bs.Schema().Hash()
-		}
-	} else if e.shards[0].scorer != nil {
-		e.schemaHash = e.shards[0].scorer.Schema().Hash()
-	}
+	// exchange.
+	e.schemaHash = e.shards[0].scorer.Schema().Hash()
 	return e, nil
 }
 

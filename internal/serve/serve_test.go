@@ -396,14 +396,14 @@ func TestExternalReattachmentColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.shards[0].scorer == nil {
-		t.Fatal("default engine lost its BatchScorer; the test would not cover the columnar path")
+	if _, ok := e.shards[0].scorer.(*handover.Fuzzy); !ok {
+		t.Fatalf("default engine scores through %T; the test would not cover the paper controller's batch stage", e.shards[0].scorer)
 	}
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	// One SubmitBatch of two reports for one shard: a single sub-batch of
-	// length 2, which run() routes through processColumnar.
+	// length 2, scored as one frame.
 	if err := e.SubmitBatch([]Report{r1, r2}); err != nil {
 		t.Fatal(err)
 	}
@@ -510,5 +510,85 @@ func TestShardOfIsStable(t *testing.T) {
 		if n > 2*4096/8 {
 			t.Errorf("shard %d owns %d of 4096 terminals", s, n)
 		}
+	}
+}
+
+// errScoreFrame is failingScorer's scoring failure.
+var errScoreFrame = errors.New("score frame failed")
+
+// failingScorer is a BatchScorer whose ScoreFrame always fails.  Its
+// per-report verdicts would execute a handover, so a report decided
+// despite the failure shows up as an executed, error-free outcome.
+type failingScorer struct{ schema *handover.FeatureSchema }
+
+func (failingScorer) Name() string { return "failing" }
+func (failingScorer) Reset()       {}
+func (failingScorer) Decide(cell.Measurement, float64, bool) (handover.Decision, error) {
+	return handover.Decision{Handover: true}, nil
+}
+func (f failingScorer) Schema() *handover.FeatureSchema       { return f.schema }
+func (failingScorer) ScoreFrame(*handover.FeatureFrame) error { return errScoreFrame }
+func (failingScorer) DecideScored(*cell.Measurement, float64, bool, float64, handover.ScoreStatus) (handover.Decision, error) {
+	return handover.Decision{Handover: true}, nil
+}
+
+// TestScoreFrameErrorCommitsEveryReport pins the scoring-failure path:
+// when ScoreFrame fails, every report of the frame commits as an
+// algorithm error — one outcome each, in sequence, none dropped or
+// re-decided — for a stateless and a stateful schema alike.
+func TestScoreFrameErrorCommitsEveryReport(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		schema *handover.FeatureSchema
+	}{
+		{"stateless", handover.PaperFeatureSchema()},
+		{"stateful", handover.TrendFeatureSchema()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const terminals = 3
+			rec := newRecorder(terminals)
+			e, err := New(Config{
+				Shards:           2,
+				AlgorithmFactory: func() handover.Algorithm { return failingScorer{tc.schema} },
+				OnDecision:       rec.record,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// Cycling terminals repeat inside sub-batches (several stateful
+			// runs per sub-batch); the trailing Submits are 1-row sub-batches.
+			batch := steadyBatch(48, terminals)
+			if err := e.SubmitBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range batch[:terminals] {
+				if err := e.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Flush()
+			if err := e.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			n := len(batch) + terminals
+			for id := 0; id < terminals; id++ {
+				outs := *rec[TerminalID(id)]
+				if len(outs) != n/terminals {
+					t.Fatalf("terminal %d: %d outcomes, want %d", id, len(outs), n/terminals)
+				}
+				for j, o := range outs {
+					if !errors.Is(o.Err, errScoreFrame) || o.Seq != uint64(j) || o.Executed || o.Decision != (handover.Decision{}) {
+						t.Fatalf("terminal %d outcome %d: %+v, want seq %d with the scoring error", id, j, o, j)
+					}
+				}
+			}
+			tot := e.Stats().Totals()
+			if tot.Errors != uint64(n) || tot.Decisions != uint64(n) || tot.Handovers != 0 {
+				t.Errorf("totals %+v, want %d decisions, all errors", tot, n)
+			}
+		})
 	}
 }

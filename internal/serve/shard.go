@@ -27,7 +27,7 @@ type hoEvent struct {
 type terminal struct {
 	// algo is the terminal-private algorithm (PerTerminalAlgorithms
 	// mode); nil means the shard's shared instance decides.
-	algo handover.Algorithm
+	algo handover.BatchScorer
 	// seq counts reports served for this terminal.
 	seq uint64
 	// prevDB/havePrev mirror Measurer.PrevServingDB: the serving power
@@ -95,19 +95,22 @@ const routeBuckets = 128
 // maxSubBatch ever outgrows it.
 const _ uint = 127 - maxSubBatch
 
-// batchCols is a shard's staging for the columnar decision pipeline: a
-// drained sub-batch's measurements gathered into the scorer's
-// FeatureFrame (struct-of-arrays columns in the scorer's schema), scored
-// in one BatchScorer call, decisions completed per row.  Sized once to
+// batchCols is a shard's staging for the frame pipeline: a drained
+// sub-batch's measurements gathered into the scorer's FeatureFrame
+// (struct-of-arrays columns in the scorer's schema), scored in one
+// BatchScorer call, decisions completed per row.  Sized once to
 // maxSubBatch; reused for every sub-batch.
 type batchCols struct {
 	frame *handover.FeatureFrame
 	// slots holds the sub-batch's resolved terminal state, one entry per
-	// report; head/next are the grouping table of routeBatch (bucket
-	// heads and chain links over report indexes, -1 terminated).
-	slots []*terminal
-	head  [routeBuckets]int8
-	next  [maxSubBatch]int8
+	// report, and repeat flags the reports whose terminal already
+	// appeared earlier in the sub-batch; head/next are the grouping table
+	// of routeBatch (bucket heads and chain links over report indexes,
+	// -1 terminated).
+	slots  []*terminal
+	repeat [maxSubBatch]bool
+	head   [routeBuckets]int8
+	next   [maxSubBatch]int8
 }
 
 func newBatchCols(schema *handover.FeatureSchema) *batchCols {
@@ -148,16 +151,14 @@ type shard struct {
 	// over dense slabs (see terminalStore) whose pointers stay stable
 	// across growth.
 	store *terminalStore
-	// algo is the shared per-shard instance; newAlgo, when non-nil,
-	// builds per-terminal instances instead.
-	algo    handover.Algorithm
-	newAlgo func() handover.Algorithm
-	// scorer is algo's BatchScorer view, non-nil when the shared
-	// algorithm supports the columnar batch pipeline; stateful mirrors
-	// scorer.Schema().Stateful() — such scorers must see every report
-	// through the frame path (the gather advances per-terminal derived
-	// state), so the per-report Decide shortcut is disabled for them.
+	// scorer is the shared per-shard instance (handover.AsBatchScorer
+	// of the configured algorithm): it scores every frame, and decides
+	// every report unless newAlgo, when non-nil, built the terminal its
+	// own instance.  stateful mirrors scorer.Schema().Stateful() — the
+	// gather advances per-terminal derived state, so repeated terminals
+	// split the sub-batch into runs (see processBatch).
 	scorer   handover.BatchScorer
+	newAlgo  func() handover.Algorithm
 	stateful bool
 	cols     *batchCols
 	window   float64
@@ -222,13 +223,7 @@ func (s *shard) run() {
 			}
 		}
 		batch := msg.batch
-		if s.scorer != nil && (len(*batch) > 1 || s.stateful) {
-			s.processColumnar(*batch)
-		} else {
-			for i := range *batch {
-				s.process(&(*batch)[i])
-			}
-		}
+		s.processBatch(*batch)
 		s.processed.Add(uint64(len(*batch)))
 		if m := s.metrics; m != nil {
 			if s.stageSample {
@@ -240,119 +235,85 @@ func (s *shard) run() {
 	}
 }
 
-// processColumnar serves one sub-batch through the columnar pipeline:
-// routeBatch resolves every report's terminal slot up front, the
-// measurements are gathered into the scorer's FeatureFrame by its
-// declared schema, the history-free decision stages (POTLC gate, FLC
-// score, and — for adaptive scorers — the speed-dependent threshold) run
-// over the whole frame in one BatchScorer call — through the compiled
-// control surface's EvaluateBatch when the controller is compiled — and
-// the stateful remainder completes per report, in order, against each
-// resolved slot.  Per-terminal decision sequences are identical to the
-// per-report path: for stateless schemas the batched stages depend only
-// on the measurement, and for stateful schemas the gather advances each
-// terminal's derived state in report order — falling back to one report
-// at a time (processStatefulSequential) when a terminal repeats within
-// the sub-batch, because a mid-batch executed handover resets that
-// terminal's derivation and its later rows must be gathered after the
-// reset.
+// processBatch serves one sub-batch through the frame pipeline — the one
+// decision path of every algorithm and mode: routeBatch resolves every
+// report's terminal slot, each run of reports is gathered into the
+// scorer's FeatureFrame by its declared schema, the history-free stages
+// (POTLC gate, FLC score, and — for adaptive scorers — the
+// speed-dependent threshold) score the run in one ScoreFrame call —
+// through the compiled control surface's EvaluateBatch when the
+// controller is compiled — and the stateful remainder completes per
+// report, in order, against each resolved slot (DecideScored, commit).
+// Algorithms without a batch stage take the same path through
+// handover.AsBatchScorer, whose DecideScored is their Decide.
+//
+// A stateless schema scores the whole sub-batch as one run: its batched
+// stages depend only on the measurement.  A stateful schema's gather
+// advances per-terminal derived state, which a mid-batch executed
+// handover resets, so its runs end before every report whose terminal
+// already appeared in the sub-batch: each terminal appears at most once
+// per run and is gathered after its previous report committed — exactly
+// the per-report order.
 //
 //fuzzyho:hotpath
-func (s *shard) processColumnar(batch []Report) {
-	n := len(batch)
-	c := s.cols
-	hasDup := s.routeBatch(batch)
-	if s.stateful && hasDup {
-		s.processStatefulSequential(batch)
-		return
+func (s *shard) processBatch(batch []Report) {
+	s.routeBatch(batch)
+	lo := 0
+	for hi := 1; hi <= len(batch); hi++ {
+		if hi == len(batch) || s.stateful && s.cols.repeat[hi] {
+			s.decideRun(batch[lo:hi], lo)
+			lo = hi
+		}
 	}
-	f := c.frame
-	f.Reset(n)
-	if s.stateful {
-		// Stateful features read per-terminal derived state: apply the
-		// reattachment correction before extraction so the derivation
-		// restarts exactly where the per-report path restarts it.
-		for i := range batch {
-			r := &batch[i]
-			t := c.slots[i]
-			s.observe(r, t)
-			f.Gather(i, &r.Meas, r.Ext, &t.derived)
+}
+
+// decideRun gathers, scores and completes one run: the sub-batch reports
+// from index off on, whose slots routeBatch resolved.
+//
+//fuzzyho:hotpath
+func (s *shard) decideRun(run []Report, off int) {
+	slots := s.cols.slots[off : off+len(run)]
+	f := s.cols.frame
+	f.Reset(len(run))
+	for i := range run {
+		r := &run[i]
+		var d *handover.DerivedState
+		if s.stateful {
+			// Stateful features read per-terminal derived state: apply the
+			// reattachment correction before extraction so the derivation
+			// restarts exactly where the per-report order restarts it.
+			s.observe(r, slots[i])
+			d = &slots[i].derived
 		}
-	} else {
-		for i := range batch {
-			r := &batch[i]
-			f.Gather(i, &r.Meas, r.Ext, nil)
-		}
+		f.Gather(i, &r.Meas, r.Ext, d)
 	}
 	var scoreStart int64
 	sampled := s.metrics != nil && s.stageSample
 	if sampled {
 		scoreStart = int64(time.Since(s.epoch))
 	}
+	// Shard-owned frames never fail the schema guard.  Should a scorer
+	// fail anyway, every report of the run commits as an algorithm error:
+	// a stateful derivation has already advanced, so none is re-decided.
 	err := s.scorer.ScoreFrame(f)
 	if sampled {
 		s.metrics.score.Observe(uint64(int64(time.Since(s.epoch)) - scoreStart))
 	}
-	if err != nil {
-		// Schema errors cannot happen with shard-owned frames; recover
-		// rather than dropping the sub-batch.  The stateless fallback
-		// re-decides per report; a stateful schema's derivation has
-		// already advanced, so its reports commit as algorithm errors.
-		if s.stateful {
-			for i := range batch {
-				s.commit(&batch[i], c.slots[i], s.algo, handover.Decision{}, err)
-			}
-			return
+	for i := range run {
+		r := &run[i]
+		t := slots[i]
+		if !s.stateful {
+			s.observe(r, t)
 		}
-		for i := range batch {
-			s.process(&batch[i])
+		algo := s.scorer
+		if t.algo != nil {
+			algo = t.algo
 		}
-		return
-	}
-	if s.stateful {
-		// observe already ran during the gather.
-		for i := range batch {
-			r := &batch[i]
-			t := c.slots[i]
-			dec, derr := s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
-			s.commit(r, t, s.algo, dec, derr)
+		dec, derr := handover.Decision{}, err
+		if err == nil {
+			dec, derr = algo.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
 		}
-		return
-	}
-	for i := range batch {
-		r := &batch[i]
-		t := c.slots[i]
-		s.observe(r, t)
-		dec, derr := s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
-		s.commit(r, t, s.algo, dec, derr)
-	}
-}
-
-// processStatefulSequential serves a sub-batch with repeated terminals
-// for a stateful schema one report at a time through a 1-row frame: a
-// mid-batch executed handover resets the terminal's derived state, and
-// the terminal's next report must be gathered after that reset — exactly
-// the scalar path's ordering.  Distinct-terminal sub-batches (the normal
-// multi-terminal load shape) take the whole-frame path instead.
-//
-//fuzzyho:hotpath
-func (s *shard) processStatefulSequential(batch []Report) {
-	c := s.cols
-	f := c.frame
-	for i := range batch {
-		r := &batch[i]
-		t := c.slots[i]
-		s.observe(r, t)
-		f.Reset(1)
-		f.Gather(0, &r.Meas, r.Ext, &t.derived)
-		var dec handover.Decision
-		var derr error
-		if err := s.scorer.ScoreFrame(f); err != nil {
-			derr = err
-		} else {
-			dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[0], f.Status[0])
-		}
-		s.commit(r, t, s.algo, dec, derr)
+		s.commit(r, t, algo, dec, derr)
 	}
 }
 
@@ -364,17 +325,13 @@ func (s *shard) processStatefulSequential(batch []Report) {
 // population cycling through the batch) hit a small hash-bucket grouping
 // table chained over the sub-batch's first occurrences.  Only the slot
 // pointers are resolved here — the reattachment correction and state
-// commits stay in the per-report completion loop, in report order, so
-// per-terminal sequences are untouched.
-//
-// It reports whether any terminal repeats within the sub-batch — the
-// signal the stateful-schema path uses to fall back to sequential
-// gathering.
+// commits stay in decideRun, in report order, so per-terminal sequences
+// are untouched.  Each report's repeat flag records whether its terminal
+// already appeared in the sub-batch.
 //
 //fuzzyho:hotpath
-func (s *shard) routeBatch(batch []Report) bool {
+func (s *shard) routeBatch(batch []Report) {
 	c := s.cols
-	hasDup := false
 	for i := range c.head {
 		c.head[i] = -1
 	}
@@ -382,7 +339,7 @@ func (s *shard) routeBatch(batch []Report) bool {
 		id := batch[i].Terminal
 		if i > 0 && batch[i-1].Terminal == id {
 			c.slots[i] = c.slots[i-1]
-			hasDup = true
+			c.repeat[i] = true
 			continue
 		}
 		h := mix64(uint64(id))
@@ -397,8 +354,8 @@ func (s *shard) routeBatch(batch []Report) bool {
 				break
 			}
 		}
+		c.repeat[i] = dup
 		if dup {
-			hasDup = true
 			continue
 		}
 		t, created := s.store.acquire(id, h)
@@ -410,13 +367,12 @@ func (s *shard) routeBatch(batch []Report) bool {
 		c.next[i] = c.head[b]
 		c.head[b] = int8(i)
 	}
-	return hasDup
 }
 
 // initTerminal completes a freshly created (zero-valued) terminal slot.
 func (s *shard) initTerminal(t *terminal) {
 	if s.newAlgo != nil {
-		t.algo = s.newAlgo()
+		t.algo = handover.AsBatchScorer(s.newAlgo())
 		t.algo.Reset()
 	}
 	s.nTerminals.Add(1)
@@ -437,45 +393,17 @@ func (s *shard) observe(r *Report, t *terminal) {
 		if t.algo != nil {
 			t.algo.Reset()
 		} else {
-			s.algo.Reset()
+			s.scorer.Reset()
 		}
 	}
 	t.serving, t.haveServing = r.Meas.Serving, true
-}
-
-// route finds (or creates) the terminal state for a report and applies the
-// external-reattachment correction.
-//
-//fuzzyho:hotpath
-func (s *shard) route(r *Report) *terminal {
-	t, created := s.store.acquire(r.Terminal, mix64(uint64(r.Terminal)))
-	if created {
-		//fuzzyho:allow creation path: runs once per terminal lifetime (and may build a per-terminal algorithm); steady state resolves existing slots only
-		s.initTerminal(t)
-	}
-	s.observe(r, t)
-	return t
-}
-
-// process serves one report on the per-report path: route, decide on the
-// fast path, commit.  Steady state (known terminal) allocates nothing.
-//
-//fuzzyho:hotpath
-func (s *shard) process(r *Report) {
-	t := s.route(r)
-	algo := s.algo
-	if t.algo != nil {
-		algo = t.algo
-	}
-	dec, err := algo.Decide(r.Meas, t.prevDB, t.havePrev)
-	s.commit(r, t, algo, dec, err)
 }
 
 // commit applies one decision to the terminal's state, updates counters
 // and delivers the outcome.
 //
 //fuzzyho:hotpath
-func (s *shard) commit(r *Report, t *terminal, algo handover.Algorithm, dec handover.Decision, err error) {
+func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec handover.Decision, err error) {
 	m := &r.Meas
 	executed := false
 	pingPong := false

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint escape-check bench-build bench bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check lint escape-check bench-build bench bench-ab bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,15 @@ bench-json:
 bench-smoke: vet lint
 	$(GO) run ./cmd/hobench -benchtime 120ms -o /tmp/BENCH_smoke.json \
 		-baseline BENCH_serve.json -max-regress 0.30
+
+# The performance gate: BASE against the working tree on BENCHMARK.json's
+# benchmark, 10 seed-paired runs per side and workload, alternating which
+# side goes first.  Prints each end-to-end metric's medians, quartiles,
+# pairs won and verdict, then PASS or FAIL.  About 30 minutes on a 2-vCPU
+# box, so it is run by hand, not by ci.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
+	$(GO) run ./cmd/hobench $(BASE)
 
 # Short end-to-end load run through the serve engine.
 load-smoke:

@@ -1,326 +1,324 @@
-// Command hobench runs the repository's key benchmarks and writes the
-// results as machine-readable JSON, so the performance trajectory of the
-// serving and inference hot paths is tracked commit over commit (the
-// BENCH_serve.json artifact; see also `make bench-json`).
+// Command hobench is the repository's performance gate.  It runs the
+// benchmark BENCHMARK.json declares on a base revision and on the working
+// tree, and judges every end-to-end metric of every workload against the
+// bound BENCHMARK.json fixes for it:
 //
-//	hobench                         # serve + inference benchmarks → BENCH_serve.json
-//	hobench -bench 'BenchmarkServe' -o - -benchtime 200ms
-//	hobench -baseline BENCH_serve.json -max-regress 0.3   # CI regression gate
+//	make bench-ab BASE=<rev>        # go run ./cmd/hobench <rev>
 //
-// Results are recorded in sections, one per GOMAXPROCS setting (-cpus,
-// default "1,max"): shard-scaling numbers measured at GOMAXPROCS=1 say
-// nothing about parallel speedup, so the artifact captures both the
-// single-core and the all-core picture.  With -baseline, the run compares
-// its steady-state decisions/sec metrics against a previous artifact and
-// fails if any regresses by more than -max-regress.
+// Run it from the repository root.  BASE is checked out into a git
+// worktree under .bench_build/; the change side is the working tree, so
+// uncommitted edits are measured.  Each side builds and runs its own
+// perfbench: per workload, 10 runs per side on seeds 1–10 with
+// run_seconds and --trace 0, alternating which side goes first.  "Worse"
+// follows each metric's better direction, as the relative change of the
+// change's median against the base's.  Per (workload, metric):
 //
-// The tool shells out to `go test -bench` (the canonical runner: real
-// iteration control, -benchmem accounting) and parses the standard output
-// format, including custom b.ReportMetric columns such as decisions/sec.
+//	REGRESSION  worse by more than the metric's bound
+//	unresolved  otherwise, the base runs' IQR/median exceeds the bound,
+//	            unless every change run reads better than every base run
+//	gain        the change wins ≥ 9 of 10 pairs (ties count for neither)
+//	            and its median is better by more than the base IQR
+//	parity      everything else
+//
+// It prints FAIL and exits 1 on any REGRESSION, on any run that exits
+// nonzero (perfbench exits 3 when an open-loop generator ran late) or
+// lacks "correct": true, and on a workload whose change side fails a
+// larger share of its attempted operations than the base side; otherwise
+// PASS.  One invocation takes about 30 minutes on a 2-vCPU box.
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
-	"regexp"
-	"runtime"
+	"os/signal"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
-// Result is one benchmark row of the JSON artifact.
-type Result struct {
-	Name        string             `json:"name"`
-	Package     string             `json:"package"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	OpsPerSec   float64            `json:"ops_per_sec"`
-	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *int64             `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+const (
+	pairs     = 10 // runs per side and workload, seeds 1…pairs
+	minWins   = 9  // pairs the change must win for a gain
+	benchFile = "BENCHMARK.json"
+	baseTree  = ".bench_build/ab-base" // BASE's worktree
+)
+
+// metric is one BENCHMARK.json end-to-end metric.
+type metric struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
-// Section is one GOMAXPROCS configuration's results.
-type Section struct {
-	// Label is the requested -cpus entry ("1", "max"), GOMAXPROCS its
-	// resolved value for this machine.
-	Label      string   `json:"label"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Results    []Result `json:"results"`
+// benchmark is the part of BENCHMARK.json the gate reads.
+type benchmark struct {
+	Command    []string `json:"command"`
+	RunSeconds int      `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metric `json:"end_to_end"`
 }
 
-// Artifact is the BENCH_serve.json schema.
-type Artifact struct {
-	GeneratedAt string    `json:"generated_at"`
-	GoVersion   string    `json:"go_version"`
-	GOOS        string    `json:"goos"`
-	GOARCH      string    `json:"goarch"`
-	NumCPU      int       `json:"num_cpu"`
-	BenchFilter string    `json:"bench_filter"`
-	BenchTime   string    `json:"bench_time"`
-	Packages    []string  `json:"packages"`
-	Sections    []Section `json:"sections"`
+func parseBenchmark(blob []byte) (benchmark, error) {
+	var b benchmark
+	if err := json.Unmarshal(blob, &b); err != nil {
+		return b, fmt.Errorf("%s: %w", benchFile, err)
+	}
+	if len(b.Command) == 0 || b.RunSeconds < 1 || len(b.Workloads) == 0 || len(b.EndToEnd) == 0 {
+		return b, fmt.Errorf("%s: needs a command, run_seconds, workloads and end_to_end metrics", benchFile)
+	}
+	for _, m := range b.EndToEnd {
+		if (m.Better != "higher" && m.Better != "lower") || !(m.Bound > 0) {
+			return b, fmt.Errorf("%s: metric %q needs better higher or lower and a positive bound", benchFile, m.Name)
+		}
+	}
+	return b, nil
+}
 
-	// Legacy single-section fields (pre-section artifacts), read for
-	// baseline comparison only.
-	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
-	Results    []Result `json:"results,omitempty"`
+// side is one side's runs of one workload.
+type side struct {
+	values            [][]float64 // by metric, then by seed
+	attempted, failed float64
+}
+
+// add reads the result line perfbench prints last.  A result that is not
+// correct, or that lacks a metric, is an error: a missing value is not a
+// zero.
+func (s *side) add(stdout []byte, ms []metric) error {
+	lines := bytes.Split(bytes.TrimSpace(stdout), []byte("\n"))
+	var res struct {
+		Correct   bool    `json:"correct"`
+		Attempted float64 `json:"attempted"`
+		Failed    float64 `json:"failed"`
+		Metrics   map[string]struct {
+			Value *float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
+		return fmt.Errorf("no result line: %w", err)
+	}
+	if !res.Correct {
+		return fmt.Errorf(`the result is not "correct": true`)
+	}
+	values := make([]float64, len(ms))
+	for i, m := range ms {
+		v := res.Metrics[m.Name].Value
+		if v == nil {
+			return fmt.Errorf("the result line lacks %s", m.Name)
+		}
+		values[i] = *v
+	}
+	s.values = slices.Grow(s.values, len(ms))[:len(ms)]
+	for i, v := range values {
+		s.values[i] = append(s.values[i], v)
+	}
+	s.attempted, s.failed = s.attempted+res.Attempted, s.failed+res.Failed
+	return nil
+}
+
+// failedShare is Σfailed/Σattempted.
+func (s *side) failedShare() float64 { return s.failed / max(s.attempted, 1) }
+
+// stats are one side's median and quartiles, interpolated linearly
+// between order statistics.
+type stats struct{ q1, median, q3 float64 }
+
+func summarize(xs []float64) stats {
+	s := slices.Sorted(slices.Values(xs))
+	q := func(p float64) float64 {
+		h := p * float64(len(s)-1)
+		i := int(h)
+		if i+1 == len(s) {
+			return s[i]
+		}
+		return s[i] + (h-float64(i))*(s[i+1]-s[i])
+	}
+	return stats{q(0.25), q(0.5), q(0.75)}
+}
+
+func (s stats) String() string { return fmt.Sprintf("%10.4g [%.4g, %.4g]", s.median, s.q1, s.q3) }
+
+// verdict is one (workload, metric) comparison.
+type verdict struct {
+	base, change stats
+	delta        float64 // relative change of the change's median
+	won          int     // pairs the change read better
+	label        string
+}
+
+// judge compares one metric's runs; base[i] and change[i] ran on one seed.
+func judge(m metric, base, change []float64) verdict {
+	dir := 1.0 // the sign of a change for the better
+	if m.Better == "lower" {
+		dir = -1
+	}
+	better := func(a, b float64) bool { return dir*(a-b) > 0 }
+	v := verdict{base: summarize(base), change: summarize(change)}
+	if v.change.median != v.base.median {
+		v.delta = v.change.median/v.base.median - 1
+	}
+	everyRun := true // every change run reads better than every base run
+	for i, c := range change {
+		if better(c, base[i]) {
+			v.won++
+		}
+		for _, b := range base {
+			everyRun = everyRun && better(c, b)
+		}
+	}
+	iqr := v.base.q3 - v.base.q1
+	switch {
+	case -dir*v.delta > m.Bound:
+		v.label = "REGRESSION"
+	case iqr > m.Bound*math.Abs(v.base.median) && !everyRun:
+		v.label = "unresolved"
+	case v.won >= minWins && dir*(v.change.median-v.base.median) > iqr:
+		v.label = "gain"
+	default:
+		v.label = "parity"
+	}
+	return v
+}
+
+// execFunc runs the benchmark once, on side "base" or "change", and
+// returns its standard output.
+type execFunc func(side, workload string, seed int) ([]byte, error)
+
+// compare makes every workload's seed-paired runs through exec, prints
+// the verdicts and PASS or FAIL to w, and reports whether the gate passed.
+// The first run that fails ends the comparison.
+func compare(w io.Writer, b benchmark, exec execFunc) bool {
+	fmt.Fprintf(w, "%-13s %-24s %-32s %-32s %8s %5s  %s\n",
+		"workload", "metric", "base median [q1, q3]", "change median [q1, q3]", "Δmedian", "won", "verdict")
+	pass := true
+	for _, wl := range b.Workloads {
+		sides := map[string]*side{"base": {}, "change": {}}
+		for seed := 1; seed <= pairs; seed++ {
+			order := []string{"base", "change"}
+			if seed%2 == 0 {
+				slices.Reverse(order)
+			}
+			for _, name := range order {
+				out, err := exec(name, wl.Name, seed)
+				if err == nil {
+					err = sides[name].add(out, b.EndToEnd)
+				}
+				if err != nil {
+					fmt.Fprintf(w, "%s seed %d %s: %v\nFAIL\n", wl.Name, seed, name, err)
+					return false
+				}
+			}
+		}
+		pass = report(w, wl.Name, b.EndToEnd, sides["base"], sides["change"]) && pass
+	}
+	fmt.Fprintln(w, map[bool]string{true: "PASS", false: "FAIL"}[pass])
+	return pass
+}
+
+// report prints one workload's verdicts and reports whether it passed: no
+// REGRESSION, and a change-side failed share no higher than the base's.
+func report(w io.Writer, workload string, ms []metric, base, change *side) bool {
+	pass := true
+	for i, m := range ms {
+		v := judge(m, base.values[i], change.values[i])
+		fmt.Fprintf(w, "%-13s %-24s %-32s %-32s %+7.1f%% %2d/%d  %s\n",
+			workload, m.Name, v.base, v.change, 100*v.delta, v.won, len(base.values[i]), v.label)
+		pass = pass && v.label != "REGRESSION"
+	}
+	label := "ok"
+	if change.failedShare() > base.failedShare() {
+		label, pass = "HIGHER", false
+	}
+	fmt.Fprintf(w, "%-13s %-24s %-32.4g %-32.4g %14s  %s\n",
+		workload, "failed share", base.failedShare(), change.failedShare(), "", label)
+	return pass
 }
 
 func main() {
-	var (
-		pattern   = flag.String("bench", "BenchmarkServe|BenchmarkEvaluate|BenchmarkCluster", "benchmark regexp passed to go test -bench")
-		benchtime = flag.String("benchtime", "300ms", "go test -benchtime value")
-		out       = flag.String("o", "BENCH_serve.json", "output path (- for stdout)")
-		pkgsCS    = flag.String("pkgs", "./internal/serve,./internal/cluster,.", "comma-separated packages to benchmark")
-		cpusCS    = flag.String("cpus", "1,max", "comma-separated GOMAXPROCS sections (ints or 'max')")
-		baseline  = flag.String("baseline", "", "previous artifact to compare against (empty: no comparison)")
-		maxReg    = flag.Float64("max-regress", 0.30, "maximum tolerated fractional decisions/sec regression vs -baseline")
-	)
-	flag.Parse()
-	if *pattern == "" {
-		fatal(fmt.Errorf("-bench must not be empty"))
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: hobench <base-rev>   (make bench-ab BASE=<rev>)")
+		os.Exit(2)
 	}
-	pkgs := splitNonEmpty(*pkgsCS)
-	if len(pkgs) == 0 {
-		fatal(fmt.Errorf("-pkgs must name at least one package"))
-	}
-	cpus, err := parseCPUs(*cpusCS)
+	pass, err := gate(os.Args[1])
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "hobench:", err)
+		os.Exit(2)
 	}
-	if *maxReg < 0 || *maxReg >= 1 {
-		fatal(fmt.Errorf("-max-regress must be in [0, 1), got %g", *maxReg))
+	if !pass {
+		os.Exit(1)
 	}
+}
 
-	art := Artifact{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		BenchFilter: *pattern,
-		BenchTime:   *benchtime,
-		Packages:    pkgs,
-	}
-	for _, c := range cpus {
-		sec := Section{Label: c.label, GOMAXPROCS: c.n}
-		for _, pkg := range pkgs {
-			rows, err := runPackage(pkg, *pattern, *benchtime, c.n)
-			if err != nil {
-				fatal(err)
-			}
-			sec.Results = append(sec.Results, rows...)
-		}
-		if len(sec.Results) == 0 {
-			fatal(fmt.Errorf("no benchmarks matched %q in %v at GOMAXPROCS=%d", *pattern, pkgs, c.n))
-		}
-		art.Sections = append(art.Sections, sec)
-	}
-
-	blob, err := json.MarshalIndent(art, "", "  ")
+// gate checks BASE out, compares it with the working tree and removes the
+// worktree again.  An error means the comparison could not start.
+func gate(base string) (bool, error) {
+	blob, err := os.ReadFile(benchFile)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	blob = append(blob, '\n')
-	if *out == "-" {
-		os.Stdout.Write(blob)
-	} else {
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("hobench: wrote %d sections to %s\n", len(art.Sections), *out)
-	}
-
-	if *baseline != "" {
-		if err := checkRegression(art, *baseline, *maxReg); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// cpuSpec is one parsed -cpus entry.
-type cpuSpec struct {
-	label string
-	n     int
-}
-
-// parseCPUs resolves the -cpus list ("max" → NumCPU).  Duplicate resolved
-// values are kept: on a single-core machine "1,max" still records both
-// sections, so the artifact shape is machine-independent.
-func parseCPUs(csv string) ([]cpuSpec, error) {
-	var out []cpuSpec
-	for _, p := range splitNonEmpty(csv) {
-		if p == "max" {
-			out = append(out, cpuSpec{label: "max", n: runtime.NumCPU()})
-			continue
-		}
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -cpus entry %q (want a positive int or 'max')", p)
-		}
-		out = append(out, cpuSpec{label: p, n: n})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-cpus must name at least one setting")
-	}
-	return out, nil
-}
-
-// runPackage executes go test -bench for one package at one GOMAXPROCS
-// setting and parses the rows.
-func runPackage(pkg, pattern, benchtime string, cpu int) ([]Result, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", pattern, "-benchmem", "-benchtime", benchtime,
-		"-cpu", strconv.Itoa(cpu), pkg)
-	cmd.Stderr = os.Stderr
-	outBytes, err := cmd.Output()
+	b, err := parseBenchmark(blob)
 	if err != nil {
-		return nil, fmt.Errorf("go test -bench %s (cpu %d): %w\n%s", pkg, cpu, err, outBytes)
+		return false, err
 	}
-	return parseBenchOutput(pkg, string(outBytes))
-}
-
-// benchLine matches "BenchmarkName-8   1234   56.7 ns/op   <extras>".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.eE+]+) ns/op(.*)$`)
-
-// extra matches one "<value> <unit>" column of the extras tail.
-var extra = regexp.MustCompile(`([\d.eE+]+) (\S+)`)
-
-// parseBenchOutput converts go test -bench output rows to Results.
-func parseBenchOutput(pkg, out string) ([]Result, error) {
-	var results []Result
-	for _, line := range strings.Split(out, "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+	if git("cat-file", "-e", base+"^{commit}:perfbench") != nil {
+		return false, fmt.Errorf("%s is not a commit with a perfbench/ directory", base)
+	}
+	// A gate over different benchmark code measures nothing.
+	if git("diff", "--quiet", base, "--", "perfbench", benchFile) != nil {
+		return false, fmt.Errorf("perfbench/ or %s differs between %s and the working tree", benchFile, base)
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		return false, err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	removeWorktree()
+	if err := git("worktree", "add", "--detach", baseTree, base); err != nil {
+		return false, err
+	}
+	defer removeWorktree()
+	dirs := map[string]string{"base": filepath.Join(root, baseTree), "change": root}
+	fmt.Printf("hobench: %s against the working tree, %d pairs of %d s runs per workload\n", base, pairs, b.RunSeconds)
+	return compare(os.Stdout, b, func(side, workload string, seed int) ([]byte, error) {
+		args := append(slices.Clone(b.Command[1:]), "--workload", workload,
+			"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(b.RunSeconds), "--trace", "0")
+		cmd := exec.CommandContext(ctx, b.Command[0], args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Dir, cmd.Stdout, cmd.Stderr = dirs[side], &stdout, &stderr
+		start := time.Now()
+		err := cmd.Run()
+		fmt.Fprintf(os.Stderr, "hobench: %s seed %d %s: exit %d, %.1f s\n",
+			workload, seed, side, cmd.ProcessState.ExitCode(), time.Since(start).Seconds())
 		if err != nil {
-			return nil, fmt.Errorf("bad iteration count in %q: %w", line, err)
+			return nil, fmt.Errorf("%w: %s", err, bytes.TrimSpace(stderr.Bytes()))
 		}
-		nsop, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
-		}
-		r := Result{Name: m[1], Package: pkg, Iterations: iters, NsPerOp: nsop}
-		if nsop > 0 {
-			r.OpsPerSec = 1e9 / nsop
-		}
-		for _, col := range extra.FindAllStringSubmatch(m[4], -1) {
-			v, err := strconv.ParseFloat(col[1], 64)
-			if err != nil {
-				continue
-			}
-			switch col[2] {
-			case "B/op":
-				b := int64(v)
-				r.BytesPerOp = &b
-			case "allocs/op":
-				a := int64(v)
-				r.AllocsPerOp = &a
-			default:
-				if r.Metrics == nil {
-					r.Metrics = make(map[string]float64)
-				}
-				r.Metrics[col[2]] = v
-			}
-		}
-		results = append(results, r)
-	}
-	return results, nil
+		return stdout.Bytes(), nil
+	}), nil
 }
 
-// sections returns an artifact's sections, adapting legacy single-section
-// files (top-level results + gomaxprocs).
-func (a Artifact) sections() []Section {
-	if len(a.Sections) > 0 {
-		return a.Sections
-	}
-	if len(a.Results) > 0 {
-		return []Section{{Label: strconv.Itoa(a.GOMAXPROCS), GOMAXPROCS: a.GOMAXPROCS, Results: a.Results}}
+// removeWorktree removes BASE's worktree, or the stale one an interrupted
+// run left behind.
+func removeWorktree() {
+	_ = git("worktree", "remove", "--force", baseTree) // fails when there is none
+	_ = os.RemoveAll(baseTree)
+	_ = git("worktree", "prune")
+}
+
+func git(args ...string) error {
+	out, err := exec.Command("git", args...).CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("git %s: %w: %s", strings.Join(args, " "), err, bytes.TrimSpace(out))
 	}
 	return nil
-}
-
-// checkRegression compares the new artifact's steady-state decisions/sec
-// metrics against the baseline file, section by GOMAXPROCS, and fails if
-// any regresses beyond the tolerated fraction.
-func checkRegression(art Artifact, baselinePath string, maxRegress float64) error {
-	blob, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base Artifact
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", baselinePath, err)
-	}
-	baseByCPU := map[int]map[string]float64{}
-	for _, sec := range base.sections() {
-		if _, dup := baseByCPU[sec.GOMAXPROCS]; dup {
-			continue // first section per GOMAXPROCS wins
-		}
-		m := map[string]float64{}
-		for _, r := range sec.Results {
-			if v, ok := r.Metrics["decisions/sec"]; ok && v > 0 {
-				m[r.Package+"/"+r.Name] = v
-			}
-		}
-		baseByCPU[sec.GOMAXPROCS] = m
-	}
-	var regressions []string
-	compared := 0
-	for _, sec := range art.sections() {
-		baseMetrics, ok := baseByCPU[sec.GOMAXPROCS]
-		if !ok {
-			continue // baseline from a machine without this section
-		}
-		for _, r := range sec.Results {
-			v, ok := r.Metrics["decisions/sec"]
-			if !ok || v <= 0 {
-				continue
-			}
-			want, ok := baseMetrics[r.Package+"/"+r.Name]
-			if !ok {
-				continue // new benchmark: nothing to regress against
-			}
-			compared++
-			if v < want*(1-maxRegress) {
-				regressions = append(regressions, fmt.Sprintf(
-					"  %s (GOMAXPROCS=%d): %.0f decisions/sec vs baseline %.0f (-%.0f%%)",
-					r.Name, sec.GOMAXPROCS, v, want, 100*(1-v/want)))
-			}
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("decisions/sec regressed beyond %.0f%% on %d benchmark(s):\n%s",
-			100*maxRegress, len(regressions), strings.Join(regressions, "\n"))
-	}
-	if compared == 0 {
-		// A gate that matched nothing (section/name drift, wrong baseline)
-		// must not masquerade as a pass.
-		return fmt.Errorf("baseline %s shares no decisions/sec metrics with this run: the gate checked nothing", baselinePath)
-	}
-	fmt.Printf("hobench: baseline check passed (%d decisions/sec metrics within %.0f%% of %s)\n",
-		compared, 100*maxRegress, baselinePath)
-	return nil
-}
-
-func splitNonEmpty(csv string) []string {
-	var out []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hobench:", err)
-	os.Exit(1)
 }

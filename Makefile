@@ -1,8 +1,9 @@
-# Development entry points; CI mirrors these targets.
+# Development entry points.  CI mirrors the targets `ci` lists; bench-ab,
+# the performance gate, takes about 30 minutes and is run by hand.
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint escape-check bench-build bench bench-ab bench-json bench-smoke load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check lint escape-check bench-build bench bench-ab load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -43,27 +44,6 @@ bench-build:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# Machine-readable perf artifact: serve + inference hot paths, recorded at
-# GOMAXPROCS=1 and GOMAXPROCS=NumCPU, plus a 10s per-second load time
-# series (throughput, windowed latency quantiles, backlog sheds) from
-# hoload -metrics-out.
-bench-json:
-	$(GO) run ./cmd/hobench -o BENCH_serve.json
-	$(GO) run ./cmd/hoload -terminals 4096 -shards 4 -duration 10s \
-		-replicas 2 -speeds 0,30 -compiled -metrics-out BENCH_load_series.jsonl
-
-# Short bench run gated against the committed artifact: fails if any
-# steady-state decisions/sec metric regresses by more than 30%.  The
-# default hobench filter covers all three serve decision modes — exact
-# (BenchmarkServeShards), compiled (BenchmarkServeCompiled) and the
-# speed-adaptive extension (BenchmarkServeAdaptive) — so the gate catches
-# a regression in any of them.  The baseline is machine-specific —
-# regenerate BENCH_serve.json (make bench-json) whenever the reference
-# hardware changes, or the gate measures the runner, not the code.
-bench-smoke: vet lint
-	$(GO) run ./cmd/hobench -benchtime 120ms -o /tmp/BENCH_smoke.json \
-		-baseline BENCH_serve.json -max-regress 0.30
-
 # The performance gate: BASE against the working tree on BENCHMARK.json's
 # benchmark, 10 seed-paired runs per side and workload, alternating which
 # side goes first.  Prints each end-to-end metric's medians, quartiles,
@@ -73,9 +53,16 @@ bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
 	$(GO) run ./cmd/hobench $(BASE)
 
-# Short end-to-end load run through the serve engine.
+# Short end-to-end load runs through the serve engine, one per decision
+# mode (exact, compiled, speed-adaptive).  The first also writes the
+# -metrics-out series and checks it holds a throughput sample.
 load-smoke:
-	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30
+	rm -f /tmp/fuzzyho-load-series.jsonl
+	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30 \
+		-metrics-out /tmp/fuzzyho-load-series.jsonl
+	grep -q '"decisions_per_sec"' /tmp/fuzzyho-load-series.jsonl
+	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30 -compiled
+	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30,50 -algo adaptive -compiled
 
 # Short end-to-end run through the multi-node cluster router: in-process
 # replay, then the full TCP wire path (2 hoserve daemons + hocluster).

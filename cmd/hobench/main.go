@@ -198,7 +198,7 @@ type execFunc func(side, workload string, seed int) ([]byte, error)
 // the verdicts and PASS or FAIL to w, and reports whether the gate passed.
 // The first run that fails ends the comparison.
 func compare(w io.Writer, b benchmark, exec execFunc) bool {
-	fmt.Fprintf(w, "%-13s %-24s %-32s %-32s %8s %5s  %s\n",
+	fmt.Fprintf(w, "%-13s %-24s %-34s %-34s %8s %5s  %s\n",
 		"workload", "metric", "base median [q1, q3]", "change median [q1, q3]", "Δmedian", "won", "verdict")
 	pass := true
 	for _, wl := range b.Workloads {
@@ -231,16 +231,16 @@ func report(w io.Writer, workload string, ms []metric, base, change *side) bool 
 	pass := true
 	for i, m := range ms {
 		v := judge(m, base.values[i], change.values[i])
-		fmt.Fprintf(w, "%-13s %-24s %-32s %-32s %+7.1f%% %2d/%d  %s\n",
+		fmt.Fprintf(w, "%-13s %-24s %-34s %-34s %+7.1f%% %2d/%d  %s\n",
 			workload, m.Name, v.base, v.change, 100*v.delta, v.won, len(base.values[i]), v.label)
 		pass = pass && v.label != "REGRESSION"
 	}
+	fb, fc := base.failedShare(), change.failedShare()
 	label := "ok"
-	if change.failedShare() > base.failedShare() {
+	if fc > fb {
 		label, pass = "HIGHER", false
 	}
-	fmt.Fprintf(w, "%-13s %-24s %-32.4g %-32.4g %14s  %s\n",
-		workload, "failed share", base.failedShare(), change.failedShare(), "", label)
+	fmt.Fprintf(w, "%-13s %-24s %-34.4g %-34.4g %14s  %s\n", workload, "failed share", fb, fc, "", label)
 	return pass
 }
 

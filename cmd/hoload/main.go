@@ -270,6 +270,7 @@ type metricsSampler struct {
 	start  time.Time
 	prev   fuzzyho.LatencySnapshot
 	prevN  uint64
+	prevT  time.Time
 	stop   chan struct{}
 	done   chan struct{}
 	err    error
@@ -281,9 +282,10 @@ func startSampler(path string, target *loadTarget, lat *fuzzyho.LatencyRecorder,
 	if err != nil {
 		return nil, fmt.Errorf("metrics-out: %w", err)
 	}
+	now := time.Now()
 	s := &metricsSampler{
 		f: f, enc: json.NewEncoder(f), target: target, lat: lat,
-		sheds: sheds, start: time.Now(),
+		sheds: sheds, start: now, prevT: now,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	go s.loop()
@@ -304,14 +306,17 @@ func (s *metricsSampler) loop() {
 	}
 }
 
-// sample writes one window line.
+// sample writes one window line.  The window runs from the previous
+// sample, so the rate divides by its length: the final window close()
+// samples is usually shorter than a second.
 func (s *metricsSampler) sample() {
 	win := s.lat.SnapshotDelta(&s.prev)
 	dec := s.target.totals().Decisions
+	now := time.Now()
 	rec := metricsSample{
-		TSec:      time.Since(s.start).Seconds(),
+		TSec:      now.Sub(s.start).Seconds(),
 		Decisions: dec,
-		Rate:      float64(dec - s.prevN),
+		Rate:      float64(dec-s.prevN) / now.Sub(s.prevT).Seconds(),
 		P50Ns:     int64(win.Quantile(0.50)),
 		P90Ns:     int64(win.Quantile(0.90)),
 		P99Ns:     int64(win.Quantile(0.99)),
@@ -319,7 +324,7 @@ func (s *metricsSampler) sample() {
 		Samples:   win.Count(),
 		Sheds:     s.sheds.Load(),
 	}
-	s.prevN = dec
+	s.prevN, s.prevT = dec, now
 	if s.target.nodes != nil {
 		for _, n := range s.target.nodes() {
 			rec.Nodes = append(rec.Nodes, nodeSample{Node: n.Node, Submitted: n.Submitted, Decisions: n.Decisions})

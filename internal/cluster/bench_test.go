@@ -51,9 +51,9 @@ func benchClusterLoad(b *testing.B, r Router, batches [][]serve.Report, n int) {
 }
 
 // BenchmarkClusterLocal measures steady-state routed throughput across
-// in-process node counts (compiled decision mode, 2 shards per node) —
-// the cluster section of BENCH_serve.json.  nodes=1 is the router-layer
-// overhead baseline against BenchmarkServeCompiled.
+// in-process node counts (compiled decision mode, 2 shards per node).
+// nodes=1 is the router-layer overhead baseline against
+// BenchmarkServeCompiled.
 func BenchmarkClusterLocal(b *testing.B) {
 	for _, nodes := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {

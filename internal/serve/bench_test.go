@@ -40,8 +40,7 @@ func benchEngineCfg(b *testing.B, cfg Config) *Engine {
 // queue (a queue of depth D lazily builds D buffers while producers
 // outpace the shard).  Benchmarks that skip this measure the population
 // build as per-op bytes that scale with shards × depth instead of the
-// steady state, which is exactly the artifact the old BENCH_serve.json
-// recorded.
+// steady state.
 func warmEngine(b *testing.B, e *Engine, batches [][]Report) {
 	b.Helper()
 	runLoad(b, e, batches, e.NumShards()*benchQueueDepth*maxSubBatch+4*512)
@@ -139,8 +138,8 @@ func BenchmarkServeCompiledMetrics(b *testing.B) {
 }
 
 // BenchmarkServeAdaptive serves the speed-adaptive extension on the
-// compiled kernel through the columnar pipeline — the third decision mode
-// the bench-smoke gate tracks.
+// compiled kernel through the columnar pipeline — the third decision
+// mode, which no perfbench workload runs.
 func BenchmarkServeAdaptive(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

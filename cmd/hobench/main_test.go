@@ -166,7 +166,9 @@ func TestBrokenRunsFail(t *testing.T) {
 	}
 }
 
-func TestRepositoryBenchmarkParses(t *testing.T) {
+// repoBenchmark parses the repository's BENCHMARK.json.
+func repoBenchmark(t *testing.T) benchmark {
+	t.Helper()
 	blob, err := os.ReadFile("../../" + benchFile)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +177,11 @@ func TestRepositoryBenchmarkParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range b.EndToEnd {
+	return b
+}
+
+func TestRepositoryBenchmarkParses(t *testing.T) {
+	for _, m := range repoBenchmark(t).EndToEnd {
 		if (m.Better != "higher" && m.Better != "lower") || !(m.Bound > 0) {
 			t.Errorf("%+v: want better higher or lower and a positive bound", m)
 		}
@@ -192,14 +198,7 @@ func TestRepositoryBenchmarkParses(t *testing.T) {
 const capturedLine = `{"attempted":3170304,"correct":true,"failed":0,"metrics":{"cpu_ms_per_1k_decisions":{"unit":"ms","value":0.570404052734375},"decisions_per_s":{"unit":"1/s","value":1609775.0644842174},"heap_bytes_per_terminal":{"unit":"B","value":713.326171875},"latency_p50_ms":{"unit":"ms","value":0.6444691666666666},"latency_p90_ms":{"unit":"ms","value":0.8936793333333334},"setup_s":{"unit":"s","value":0.009628775}}}`
 
 func TestCapturedResultLine(t *testing.T) {
-	blob, err := os.ReadFile("../../" + benchFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parseBenchmark(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := repoBenchmark(t)
 	var s side
 	if err := s.add([]byte("setup_s 0.0096 s\n"+capturedLine+"\n"), b.EndToEnd); err != nil {
 		t.Fatal(err)

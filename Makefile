@@ -166,11 +166,14 @@ obs-smoke:
 		curl -fsS http://127.0.0.1:9193/statusz | grep -q "\"Decisions\""; \
 		curl -fsS http://127.0.0.1:9193/tracez | grep -q "\"sampled\""'
 
-# Native Go fuzzing of the wire and snapshot codecs, briefly (CI runs the same).
+# Native Go fuzzing of the wire, snapshot and control-plane codecs,
+# briefly; CI's fuzz step runs this target.  FuzzParseBatchLine and
+# FuzzParseOutcomeLine are differential against the encoding/json oracle.
 fuzz-smoke:
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseBatchLine -fuzztime 10s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzOutcomeRoundTrip -fuzztime 10s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseBatchLine -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseOutcomeLine -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzOutcomeRoundTrip -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine -fuzztime 20s
 
 ci: vet fmt-check lint escape-check build bench-build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

@@ -9,7 +9,7 @@ import (
 // HotpathAnalyzer enforces the 0 B/decision steady-state invariant on
 // functions annotated //fuzzyho:hotpath: the serve decision loop
 // (shard.processBatch / decideRun), the compiled segment kernel, the
-// terminal-store probes, obs Observe/Add and the wire append codecs.
+// terminal-store probes, obs Observe/Add and the wire codecs.
 // The runtime guard for the same property is
 // TestServeSteadyStateBytesPerShardCount, which samples; this analyzer
 // checks every line of every build.
@@ -66,6 +66,12 @@ var hotpathAllowedFuncs = map[string]bool{
 	"bytes.Equal":                 true,
 	"(error).Error":               true,
 	"sort.Search":                 true,
+	// The wire decoders' number and key parsing: ParseFloat, ParseInt and
+	// ParseUint allocate only the *NumError they fail with.
+	"strconv.ParseFloat": true,
+	"strconv.ParseInt":   true,
+	"strconv.ParseUint":  true,
+	"strings.EqualFold":  true,
 }
 
 // hotpathDeniedPkgs name the usual allocation suspects explicitly so the

@@ -194,3 +194,47 @@ func BenchmarkServeSubmitBatch(b *testing.B) {
 	}
 	e.Flush()
 }
+
+// BenchmarkServeParseBatchLine decodes a 4-report paper batch line per
+// op: "reused" into one destination, as every ingest connection does, and
+// "fresh" through ParseBatchLine, which allocates the result.
+func BenchmarkServeParseBatchLine(b *testing.B) {
+	line := AppendBatchJSON(nil, paperWireReports(4))
+	for _, reuse := range []bool{true, false} {
+		name := "fresh"
+		if reuse {
+			name = "reused"
+		}
+		b.Run(name, func(b *testing.B) {
+			var dst []Report
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			for i := 0; i < b.N; i++ {
+				var err error
+				if reuse {
+					dst, err = parseBatchInto(dst, line)
+				} else {
+					dst, err = ParseBatchLine(line)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/report")
+		})
+	}
+}
+
+// BenchmarkServeParseOutcomeLine decodes one scored decision line per op,
+// as the cluster router does for every decision a node returns.
+func BenchmarkServeParseOutcomeLine(b *testing.B) {
+	line := AppendOutcomeJSON(nil, Outcome{Terminal: 4096, Seq: 17,
+		Decision: handover.Decision{Score: 0.4213, Scored: true, Reason: "FLC-threshold"}})
+	b.ReportAllocs()
+	b.SetBytes(int64(len(line)))
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseOutcomeLine(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

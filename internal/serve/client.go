@@ -420,9 +420,10 @@ func (c *NodeClient) run(conn net.Conn) {
 			conn = next
 			continue
 		}
+		var rerr error
 		readerDone := make(chan struct{})
-		go c.readLoop(conn, readerDone)
-		finished, werr := c.writeLoop(conn, readerDone)
+		go c.readLoop(conn, readerDone, &rerr)
+		finished, werr := c.writeLoop(conn, readerDone, &rerr)
 		if finished {
 			// Clean shutdown: everything queued was written; half-close
 			// so the node sees EOF, decides the tail and closes — the
@@ -461,8 +462,9 @@ func (c *NodeClient) run(conn net.Conn) {
 // writeLoop drains the send queue onto the connection.  It returns
 // finished=true when Close was requested and the queue is empty, false
 // (with the error) when the connection failed — including a connection
-// the peer closed, which only the reader notices (readerDone).
-func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}) (finished bool, err error) {
+// the peer closed or that failed a read, which only the reader notices
+// (readerDone, after which *rerr holds its read error).
+func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}, rerr *error) (finished bool, err error) {
 	write := func(p pendingLine) error {
 		// The line may partially reach the node on failure, where the
 		// fragment cannot parse as a complete report line; its reports
@@ -509,6 +511,9 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}) (finis
 					return false, err
 				}
 			case <-readerDone:
+				if *rerr != nil {
+					return false, fmt.Errorf("read: %w", *rerr)
+				}
 				return false, errors.New("connection closed by peer")
 			case <-idle.C:
 			}
@@ -516,11 +521,14 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}) (finis
 	}
 }
 
-// readLoop decodes decision lines until the connection fails or closes.
-func (c *NodeClient) readLoop(conn net.Conn, done chan<- struct{}) {
+// readLoop decodes decision lines until the connection fails or closes,
+// then stores the read error (nil at a clean EOF) in *rerr and closes
+// done.
+func (c *NodeClient) readLoop(conn net.Conn, done chan<- struct{}, rerr *error) {
 	defer close(done)
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	defer func() { *rerr = scanner.Err() }()
 	for scanner.Scan() {
 		if isControlLine(scanner.Bytes()) {
 			c.handleCtlLine(scanner.Bytes())

@@ -505,3 +505,57 @@ func TestNodeClientGoesDownLoudly(t *testing.T) {
 		t.Errorf("ledger does not balance: %+v", cnt)
 	}
 }
+
+// failingReadConn is a connection whose writes succeed and whose every
+// read fails with err.
+type failingReadConn struct {
+	net.Conn // nil: only the methods below are called
+	err      error
+}
+
+func (c failingReadConn) Read([]byte) (int, error)         { return 0, c.err }
+func (c failingReadConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (c failingReadConn) Close() error                     { return nil }
+func (c failingReadConn) SetDeadline(time.Time) error      { return nil }
+func (c failingReadConn) SetReadDeadline(time.Time) error  { return nil }
+func (c failingReadConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestNodeClientSurfacesReadError: when the connection fails a read
+// after the hello, OnError receives that read error, not only a generic
+// "closed by peer".
+func TestNodeClientSurfacesReadError(t *testing.T) {
+	errRead := errors.New("read failed on purpose")
+	var mu sync.Mutex
+	var got []error
+	c, err := DialNode("node-under-test", NodeClientConfig{
+		MaxRedials: -1,
+		Dial:       func(string) (net.Conn, error) { return failingReadConn{err: errRead}, nil },
+		OnError: func(err error) {
+			mu.Lock()
+			got = append(got, err)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("client never went down")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, err := range got {
+		if errors.Is(err, errRead) {
+			if !strings.Contains(err.Error(), "node-under-test") {
+				t.Errorf("read error %q does not name the node", err)
+			}
+			return
+		}
+	}
+	t.Fatalf("OnError never received the read error; got %v", got)
+}

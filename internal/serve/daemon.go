@@ -38,7 +38,9 @@ type Daemon struct {
 	// wires Mux.Route as the engine's/router's decision callback.
 	Mux *DecisionMux
 	// Submit routes one parsed report batch (Engine.SubmitBatch or a
-	// cluster router's SubmitBatch).
+	// cluster router's SubmitBatch).  It must not retain the slice: the
+	// connection decodes its next line into the same storage.  Both
+	// named targets copy the reports before they return.
 	Submit func([]Report) error
 	// Drain blocks until every report submitted so far is decided
 	// (Engine.Flush, or a router Flush with timeout).  Its error is a

@@ -11,11 +11,14 @@ import (
 	"repro/internal/hexgrid"
 )
 
-// FuzzParseBatchLine drives the ingest parser with arbitrary lines and
-// checks its structural invariants: no panics, the validated-prefix
-// contract (returned reports always validate, an error always names a
-// report index on partial returns), and encode→parse idempotence on
-// whatever was accepted.
+// FuzzParseBatchLine drives the ingest parser with arbitrary lines.  It
+// is differential: ParseBatchLine, and parseBatchInto into a reused
+// destination, must agree with the encoding/json oracle on accept/reject,
+// the decoded reports bit for bit, and a reject's failing index and
+// validated-prefix count.  It also checks the structural invariants: no
+// panics, the validated-prefix contract (returned reports always
+// validate, an error always names a report index on partial returns),
+// and encode→parse idempotence on whatever was accepted.
 func FuzzParseBatchLine(f *testing.F) {
 	single := `{"terminal":7,"serving":[0,0],"neighbor":[1,0],"serving_db":-88.5,"ssn_db":-84,"cssp_db":-2.5,"dmb":1.1,"walked_km":3.2,"speed_kmh":30}`
 	f.Add([]byte(single))
@@ -33,7 +36,13 @@ func FuzzParseBatchLine(f *testing.F) {
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"x":{"t":"fast"}}`))
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"x":{"t":1,"t":2}}`))
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"rsrp":-90}`))
+	for _, line := range fuzzSeeds(batchQuirkLines()) {
+		f.Add(line)
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
+		if msg := batchMismatch(line); msg != "" {
+			t.Fatalf("%q: %s", line, msg)
+		}
 		reports, err := ParseBatchLine(line)
 		if err == nil && reports == nil && len(trimSpace(line)) != 0 {
 			// Non-blank lines either parse to reports or error; a silent
@@ -241,4 +250,33 @@ func FuzzOutcomeRoundTrip(f *testing.F) {
 			t.Fatalf("re-encode drifted:\n first  %s second %s", line1, line2)
 		}
 	})
+}
+
+// FuzzParseOutcomeLine drives the outcome decoder with arbitrary raw
+// lines, differentially: ParseOutcomeLine must agree with the
+// encoding/json oracle on the error kind (none, a *WireError and its
+// text, or malformed) and, on success, on every field bit for bit.
+// FuzzOutcomeRoundTrip only ever feeds it lines the encoder built.
+func FuzzParseOutcomeLine(f *testing.F) {
+	for _, line := range fuzzSeeds(outcomeQuirkLines()) {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if msg := outcomeMismatch(line); msg != "" {
+			t.Fatalf("%q: %s", line, msg)
+		}
+	})
+}
+
+// fuzzSeeds returns the quirk lines short enough to seed a fuzzer: the
+// nesting-limit lines run ~20 KB, which stalls the fuzzer's minimizer,
+// and the MatchesOracle tests check them on every run instead.
+func fuzzSeeds(lines []string) [][]byte {
+	var seeds [][]byte
+	for _, l := range lines {
+		if len(l) <= 1<<12 {
+			seeds = append(seeds, []byte(l))
+		}
+	}
+	return seeds
 }

@@ -294,6 +294,10 @@ func (b *Binding) Release() {
 	})
 }
 
+// maxReusedBatch bounds the report slice an ingest connection keeps
+// between lines.
+const maxReusedBatch = 4096
+
 // IngestLines reads newline-JSON lines from rd until EOF.  Report lines
 // claim their terminals for b and are forwarded through submit; control
 // lines (leading `{"ctl"`) are parsed and handed to ctl, which answers
@@ -303,9 +307,16 @@ func (b *Binding) Release() {
 // part-way is served up to the failing report: the validated prefix is
 // bound and submitted, and the error names the index where the rest was
 // dropped.  Returns lines read and lines (fully or partially) rejected.
+//
+// Every line decodes into the same report slice, so submit must not
+// retain it (Daemon.Submit's contract); a slice grown past
+// maxReusedBatch reports is not kept, so one huge line does not pin its
+// storage for the connection's life.  The line buffer starts at 64 KiB
+// and grows to 16 MiB for the longest line seen.
 func IngestLines(rd io.Reader, b *Binding, submit func([]Report) error, ctl func(WireControl) error, reject func(line int, err error)) (lines, bad int) {
 	scanner := bufio.NewScanner(rd)
-	scanner.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	var batch []Report
 	for scanner.Scan() {
 		lines++
 		rejected := false
@@ -329,9 +340,12 @@ func IngestLines(rd io.Reader, b *Binding, submit func([]Report) error, ctl func
 			}
 			continue
 		}
-		reports, err := ParseBatchLine(scanner.Bytes())
+		reports, err := parseBatchInto(batch, scanner.Bytes())
 		if err != nil {
 			fail(err)
+		}
+		if reports != nil && cap(reports) <= maxReusedBatch {
+			batch = reports
 		}
 		if len(reports) == 0 {
 			continue

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/handover"
 )
 
 func muxReportLine(terminal uint64, servingDB float64) string {
@@ -289,5 +292,66 @@ func TestBindingMutualTakeoverNoDeadlock(t *testing.T) {
 				t.Fatalf("round %d: loser %d failed with %v", round, i, err)
 			}
 		}
+	}
+}
+
+// TestIngestLongLines: ingest starts with a 64 KiB line buffer, so a
+// batch line longer than that and a full restore chunk must still
+// arrive whole.
+func TestIngestLongLines(t *testing.T) {
+	mux := NewDecisionMux()
+	const n = 1000
+	rs := make([]Report, n)
+	for i := range rs {
+		rs[i] = Report{Terminal: TerminalID(i), Meas: wireMeas(0, 0, 1, 0, -88.5, -84, -2.5, 1.1, 3.2, 30)}
+	}
+	batch := AppendBatchJSON(nil, rs)
+	snaps := make([]TerminalSnapshot, snapshotChunk)
+	for i := range snaps {
+		snaps[i] = TerminalSnapshot{Terminal: TerminalID(i), Seq: 3, PrevDB: -88.5, HavePrev: true}
+	}
+	restore := AppendControlJSON(nil, WireControl{Op: "restore", Snapshots: snaps})
+	if len(batch) <= 1<<16 || len(restore) <= 1<<16 {
+		t.Fatalf("lines of %d and %d bytes do not exceed the initial buffer", len(batch), len(restore))
+	}
+	var submitted, restored int
+	var rejects []error
+	lines, bad := IngestLines(bytes.NewReader(append(batch, restore...)), NewBinding(mux, NewSink(io.Discard)),
+		func(rs []Report) error { submitted += len(rs); return nil },
+		func(c WireControl) error { restored += len(c.Snapshots); return nil },
+		func(_ int, err error) { rejects = append(rejects, err) })
+	if lines != 2 || bad != 0 || len(rejects) != 0 {
+		t.Fatalf("lines=%d bad=%d rejects=%v", lines, bad, rejects)
+	}
+	if submitted != n || restored != snapshotChunk {
+		t.Errorf("submitted %d reports and %d snapshots, want %d and %d", submitted, restored, n, snapshotChunk)
+	}
+}
+
+// TestIngestReusesReportStorage: consecutive lines decode into one
+// report slice (Daemon.Submit must not retain it), and an "x" object
+// never reuses an earlier line's extension storage — the engine queues
+// Ext headers past Submit's return.
+func TestIngestReusesReportStorage(t *testing.T) {
+	mux := NewDecisionMux()
+	line := func(id int, x string) string {
+		return `[{"terminal":` + fmt.Sprint(id) + `,"serving":[0,0],"neighbor":[1,0],"x":{"t":` + x + `}}]` + "\n"
+	}
+	var firsts []*Report
+	var exts [][]handover.ExtValue
+	lines, bad := IngestLines(strings.NewReader(line(1, "1")+line(2, "2")), NewBinding(mux, NewSink(io.Discard)),
+		func(rs []Report) error {
+			firsts = append(firsts, &rs[0])
+			exts = append(exts, rs[0].Ext)
+			return nil
+		}, nil, func(_ int, err error) { t.Error(err) })
+	if lines != 2 || bad != 0 || len(firsts) != 2 {
+		t.Fatalf("lines=%d bad=%d submits=%d", lines, bad, len(firsts))
+	}
+	if firsts[0] != firsts[1] {
+		t.Error("the second line did not reuse the first line's report storage")
+	}
+	if exts[0][0].Value != 1 || exts[1][0].Value != 2 {
+		t.Errorf("extension values %v, %v: the second line overwrote the first's", exts[0], exts[1])
 	}
 }

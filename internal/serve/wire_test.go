@@ -121,6 +121,18 @@ func TestReportExtRoundTrip(t *testing.T) {
 	if !strings.Contains(one, `"x":{"b":2,"a":0}`) {
 		t.Errorf("extension object not in declared order: %s", one)
 	}
+	// The stdlib round trip of a WireReport keeps the same "x" shape.
+	enc, err := json.Marshal(in[1].Wire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w WireReport
+	if err := json.Unmarshal(enc, &w); err != nil || !reflect.DeepEqual(w.Report(), in[1]) {
+		t.Errorf("stdlib round trip of %s: %+v, %v", enc, w, err)
+	}
+	if err := json.Unmarshal([]byte(`{"x":{"t":1,"t":2}}`), &w); err == nil {
+		t.Error("stdlib decode accepted a duplicate x name")
+	}
 }
 
 // TestParseBatchLineRejectContract pins the strict-ingest contract chosen
@@ -129,14 +141,7 @@ func TestReportExtRoundTrip(t *testing.T) {
 // prefix — rather than silently dropped.
 func TestParseBatchLineRejectContract(t *testing.T) {
 	good := `{"terminal":1,"serving":[0,0],"neighbor":[1,0],"serving_db":-88.5,"ssn_db":-84,"cssp_db":-2.5,"dmb":1.1,"walked_km":3.2,"speed_kmh":30}`
-	cases := map[string]string{
-		"unknown-field":  `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"rsrp":-90}`,
-		"x-not-object":   `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":[1]}`,
-		"x-value-string": `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":"fast"}}`,
-		"x-value-null":   `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":null}}`,
-		"x-dup-name":     `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":1,"t":2}}`,
-	}
-	for name, bad := range cases {
+	for name, bad := range parseRejectContractCases {
 		t.Run(name, func(t *testing.T) {
 			// Alone: rejected outright.
 			if _, err := ParseBatchLine([]byte(bad)); err == nil {
@@ -155,6 +160,16 @@ func TestParseBatchLineRejectContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parseRejectContractCases are reports the strict-ingest contract
+// rejects; the differential fuzzers seed from them too.
+var parseRejectContractCases = map[string]string{
+	"unknown-field":  `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"rsrp":-90}`,
+	"x-not-object":   `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":[1]}`,
+	"x-value-string": `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":"fast"}}`,
+	"x-value-null":   `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":null}}`,
+	"x-dup-name":     `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":1,"t":2}}`,
 }
 
 // wireMeas builds a measurement for wire-codec tests.
@@ -228,16 +243,7 @@ func TestAppendOutcomeJSONRoundTrip(t *testing.T) {
 // the identity on bytes, and the decoded outcome must preserve the Scored
 // flag and score value exactly.
 func TestOutcomeRoundTripAllShapes(t *testing.T) {
-	shapes := []Outcome{
-		{Terminal: 1, Seq: 0, Decision: handover.Decision{Reason: "POTLC-gate"}},
-		{Terminal: 2, Seq: 3, Decision: handover.Decision{Score: 0.69, Scored: true, Reason: "below threshold"}},
-		{Terminal: 3, Seq: 7, Decision: handover.Decision{Score: 0, Scored: true, Reason: "below threshold"}},
-		{Terminal: 4, Seq: 1, Decision: handover.Decision{Handover: true, Score: 0.73, Scored: true, Reason: "execute-handover"}, Executed: true},
-		{Terminal: 5, Seq: 9, Decision: handover.Decision{Handover: true, Score: 1, Scored: true, Reason: "execute"}, Executed: true, PingPong: true},
-		{Terminal: 6, Seq: 2, Err: &WireError{Msg: "algorithm: inference failed"}},
-		{Terminal: 0, Seq: 0, Decision: handover.Decision{Reason: ""}},
-	}
-	for i, o := range shapes {
+	for i, o := range outcomeShapes {
 		line1 := AppendOutcomeJSON(nil, o)
 		w, err := ParseOutcomeLine(line1)
 		if err != nil {
@@ -261,6 +267,17 @@ func TestOutcomeRoundTripAllShapes(t *testing.T) {
 			t.Errorf("shape %d: re-encode drifted\n first  %s second %s", i, line1, line2)
 		}
 	}
+}
+
+// outcomeShapes is one outcome of every wire shape.
+var outcomeShapes = []Outcome{
+	{Terminal: 1, Seq: 0, Decision: handover.Decision{Reason: "POTLC-gate"}},
+	{Terminal: 2, Seq: 3, Decision: handover.Decision{Score: 0.69, Scored: true, Reason: "below threshold"}},
+	{Terminal: 3, Seq: 7, Decision: handover.Decision{Score: 0, Scored: true, Reason: "below threshold"}},
+	{Terminal: 4, Seq: 1, Decision: handover.Decision{Handover: true, Score: 0.73, Scored: true, Reason: "execute-handover"}, Executed: true},
+	{Terminal: 5, Seq: 9, Decision: handover.Decision{Handover: true, Score: 1, Scored: true, Reason: "execute"}, Executed: true, PingPong: true},
+	{Terminal: 6, Seq: 2, Err: &WireError{Msg: "algorithm: inference failed"}},
+	{Terminal: 0, Seq: 0, Decision: handover.Decision{Reason: ""}},
 }
 
 // TestScoreZeroSurvivesRoundTrip is the regression pin for the omitempty
@@ -333,6 +350,49 @@ func TestAppendBatchJSONNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendBatchJSON allocates %v per call", allocs)
+	}
+}
+
+// paperWireReports returns n paper reports with full-precision
+// measurements, the shape a simulated terminal puts on the wire.
+func paperWireReports(n int) []Report {
+	rs := make([]Report, n)
+	for i := range rs {
+		f := float64(i)
+		rs[i] = Report{Terminal: TerminalID(4096 + i),
+			Meas: wireMeas(i, -i, i+1, 2-i, -88.5-f/3, -84.25+f/7, -2.5+f/11, 1.1+f/13, 3.2+f/17, 30+f)}
+	}
+	return rs
+}
+
+// TestParseBatchLineNoAlloc: decoding a paper batch line into a reused
+// destination must not allocate — every ingest connection decodes every
+// line this way.
+func TestParseBatchLineNoAlloc(t *testing.T) {
+	line := AppendBatchJSON(nil, paperWireReports(4))
+	dst := make([]Report, 0, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if dst, err = parseBatchInto(dst[:0], line); err != nil || len(dst) != 4 {
+			t.Fatalf("decoded %d reports, err %v", len(dst), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("parseBatchInto allocates %v per 4-report line", allocs)
+	}
+}
+
+// TestParseOutcomeLineAllocs: decoding an outcome line allocates at most
+// its reason string — the cluster router decodes every decision.
+func TestParseOutcomeLineAllocs(t *testing.T) {
+	line := AppendOutcomeJSON(nil, Outcome{Terminal: 1, Seq: 2, Decision: handover.Decision{Reason: "FLC-threshold", Score: 0.5, Scored: true}})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseOutcomeLine(line); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("ParseOutcomeLine allocates %v per line", allocs)
 	}
 }
 

@@ -169,11 +169,16 @@ obs-smoke:
 # Native Go fuzzing of the wire, snapshot and control-plane codecs,
 # briefly; CI's fuzz step runs this target.  FuzzParseBatchLine and
 # FuzzParseOutcomeLine are differential against the encoding/json oracle.
+# The coordinator minimizes every new-coverage input for up to
+# -fuzzminimizetime (60s by default), which could spend a target's whole
+# 20s on one input; FUZZ_FLAGS bounds it.  A crasher still fails the run,
+# only its saved input is less minimized.
+FUZZ_FLAGS = -fuzztime 20s -fuzzminimizetime 2s
 fuzz-smoke:
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseBatchLine -fuzztime 20s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseOutcomeLine -fuzztime 20s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzOutcomeRoundTrip -fuzztime 20s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 20s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseBatchLine $(FUZZ_FLAGS)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseOutcomeLine $(FUZZ_FLAGS)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzOutcomeRoundTrip $(FUZZ_FLAGS)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip $(FUZZ_FLAGS)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine $(FUZZ_FLAGS)
 
 ci: vet fmt-check lint escape-check build bench-build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

@@ -180,18 +180,20 @@ func BenchmarkEvaluateFast(b *testing.B) {
 // compiled away.  Must report 0 allocs/op; the headline is the ratio to
 // BenchmarkEvaluateFast.
 func BenchmarkEvaluateCompiled(b *testing.B) {
-	cs, err := fuzzy.NewCompiledSurface(NewFLC().System(), 0)
+	cs, err := fuzzy.CompileSurface(NewFLC().System(), fuzzy.CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if !cs.Exact() {
 		b.Fatal("paper FLC did not compile to the exact kernel")
 	}
+	xs := []float64{-3.5, 0, 1.1}
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hd, err := cs.At3(-3.5, -95+float64(i%10), 1.1)
+		xs[1] = -95 + float64(i%10)
+		hd, err := cs.Evaluate(xs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +208,7 @@ func BenchmarkEvaluateCompiled(b *testing.B) {
 // the serve shards drain sub-batches through: per-decision cost with the
 // call and branch overhead amortized across a 64-row column batch.
 func BenchmarkEvaluateCompiledBatch(b *testing.B) {
-	cs, err := fuzzy.NewCompiledSurface(NewFLC().System(), 0)
+	cs, err := fuzzy.CompileSurface(NewFLC().System(), fuzzy.CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -217,10 +219,11 @@ func BenchmarkEvaluateCompiledBatch(b *testing.B) {
 		c1[i] = -110 + float64(i%9)*3
 		c2[i] = 0.2 + float64(i%7)*0.2
 	}
+	in := [][]float64{c0[:], c1[:], c2[:]}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cs.EvaluateBatch3(dst[:], c0[:], c1[:], c2[:]); err != nil {
+		if err := cs.EvaluateBatch(dst[:], in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,11 +272,13 @@ func BenchmarkEvaluateLattice(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	xs := []float64{-3.5, 0, 1.1}
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hd, err := cs.At3(-3.5, -95+float64(i%10), 1.1)
+		xs[1] = -95 + float64(i%10)
+		hd, err := cs.Evaluate(xs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -78,10 +78,11 @@ func TestFLCCompiledAblationProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled, err := NewFLCWithOptions(FLCOptions{
-				Engine: p.engine, Compiled: true, CompiledResolution: 17,
-			})
+			compiled, err := NewFLCWithOptions(FLCOptions{Engine: p.engine})
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := compiled.Compile(17); err != nil {
 				t.Skipf("profile %s cannot be compiled (%v): exact fallback applies", p.name, err)
 			}
 			if compiled.Surface().Exact() != p.wantKernel {

@@ -17,8 +17,8 @@ type FLC struct {
 	sys *fuzzy.System
 	// surface, when non-nil, is the compiled control surface: Evaluate,
 	// EvaluateInto and EvaluateBatch answer from it instead of running
-	// Mamdani inference per decision.  Set once by Compile (or the
-	// Compiled option) before the FLC is shared; immutable afterwards.
+	// Mamdani inference per decision.  Set once by Compile before the FLC
+	// is shared; immutable afterwards.
 	surface *fuzzy.CompiledSurface
 	// scratches recycles inference buffers for callers that use the
 	// convenience Evaluate; hot loops should hold their own Scratch and
@@ -38,16 +38,6 @@ type FLCOptions struct {
 	// Fig. 5 definitions).  The output override must be named HD and the
 	// inputs CSSP, SSN, DMB.
 	CSSP, SSN, DMB, HD *fuzzy.Variable
-	// Compiled builds the compiled control surface at construction: the
-	// paper's configuration compiles into the exact segment-table kernel
-	// (bit-equivalent, ~5× faster per decision); operator ablations fall
-	// back to a sampled interpolation lattice with a probe-reported error
-	// bound.  Construction fails if the surface cannot be bounded — use
-	// Compile directly to fall back gracefully.
-	Compiled bool
-	// CompiledResolution overrides the lattice resolution (0: the fuzzy
-	// package default; ignored by the exact kernel).
-	CompiledResolution int
 }
 
 // NewFLC returns the paper's controller.
@@ -90,21 +80,19 @@ func NewFLCWithOptions(opts FLCOptions) (*FLC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	flc := &FLC{sys: sys}
-	if opts.Compiled {
-		if err := flc.Compile(opts.CompiledResolution); err != nil {
-			return nil, err
-		}
-	}
-	return flc, nil
+	return &FLC{sys: sys}, nil
 }
 
 // Compile builds the compiled control surface and routes every subsequent
-// Evaluate/EvaluateInto/EvaluateBatch through it.  Call before the FLC is
-// shared across goroutines.  Compilation fails — leaving the FLC on the
-// exact path — for operator sets the surface compiler cannot bound.
+// Evaluate/EvaluateInto/EvaluateBatch through it.  The paper's
+// configuration compiles into the exact segment-table kernel
+// (bit-equivalent); operator ablations fall back to a sampled
+// interpolation lattice of resolution points per axis (< 2: the fuzzy
+// package default) with a probe-reported error bound.  Call before the
+// FLC is shared across goroutines.  Compilation fails — leaving the FLC
+// on the exact path — for operator sets the surface compiler cannot bound.
 func (f *FLC) Compile(resolution int) error {
-	cs, err := fuzzy.NewCompiledSurface(f.sys, resolution)
+	cs, err := fuzzy.CompileSurface(f.sys, fuzzy.CompileOptions{Resolution: resolution})
 	if err != nil {
 		return fmt.Errorf("core: compile control surface: %w", err)
 	}
@@ -183,18 +171,18 @@ func (f *FLC) Evaluate(csspDB, ssnDB, dmbNorm float64) (float64, error) {
 
 // EvaluateInto is Evaluate on caller-owned buffers: zero heap allocations
 // per call.  sc must come from this FLC's NewScratch and must not be shared
-// across goroutines.  A compiled FLC answers from the surface and leaves sc
-// untouched.
+// across goroutines.  A compiled FLC answers from CompiledSurface.Evaluate
+// and leaves sc untouched.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func (f *FLC) EvaluateInto(sc *fuzzy.Scratch, csspDB, ssnDB, dmbNorm float64) (float64, error) {
 	cssp, ssn, dmb := ClampInputs(csspDB, ssnDB, dmbNorm)
-	if f.surface != nil {
-		return f.surface.At3(cssp, ssn, dmb)
-	}
 	// Positional order matches NewFLCWithOptions: CSSP, SSN, DMB.
 	xs := [3]float64{cssp, ssn, dmb}
+	if f.surface != nil {
+		return f.surface.Evaluate(xs[:])
+	}
 	return f.sys.EvaluateInto(sc, xs[:])
 }
 
@@ -202,9 +190,10 @@ func (f *FLC) EvaluateInto(sc *fuzzy.Scratch, csspDB, ssnDB, dmbNorm float64) (f
 // for (cssp[i], ssn[i], dmb[i]).  The input columns are clamped to the
 // Fig. 5 universes in place, exactly as Evaluate clamps scalars.  Rows the
 // engine cannot score (no rule fired on an ablated rulebase) get
-// dst[i] = NaN; the error return covers shape mismatches only.  On a compiled FLC the batch runs through the surface's columnar
-// fast path; otherwise it loops the exact path over pooled buffers.
-// Steady state performs no heap allocations either way.
+// dst[i] = NaN; the error return covers shape mismatches only.  A
+// compiled FLC hands the columns to CompiledSurface.EvaluateBatch;
+// otherwise the batch loops the exact path over pooled buffers.  Steady
+// state performs no heap allocations either way.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
@@ -217,7 +206,8 @@ func (f *FLC) EvaluateBatch(dst, cssp, ssn, dmb []float64) error {
 		cssp[i], ssn[i], dmb[i] = ClampInputs(cssp[i], ssn[i], dmb[i])
 	}
 	if f.surface != nil {
-		return f.surface.EvaluateBatch3(dst, cssp, ssn, dmb)
+		cols := [3][]float64{cssp, ssn, dmb}
+		return f.surface.EvaluateBatch(dst, cols[:])
 	}
 	sc := f.getScratch()
 	var xs [3]float64

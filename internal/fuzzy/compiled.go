@@ -15,22 +15,22 @@ import (
 //     FLC: 2–8 inputs with piecewise-linear terms, a dense AND rule table,
 //     min/max norms, height defuzzification), every input axis is compiled
 //     into a breakpoint segment table — per segment, the ≤ 2 active terms
-//     and their linear grade forms — and a query is d segment lookups,
-//     prefix mins doubled over the first d−1 axes, 2^d table-indexed
-//     min/max folds against the last axis and one weighted average.  The
-//     kernel reproduces EvaluateInto's arithmetic operation for operation
-//     (the construction validates every segment formula against the
-//     membership functions bit-for-bit), so its reported error bound is
-//     effectively zero.
+//     and their linear grade forms — and a query, whatever the axis count,
+//     is one walk: d segment lookups, prefix mins doubled over the first
+//     d−1 axes, 2^d table-indexed min/max folds against the last axis and
+//     one weighted average.  The kernel reproduces EvaluateInto's
+//     arithmetic operation for operation (the construction validates every
+//     segment formula against the membership functions bit-for-bit), so
+//     its reported error bound is effectively zero.
 //
 //   - Interpolation lattice: for every other operator family the compiler
 //     samples the exact path on a dense res^d grid over the input
-//     universes and answers queries by multilinear (trilinear for d = 3)
-//     interpolation from a flat []float64.  The constructor probes the
-//     2×-refined grid (every cell center, face center and edge midpoint)
-//     and reports a conservative error bound — honest but large near the
-//     creases the min/max operators produce, which is exactly why those
-//     systems get the kernel instead.
+//     universes and answers queries by multilinear interpolation from a
+//     flat []float64.  The constructor probes the 2×-refined grid (every
+//     cell center, face center and edge midpoint) and reports a
+//     conservative error bound — honest but large near the creases the
+//     min/max operators produce, which is exactly why those systems get
+//     the kernel instead.
 //
 // Either way a CompiledSurface is immutable, allocation-free to query, and
 // safe for concurrent use without scratch buffers.  Systems the compiler
@@ -62,10 +62,9 @@ const compiledSlack = 2.0
 const kernelMaxOutTerms = 8
 
 // kernelMaxAxes bounds the input-axis count the exact kernel supports: the
-// generic query keeps a stack-resident table of 2^(d−1) prefix mins
-// (kernelWalk) and folds 2^d segment-term combos, so d is capped where
-// that walk (256 combos) stops being the fast path anyway.  The 3-axis
-// paper shape keeps its fully unrolled query.
+// query keeps a stack-resident table of 2^(d−1) prefix mins (kernelWalk)
+// and folds 2^d segment-term combos, so d is capped where that walk (256
+// combos) stops being the fast path anyway.
 const kernelMaxAxes = 8
 
 // kernelProbeRes is the per-axis probe resolution used to cross-check the
@@ -92,7 +91,7 @@ type kernelTerm struct {
 // ≤ 2 terms with nonzero grade on it (their rule-table offsets
 // pre-multiplied by the axis stride), and their grade forms.  Segments
 // with a single active term duplicate it into both slots, so the combo
-// fold is always a full 2×2×2 walk — the max aggregation is idempotent,
+// fold always walks all 2^d combos — the max aggregation is idempotent,
 // and the hot path never branches on the active-term count.
 type kernelSeg struct {
 	hi     float64
@@ -117,24 +116,20 @@ type kernelRule struct {
 }
 
 // surfaceKernel is the exact compiled form of a grid-shaped N-input
-// system (2 ≤ N ≤ kernelMaxAxes).  The 3-axis case — the paper's FLC —
-// additionally gets a fully unrolled query (eval); every other axis count
-// runs the doubling prefix-min walk (walk) over the same tables.
+// system (2 ≤ N ≤ kernelMaxAxes), queried by the doubling prefix-min walk
+// (walk) for every axis count.
 type surfaceKernel struct {
 	dims     int
 	axes     []kernelAxis
-	strides  []int32
 	rules    []kernelRule // dense combo table
 	outs     []int32      // consequent-only view for the complete-grid fast fold
 	complete bool         // every combo has a rule with weight 1 (the paper's FRB)
 	mid      []float64    // output-term core midpoints
-	nOut     int
 }
 
 // CompiledSurface is the precompiled control surface of a System.
-// Construct with CompileSurface or NewCompiledSurface; query with
-// Evaluate/At3/EvaluateBatch.  Exact reports which representation backs
-// it.
+// Construct with CompileSurface; query with Evaluate/EvaluateBatch.  Exact
+// reports which representation backs it.
 type CompiledSurface struct {
 	sys   *System
 	dims  int
@@ -162,16 +157,10 @@ type CompileOptions struct {
 	ForceLattice bool
 }
 
-// NewCompiledSurface compiles the system's control surface, preferring the
-// exact kernel and falling back to a res-point-per-axis interpolation
-// lattice (res < 2 selects DefaultCompiledResolution).  Construction fails
-// when the sampler cannot bound the surface; callers then keep using the
-// exact EvaluateInto path.
-func NewCompiledSurface(s *System, res int) (*CompiledSurface, error) {
-	return CompileSurface(s, CompileOptions{Resolution: res})
-}
-
-// CompileSurface is NewCompiledSurface with explicit options.
+// CompileSurface compiles the system's control surface, preferring the
+// exact kernel and falling back to an opts.Resolution-point-per-axis
+// interpolation lattice.  Construction fails when the sampler cannot bound
+// the surface; callers then keep using the exact EvaluateInto path.
 func CompileSurface(s *System, opts CompileOptions) (*CompiledSurface, error) {
 	if s == nil {
 		return nil, fmt.Errorf("fuzzy: compile of nil system")
@@ -211,12 +200,10 @@ func compileKernel(s *System) (*surfaceKernel, error) {
 			kernelMaxOutTerms, len(s.output.Terms))
 	}
 	k := &surfaceKernel{
-		dims:    len(s.inputs),
-		axes:    make([]kernelAxis, len(s.inputs)),
-		strides: make([]int32, len(s.inputs)),
-		rules:   make([]kernelRule, len(s.grid.outTerm)),
-		mid:     s.outMid,
-		nOut:    len(s.output.Terms),
+		dims:  len(s.inputs),
+		axes:  make([]kernelAxis, len(s.inputs)),
+		rules: make([]kernelRule, len(s.grid.outTerm)),
+		mid:   s.outMid,
 	}
 	k.complete = true
 	k.outs = s.grid.outTerm
@@ -227,7 +214,6 @@ func compileKernel(s *System) (*surfaceKernel, error) {
 		}
 	}
 	for i := range s.inputs {
-		k.strides[i] = s.grid.strides[i]
 		ax, err := compileAxis(s.inputs[i], s.grid.strides[i])
 		if err != nil {
 			return nil, err
@@ -322,8 +308,8 @@ func compileSegment(v *Variable, stride int32, lo, hi float64) (*kernelSeg, erro
 		return nil, fmt.Errorf("fuzzy: %q has no active term on [%g, %g]", v.Name, lo, hi)
 	}
 	if n == 1 {
-		// Duplicate the single slot: the 2×2×2 combo walk revisits it and
-		// the max aggregation absorbs the repeat.
+		// Duplicate the single slot: the combo walk revisits it and the
+		// max aggregation absorbs the repeat.
 		seg.f1, seg.b1, terms[1] = seg.f0, seg.b0, terms[0]
 	}
 	// Validate: the compiled grade of every term must match the membership
@@ -435,120 +421,31 @@ func (ax *kernelAxis) find(x float64) (*kernelSeg, float64) {
 	return &ax.segs[si], x
 }
 
-// eval runs one exact-kernel query.  x0..x2 must be NaN-free (the exported
-// wrappers reject NaN first); out-of-universe values clamp exactly like
-// the reference path.  The 2×2×2 dense-table combo walk performs the same
-// min-folds and max-aggregation, on the same values, as the reference grid
-// inference — straight-line, with duplicated slots standing in for
-// single-term segments.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (k *surfaceKernel) eval(x0, x1, x2 float64) (float64, error) {
-	sg0, x0 := k.axes[0].find(x0)
-	sg1, x1 := k.axes[1].find(x1)
-	sg2, x2 := k.axes[2].find(x2)
-	g00 := (x0-sg0.f0.p)*sg0.f0.r + sg0.f0.c
-	g01 := (x0-sg0.f1.p)*sg0.f1.r + sg0.f1.c
-	g10 := (x1-sg1.f0.p)*sg1.f0.r + sg1.f0.c
-	g11 := (x1-sg1.f1.p)*sg1.f1.r + sg1.f1.c
-	g20 := (x2-sg2.f0.p)*sg2.f0.r + sg2.f0.c
-	g21 := (x2-sg2.f1.p)*sg2.f1.r + sg2.f1.c
-	// Pairwise mins of axes 0 and 1, then the eight combos against axis 2.
-	m00, m01, m10, m11 := g10, g11, g10, g11
-	if g00 < m00 {
-		m00 = g00
-	}
-	if g00 < m01 {
-		m01 = g00
-	}
-	if g01 < m10 {
-		m10 = g01
-	}
-	if g01 < m11 {
-		m11 = g01
-	}
-	b00 := sg0.b0 + sg1.b0
-	b01 := sg0.b0 + sg1.b1
-	b10 := sg0.b1 + sg1.b0
-	b11 := sg0.b1 + sg1.b1
-	var act [kernelMaxOutTerms]float64
-	if k.complete {
-		// Complete unweighted grid (the paper's 64-rule FRB): every combo
-		// resolves to a consequent with weight 1, so the fold is a min,
-		// a consequent load and a max — no weight multiply, no rule check.
-		outs := k.outs
-		cfold(m00, g20, outs[b00+sg2.b0], &act)
-		cfold(m00, g21, outs[b00+sg2.b1], &act)
-		cfold(m01, g20, outs[b01+sg2.b0], &act)
-		cfold(m01, g21, outs[b01+sg2.b1], &act)
-		cfold(m10, g20, outs[b10+sg2.b0], &act)
-		cfold(m10, g21, outs[b10+sg2.b1], &act)
-		cfold(m11, g20, outs[b11+sg2.b0], &act)
-		cfold(m11, g21, outs[b11+sg2.b1], &act)
-	} else {
-		k.fold(m00, g20, b00+sg2.b0, &act)
-		k.fold(m00, g21, b00+sg2.b1, &act)
-		k.fold(m01, g20, b01+sg2.b0, &act)
-		k.fold(m01, g21, b01+sg2.b1, &act)
-		k.fold(m10, g20, b10+sg2.b0, &act)
-		k.fold(m10, g21, b10+sg2.b1, &act)
-		k.fold(m11, g20, b11+sg2.b0, &act)
-		k.fold(m11, g21, b11+sg2.b1, &act)
-	}
-	var num, den float64
-	for i, m := range k.mid { // len(mid) == nOut: no bounds checks
-		a := act[i&(kernelMaxOutTerms-1)]
-		if a <= 0 {
-			continue
-		}
-		num += a * m
-		den += a
-	}
-	if den == 0 {
-		return 0, ErrNoActivation
-	}
-	return num / den, nil
-}
-
-// evalAt dispatches one exact-kernel query by axis count: the paper's
-// 3-axis shape keeps its fully unrolled eval, everything else runs the
-// doubling walk.  xs must be NaN-free, like eval.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (k *surfaceKernel) evalAt(xs []float64) (float64, error) {
-	if k.dims == 3 {
-		return k.eval(xs[0], xs[1], xs[2])
-	}
-	var w kernelWalk
-	return k.walk(xs, &w)
-}
-
 // kernelWalk is the doubling walk's prefix table: entry j holds the min
 // over the grades that combo j selects on the axes walked so far (bit a of
 // j picks axis a's second slot) and the summed rule-table offset.  At
-// 2^(kernelMaxAxes−1) entries it is 1.5 KiB, so batch queries declare one
-// per batch on the stack and every row reuses it.
+// 2^(kernelMaxAxes−1) entries it is 1.5 KiB on the stack: a scalar query
+// declares one per call, a batch query one per batch that every row
+// reuses.
 type kernelWalk struct {
 	m   [1 << (kernelMaxAxes - 1)]float64
 	idx [1 << (kernelMaxAxes - 1)]int32
 }
 
-// walk is the N-axis exact-kernel query: one segment lookup and two grade
-// forms per axis.  Axes 0…d−2 double the prefix table — entry j becomes
+// walk is the exact-kernel query: one segment lookup and two grade forms
+// per axis.  Axes 0…d−2 double the prefix table — entry j becomes
 // (min(m_j, g0), idx_j + b0) at j and (min(m_j, g1), idx_j + b1) at j + n
 // — so each combo's min costs one branch-free builtin min per axis; the
 // last axis folds the 2^(d−1) prefixes straight into the activation
-// accumulator with eval's cfold/fold.  Those compare before they store:
-// few combos raise an output term's activation, and a store on every
-// combo would chain each fold to the previous one through memory.  These
-// are the reference grid inference's min-folds and max-aggregation on the
-// same values, with duplicated slots standing in for single-term segments
-// as in the unrolled eval; both are order-free on grades in [0, 1].  Axis
-// 0 starts from the neutral 1.0, so a flank grade rounding above 1 is
-// clamped as the reference fold clamps it.  xs must be NaN-free, like
-// eval.
+// accumulator with cfold/fold.  Those compare before they store: few
+// combos raise an output term's activation, and a store on every combo
+// would chain each fold to the previous one through memory.  These are the
+// reference grid inference's min-folds and max-aggregation on the same
+// values, with duplicated slots standing in for single-term segments; both
+// are order-free on grades in [0, 1].  Axis 0 starts from the neutral 1.0,
+// so a flank grade rounding above 1 is clamped as the reference fold
+// clamps it.  xs must be NaN-free (the exported queries reject NaN first);
+// out-of-universe values clamp exactly like the reference path.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
@@ -579,6 +476,9 @@ func (k *surfaceKernel) walk(xs []float64, w *kernelWalk) (float64, error) {
 	ms, ids := w.m[:n], w.idx[:n]
 	var act [kernelMaxOutTerms]float64
 	if k.complete {
+		// Complete unweighted grid (the paper's 64-rule FRB): every combo
+		// resolves to a consequent with weight 1, so the fold is a min, a
+		// consequent load and a max — no weight multiply, no rule check.
 		outs := k.outs
 		for j, m := range ms {
 			cfold(m, g0, outs[ids[j]+sg.b0], &act)
@@ -661,11 +561,12 @@ func (cs *CompiledSurface) probeKernel() error {
 			}
 		}
 	}
+	var w kernelWalk
 	var walk func(ax int) error
 	walk = func(ax int) error {
 		if ax == cs.dims {
 			exact, exactErr := cs.sys.EvaluateInto(sc, xs)
-			got, kernErr := cs.kern.evalAt(xs)
+			got, kernErr := cs.kern.walk(xs, &w)
 			if (exactErr == nil) != (kernErr == nil) {
 				return fmt.Errorf("fuzzy: kernel probe at %v: exact err %v, kernel err %v",
 					xs, exactErr, kernErr)
@@ -828,14 +729,12 @@ func (cs *CompiledSurface) locate(ax int, x float64) (int, float64) {
 	return i, t - float64(i)
 }
 
-// interp is the generic d-linear interpolation at xs (no validation).
+// interp is the d-linear interpolation at xs (no validation): the
+// weighted sum of the 2^d corners of xs's cell.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func (cs *CompiledSurface) interp(xs []float64) float64 {
-	if cs.dims == 3 {
-		return cs.interp3(xs[0], xs[1], xs[2])
-	}
 	base := 0
 	var frac [24]float64 // d ≤ 22 whenever res^d fits maxLatticePoints (res ≥ 2)
 	for i := 0; i < cs.dims; i++ {
@@ -859,28 +758,6 @@ func (cs *CompiledSurface) interp(xs []float64) float64 {
 		}
 	}
 	return out
-}
-
-// interp3 is the trilinear specialization 3-input lattices run on: three
-// locates, eight loads, seven lerps.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (cs *CompiledSurface) interp3(x0, x1, x2 float64) float64 {
-	i0, f0 := cs.locate(0, x0)
-	i1, f1 := cs.locate(1, x1)
-	i2, f2 := cs.locate(2, x2)
-	s0, s1 := cs.stride[0], cs.stride[1]
-	v := cs.values
-	base := i0*s0 + i1*s1 + i2
-	c00 := v[base] + f2*(v[base+1]-v[base])
-	c01 := v[base+s1] + f2*(v[base+s1+1]-v[base+s1])
-	base += s0
-	c10 := v[base] + f2*(v[base+1]-v[base])
-	c11 := v[base+s1] + f2*(v[base+s1+1]-v[base+s1])
-	c0 := c00 + f1*(c01-c00)
-	c1 := c10 + f1*(c11-c10)
-	return c0 + f0*(c1-c0)
 }
 
 // --- Queries ---------------------------------------------------------------
@@ -910,8 +787,9 @@ func (cs *CompiledSurface) ErrorBound() float64 { return cs.bound }
 
 // Evaluate computes the compiled surface at the positional input vector
 // (same order and clamping as EvaluateInto).  NaN inputs are rejected, as
-// on the exact fast path.  It is the scalar decision path of N-input
-// scorers (the trend controller's Decide), so it is hot-path audited.
+// on the exact fast path.  It is the scalar decision path of every
+// compiled controller (core.FLC.EvaluateInto, the trend controller's
+// Decide), so it is hot-path audited.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
@@ -927,29 +805,10 @@ func (cs *CompiledSurface) Evaluate(xs []float64) (float64, error) {
 		}
 	}
 	if cs.kern != nil {
-		return cs.kern.evalAt(xs)
+		var w kernelWalk
+		return cs.kern.walk(xs, &w)
 	}
 	return cs.interp(xs), nil
-}
-
-// At3 is Evaluate for the 3-input case without the slice: the single-query
-// fast path of the paper's FLC.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (cs *CompiledSurface) At3(x0, x1, x2 float64) (float64, error) {
-	if cs.dims != 3 {
-		//fuzzyho:allow construction guard: the serve path only builds 3-input surfaces, so this formats only on caller misuse
-		return 0, fmt.Errorf("fuzzy: At3 on a %d-input surface", cs.dims)
-	}
-	if x0 != x0 || x1 != x1 || x2 != x2 {
-		//fuzzyho:allow NaN guard: core.ClampInputs maps NaN to the universe floor before any decision-path query
-		return 0, fmt.Errorf("fuzzy: NaN input")
-	}
-	if cs.kern != nil {
-		return cs.kern.eval(x0, x1, x2)
-	}
-	return cs.interp3(x0, x1, x2), nil
 }
 
 // EvaluateBatch computes a whole column batch: dst[i] is the output at
@@ -966,97 +825,37 @@ func (cs *CompiledSurface) EvaluateBatch(dst []float64, cols [][]float64) error 
 		//fuzzyho:allow shape guard: shard frames are built from the scorer's own schema, so this formats only on caller misuse
 		return fmt.Errorf("fuzzy: %d columns for %d axes", len(cols), cs.dims)
 	}
-	if cs.dims == 3 {
-		return cs.EvaluateBatch3(dst, cols[0], cols[1], cols[2])
-	}
 	for _, c := range cols {
 		if len(c) != len(dst) {
 			//fuzzyho:allow shape guard: shard-owned columns always share one length, so this formats only on a caller contract violation
 			return fmt.Errorf("fuzzy: column length %d ≠ batch length %d", len(c), len(dst))
 		}
 	}
-	if k := cs.kern; k != nil {
-		var xs [kernelMaxAxes]float64
-		var w kernelWalk
-		for i := range dst {
-			bad := false
-			for a := 0; a < cs.dims; a++ {
-				x := cols[a][i]
-				if x != x {
-					bad = true
-					break
-				}
-				xs[a] = x
-			}
-			if bad {
-				dst[i] = math.NaN()
-				continue
-			}
-			y, err := k.walk(xs[:cs.dims], &w)
-			if err != nil {
-				y = math.NaN() // no rule fired: mark the row, keep the batch going
-			}
-			dst[i] = y
-		}
-		return nil
-	}
-	var xs [24]float64
+	var xs [24]float64 // d ≤ kernelMaxAxes on the kernel, d ≤ 22 on the lattice
+	var w kernelWalk
+	row := xs[:cs.dims]
 	for i := range dst {
 		bad := false
-		for a := 0; a < cs.dims; a++ {
+		for a := range row {
 			x := cols[a][i]
 			if x != x {
 				bad = true
 				break
 			}
-			xs[a] = x
+			row[a] = x
 		}
-		if bad {
+		switch {
+		case bad:
 			dst[i] = math.NaN()
-			continue
-		}
-		dst[i] = cs.interp(xs[:cs.dims])
-	}
-	return nil
-}
-
-// EvaluateBatch3 is EvaluateBatch specialized to three input columns — the
-// shape the serving layer's columnar decision pipeline drains its
-// struct-of-arrays buffers through.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (cs *CompiledSurface) EvaluateBatch3(dst, c0, c1, c2 []float64) error {
-	if cs.dims != 3 {
-		//fuzzyho:allow construction guard: the serve path only builds 3-input surfaces, so this formats only on caller misuse
-		return fmt.Errorf("fuzzy: EvaluateBatch3 on a %d-input surface", cs.dims)
-	}
-	if len(c0) != len(dst) || len(c1) != len(dst) || len(c2) != len(dst) {
-		//fuzzyho:allow shape guard: shard-owned columns always share one length, so this formats only on a caller contract violation
-		return fmt.Errorf("fuzzy: column lengths %d/%d/%d ≠ batch length %d", len(c0), len(c1), len(c2), len(dst))
-	}
-	if k := cs.kern; k != nil {
-		for i := range dst {
-			x0, x1, x2 := c0[i], c1[i], c2[i]
-			if x0 != x0 || x1 != x1 || x2 != x2 {
-				dst[i] = math.NaN()
-				continue
-			}
-			y, err := k.eval(x0, x1, x2)
+		case cs.kern == nil:
+			dst[i] = cs.interp(row)
+		default:
+			y, err := cs.kern.walk(row, &w)
 			if err != nil {
 				y = math.NaN() // no rule fired: mark the row, keep the batch going
 			}
 			dst[i] = y
 		}
-		return nil
-	}
-	for i := range dst {
-		x0, x1, x2 := c0[i], c1[i], c2[i]
-		if x0 != x0 || x1 != x1 || x2 != x2 {
-			dst[i] = math.NaN()
-			continue
-		}
-		dst[i] = cs.interp3(x0, x1, x2)
 	}
 	return nil
 }

@@ -208,7 +208,7 @@ func maxAbsError(t *testing.T, sys *System, cs *CompiledSurface, n int, seed int
 }
 
 func TestCompiledKernelSelectedForGridShape(t *testing.T) {
-	cs, err := NewCompiledSurface(paperShapedSystem(t, Options{}), 0)
+	cs, err := CompileSurface(paperShapedSystem(t, Options{}), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCompiledKernelSelectedForGridShape(t *testing.T) {
 
 func TestCompiledKernelMatchesExact(t *testing.T) {
 	sys := paperShapedSystem(t, Options{})
-	cs, err := NewCompiledSurface(sys, 0)
+	cs, err := CompileSurface(sys, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestCompiledLatticeWithinBound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := paperShapedSystem(t, tc.opts)
-			cs, err := NewCompiledSurface(sys, 17)
+			cs, err := CompileSurface(sys, CompileOptions{Resolution: 17})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestCompiledRejectsUnboundableOperatorSet(t *testing.T) {
 	// fires), so neither the kernel nor the lattice sampler can bound the
 	// surface: construction must fail and callers keep the exact path.
 	sys := paperShapedSystem(t, Options{AndNorm: LukasiewiczNorm, OrNorm: BoundedSumNorm})
-	if _, err := NewCompiledSurface(sys, 17); err == nil {
+	if _, err := CompileSurface(sys, CompileOptions{Resolution: 17}); err == nil {
 		t.Fatal("unboundable operator set compiled without error")
 	}
 }
@@ -351,7 +351,7 @@ func TestCompiledRandomPerturbations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := NewCompiledSurface(sys, 17)
+		cs, err := CompileSurface(sys, CompileOptions{Resolution: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,120 +363,142 @@ func TestCompiledRandomPerturbations(t *testing.T) {
 }
 
 func TestCompiledRejectsNaNAndShapes(t *testing.T) {
-	sys := paperShapedSystem(t, Options{})
-	cs, err := NewCompiledSurface(sys, 0)
+	cs, err := CompileSurface(paperShapedSystem(t, Options{}), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.Evaluate([]float64{1, 2}); err == nil {
-		t.Error("short input vector accepted")
-	}
-	if _, err := cs.Evaluate([]float64{math.NaN(), -100, 0.5}); err == nil {
-		t.Error("NaN input accepted by Evaluate")
-	}
-	if _, err := cs.At3(0, math.NaN(), 0.5); err == nil {
-		t.Error("NaN input accepted by At3")
+	for _, xs := range [][]float64{
+		{1, 2},                  // short input vector
+		{math.NaN(), -100, 0.5}, // NaN on the first axis
+		{0, math.NaN(), 0.5},    // NaN on an inner axis
+	} {
+		if _, err := cs.Evaluate(xs); err == nil {
+			t.Errorf("Evaluate accepted %v", xs)
+		}
 	}
 	dst := make([]float64, 2)
-	if err := cs.EvaluateBatch3(dst, []float64{0, 1}, []float64{-100, math.NaN()}, []float64{0.5, 0.5}); err != nil {
+	if err := cs.EvaluateBatch(dst, [][]float64{{0, 1}, {-100, math.NaN()}, {0.5, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if math.IsNaN(dst[0]) || !math.IsNaN(dst[1]) {
 		t.Errorf("batch NaN marking wrong: got %v", dst)
 	}
-	if err := cs.EvaluateBatch3(dst, []float64{0}, []float64{-100, -90}, []float64{0.5, 0.5}); err == nil {
-		t.Error("mismatched column lengths accepted")
-	}
-	if err := cs.EvaluateBatch(dst[:1], [][]float64{{0}, {-100}}); err == nil {
-		t.Error("missing column accepted")
+	for _, cols := range [][][]float64{
+		{{0}, {-100, -90}, {0.5, 0.5}}, // mismatched column lengths
+		{{0, 1}, {-100, -90}},          // missing column
+	} {
+		if err := cs.EvaluateBatch(dst, cols); err == nil {
+			t.Errorf("EvaluateBatch accepted columns %v", cols)
+		}
 	}
 }
 
-func TestCompiledBatchMatchesSingle(t *testing.T) {
-	for _, force := range []bool{false, true} {
-		sys := paperShapedSystem(t, Options{})
-		cs, err := CompileSurface(sys, CompileOptions{Resolution: 17, ForceLattice: force})
+// namedSurface is one compiled surface a query test runs on.
+type namedSurface struct {
+	name string
+	cs   *CompiledSurface
+}
+
+// compiledSurfaces are the inputs of the query tests: the paper-shaped
+// kernel and lattice, and a 4-axis kernel.
+func compiledSurfaces(t *testing.T) []namedSurface {
+	t.Helper()
+	paper := paperShapedSystem(t, Options{})
+	var out []namedSurface
+	for _, c := range []struct {
+		name string
+		sys  *System
+		opts CompileOptions
+	}{
+		{"kernel/d=3", paper, CompileOptions{}},
+		{"lattice/d=3", paper, CompileOptions{Resolution: 17, ForceLattice: true}},
+		{"kernel/d=4", axesSystem(t, 4, 3, func(int, *Rule) bool { return true }), CompileOptions{}},
+	} {
+		cs, err := CompileSurface(c.sys, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(5))
-		const n = 257
-		c0, c1, c2, dst := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-		xs := make([]float64, 3)
-		for i := 0; i < n; i++ {
-			randomInputs(sys, rng, xs)
-			c0[i], c1[i], c2[i] = xs[0], xs[1], xs[2]
+		if cs.Exact() == c.opts.ForceLattice {
+			t.Fatalf("%s: Exact() = %v", c.name, cs.Exact())
 		}
-		if err := cs.EvaluateBatch(dst, [][]float64{c0, c1, c2}); err != nil {
-			t.Fatal(err)
+		out = append(out, namedSurface{c.name, cs})
+	}
+	return out
+}
+
+// spreadColumns fills n rows per input axis, spread over (and slightly
+// beyond) each universe.
+func spreadColumns(cs *CompiledSurface, n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	sys := cs.System()
+	cols := make([][]float64, cs.NumInputs())
+	for a := range cols {
+		cols[a] = make([]float64, n)
+	}
+	row := make([]float64, len(cols))
+	for i := 0; i < n; i++ {
+		randomInputs(sys, rng, row)
+		for a := range cols {
+			cols[a][i] = row[a]
 		}
-		for i := 0; i < n; i++ {
-			want, err := cs.At3(c0[i], c1[i], c2[i])
-			if err != nil {
+	}
+	return cols
+}
+
+func TestCompiledBatchMatchesSingle(t *testing.T) {
+	for _, tc := range compiledSurfaces(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 257
+			cols := spreadColumns(tc.cs, n, 5)
+			dst := make([]float64, n)
+			if err := tc.cs.EvaluateBatch(dst, cols); err != nil {
 				t.Fatal(err)
 			}
-			if dst[i] != want {
-				t.Fatalf("force=%v row %d: batch %g ≠ single %g", force, i, dst[i], want)
+			row := make([]float64, len(cols))
+			for i := 0; i < n; i++ {
+				for a := range cols {
+					row[a] = cols[a][i]
+				}
+				want, err := tc.cs.Evaluate(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Fatalf("row %d %v: batch %g ≠ single %g", i, row, dst[i], want)
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestCompiledQueriesAllocationFree(t *testing.T) {
-	sys := paperShapedSystem(t, Options{})
-	for _, force := range []bool{false, true} {
-		cs, err := CompileSurface(sys, CompileOptions{Resolution: 17, ForceLattice: force})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range compiledSurfaces(t) {
 		const n = 64
-		c0, c1, c2, dst := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-		for i := 0; i < n; i++ {
-			c0[i], c1[i], c2[i] = float64(i%7)-3, -118+float64(i%9)*4, float64(i%5)*0.3
+		cols := spreadColumns(tc.cs, n, 8)
+		dst := make([]float64, n)
+		xs := make([]float64, len(cols))
+		for a := range cols {
+			xs[a] = cols[a][0]
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := cs.At3(c0[0], c1[0], c2[0]); err != nil {
+			if _, err := tc.cs.Evaluate(xs); err != nil {
 				t.Fatal(err)
 			}
-			if err := cs.EvaluateBatch3(dst, c0, c1, c2); err != nil {
+			if err := tc.cs.EvaluateBatch(dst, cols); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("force=%v: %g allocs per query round, want 0", force, allocs)
+			t.Errorf("%s: %g allocs per query round, want 0", tc.name, allocs)
 		}
-	}
-	// The N-axis walk: scalar and batch queries on a 4-axis kernel.
-	cs4, err := NewCompiledSurface(axesSystem(t, 4, 3, func(int, *Rule) bool { return true }), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	cols, dst := make([][]float64, 4), make([]float64, n)
-	for a := range cols {
-		cols[a] = make([]float64, n)
-		for i := range cols[a] {
-			cols[a][i] = float64((i*(a+2))%9)/4 - 1
-		}
-	}
-	xs := []float64{-0.5, 0, 0.5, 1}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := cs4.Evaluate(xs); err != nil {
-			t.Fatal(err)
-		}
-		if err := cs4.EvaluateBatch(dst, cols); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("4-axis kernel: %g allocs per query round, want 0", allocs)
 	}
 }
 
 func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
 	// The doubling walk must reproduce the per-combo oracle bit for bit —
-	// scalar and batch; complete, holed and weighted tables; 2 to 8 axes —
-	// and agree with the exact path on values and on ErrNoActivation.
+	// scalar and batch; complete, holed and weighted tables; 2 to 8 axes
+	// and the paper's shape — and agree with the exact path on values and
+	// on ErrNoActivation.
 	tables := []struct {
 		name string
 		edit func(i int, r *Rule) bool
@@ -485,82 +507,95 @@ func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
 		{"hole", func(i int, _ *Rule) bool { return i != 0 }}, // the all-first-terms combo
 		{"weighted", func(i int, r *Rule) bool { r.Weight = float64(i%4+1) / 4; return true }},
 	}
-	for _, d := range []int{2, 4, 5, 8} {
+	type walkCase struct {
+		name, table string
+		sys         func(t *testing.T) *System
+	}
+	var cases []walkCase
+	for _, d := range []int{2, 3, 4, 5, 8} {
 		terms := 3
 		if d == 8 {
 			terms = 2 // 3^8 combos exceed the dense rule table
 		}
 		for _, tc := range tables {
-			t.Run(fmt.Sprintf("d=%d/%s", d, tc.name), func(t *testing.T) {
-				sys := axesSystem(t, d, terms, tc.edit)
-				cs, err := NewCompiledSurface(sys, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !cs.Exact() {
-					t.Fatal("grid-shaped system compiled to the lattice, want the exact kernel")
-				}
-				if cs.kern.complete != (tc.name == "complete") {
-					t.Fatalf("kernel complete = %v for the %s table", cs.kern.complete, tc.name)
-				}
-				const n = 4096
-				rng := rand.New(rand.NewSource(int64(d)))
-				cols := make([][]float64, d)
-				for a := range cols {
-					cols[a] = make([]float64, n)
-				}
-				row := make([]float64, d)
-				for i := 0; i < n; i++ {
-					randomInputs(sys, rng, row)
-					for a, v := range sys.Inputs() {
-						switch i {
-						case 0: // far below every universe: the all-first-terms corner
-							row[a] = v.Min - 3*(v.Max-v.Min)
-						case 1:
-							row[a] = v.Max + 3*(v.Max-v.Min)
-						}
-						cols[a][i] = row[a]
-					}
-				}
-				dst := make([]float64, n)
-				if err := cs.EvaluateBatch(dst, cols); err != nil {
-					t.Fatal(err)
-				}
-				sc := sys.NewScratch()
-				noRule := 0
-				for i := range dst {
-					for a := range row {
-						row[a] = cols[a][i]
-					}
-					want, wantErr := cs.kern.evalN(row)
-					got, err := cs.Evaluate(row)
-					copy(sc.Xs(), row)
-					exact, exactErr := sys.EvaluateInto(sc, sc.Xs())
-					if wantErr != nil {
-						if !errors.Is(wantErr, ErrNoActivation) || !errors.Is(err, ErrNoActivation) ||
-							!errors.Is(exactErr, ErrNoActivation) || !math.IsNaN(dst[i]) {
-							t.Fatalf("row %d %v: oracle err %v, walk err %v, exact err %v, batch %g",
-								i, row, wantErr, err, exactErr, dst[i])
-						}
-						noRule++
-						continue
-					}
-					if err != nil || exactErr != nil {
-						t.Fatalf("row %d %v: walk err %v, exact err %v, oracle fired", i, row, err, exactErr)
-					}
-					if math.Float64bits(got) != math.Float64bits(want) ||
-						math.Float64bits(dst[i]) != math.Float64bits(want) {
-						t.Fatalf("row %d %v: walk %v, batch %v, oracle %v", i, row, got, dst[i], want)
-					}
-					if e := math.Abs(exact - got); e > 1e-9 {
-						t.Fatalf("row %d %v: walk %g vs exact %g (|Δ| %g)", i, row, got, exact, e)
-					}
-				}
-				if (noRule > 0) != (tc.name == "hole") {
-					t.Fatalf("%d rows fired no rule on the %s table", noRule, tc.name)
-				}
-			})
+			cases = append(cases, walkCase{fmt.Sprintf("d=%d/%s", d, tc.name), tc.name,
+				func(t *testing.T) *System { return axesSystem(t, d, terms, tc.edit) }})
 		}
+	}
+	// The paper's universes and term shapes: shoulders, unequal triangles.
+	cases = append(cases, walkCase{"paper-shaped", "complete",
+		func(t *testing.T) *System { return paperShapedSystem(t, Options{}) }})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.sys(t)
+			d := len(sys.Inputs())
+			cs, err := CompileSurface(sys, CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cs.Exact() {
+				t.Fatal("grid-shaped system compiled to the lattice, want the exact kernel")
+			}
+			if cs.kern.complete != (tc.table == "complete") {
+				t.Fatalf("kernel complete = %v for the %s table", cs.kern.complete, tc.table)
+			}
+			const n = 4096
+			rng := rand.New(rand.NewSource(int64(d)))
+			cols := make([][]float64, d)
+			for a := range cols {
+				cols[a] = make([]float64, n)
+			}
+			row := make([]float64, d)
+			for i := 0; i < n; i++ {
+				randomInputs(sys, rng, row)
+				for a, v := range sys.Inputs() {
+					switch i {
+					case 0: // far below every universe: the all-first-terms corner
+						row[a] = v.Min - 3*(v.Max-v.Min)
+					case 1:
+						row[a] = v.Max + 3*(v.Max-v.Min)
+					}
+					cols[a][i] = row[a]
+				}
+			}
+			dst := make([]float64, n)
+			if err := cs.EvaluateBatch(dst, cols); err != nil {
+				t.Fatal(err)
+			}
+			sc := sys.NewScratch()
+			noRule := 0
+			for i := range dst {
+				for a := range row {
+					row[a] = cols[a][i]
+				}
+				want, wantErr := cs.kern.evalN(row)
+				got, err := cs.Evaluate(row)
+				copy(sc.Xs(), row)
+				exact, exactErr := sys.EvaluateInto(sc, sc.Xs())
+				if wantErr != nil {
+					if !errors.Is(wantErr, ErrNoActivation) || !errors.Is(err, ErrNoActivation) ||
+						!errors.Is(exactErr, ErrNoActivation) || !math.IsNaN(dst[i]) {
+						t.Fatalf("row %d %v: oracle err %v, walk err %v, exact err %v, batch %g",
+							i, row, wantErr, err, exactErr, dst[i])
+					}
+					noRule++
+					continue
+				}
+				if err != nil || exactErr != nil {
+					t.Fatalf("row %d %v: walk err %v, exact err %v, oracle fired", i, row, err, exactErr)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) ||
+					math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Fatalf("row %d %v: walk %v, batch %v, oracle %v", i, row, got, dst[i], want)
+				}
+				if e := math.Abs(exact - got); e > 1e-9 {
+					t.Fatalf("row %d %v: walk %g vs exact %g (|Δ| %g)", i, row, got, exact, e)
+				}
+			}
+			if (noRule > 0) != (tc.table == "hole") {
+				t.Fatalf("%d rows fired no rule on the %s table", noRule, tc.table)
+			}
+		})
 	}
 }
 
@@ -581,7 +616,7 @@ func TestCompiledIncompleteGridStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewCompiledSurface(sys2, 0)
+	cs, err := CompileSurface(sys2, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,11 +627,18 @@ func TestCompiledIncompleteGridStillServes(t *testing.T) {
 		t.Fatalf("incomplete-grid kernel max abs error %g exceeds bound %g", got, bound)
 	}
 	// The removed rule is the all-first-terms combo: deep in that corner
-	// nothing fires.
+	// nothing fires, and the batch marks the row NaN.
 	sc := sys2.NewScratch()
 	_, exactErr := sys2.EvaluateInto(sc, []float64{-10, -120, 0})
-	_, compErr := cs.At3(-10, -120, 0)
-	if (exactErr == nil) != (compErr == nil) {
+	_, compErr := cs.Evaluate([]float64{-10, -120, 0})
+	if !errors.Is(exactErr, ErrNoActivation) || !errors.Is(compErr, ErrNoActivation) {
 		t.Fatalf("no-rule corner: exact err %v, compiled err %v", exactErr, compErr)
+	}
+	dst := make([]float64, 2)
+	if err := cs.EvaluateBatch(dst, [][]float64{{-10, 0}, {-120, -100}, {0, 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(dst[0]) || math.IsNaN(dst[1]) {
+		t.Fatalf("no-rule corner: batch %v, want [NaN, finite]", dst)
 	}
 }

@@ -25,6 +25,13 @@
 // lacks "correct": true, and on a workload whose change side fails a
 // larger share of its attempted operations than the base side; otherwise
 // PASS.  One invocation takes about 30 minutes on a 2-vCPU box.
+//
+// After each workload's verdicts a host.ref_ns row prints each side's
+// median of perfbench's host reference readings, taken at the start and
+// the end of every run.  The reading times a fixed loop that runs no
+// program code, so a side whose readings moved ran on a faster or slower
+// box, whatever the code.  The row is for reading a verdict, and judges
+// nothing.
 package main
 
 import (
@@ -89,13 +96,27 @@ func parseBenchmark(blob []byte) (benchmark, error) {
 type side struct {
 	values            [][]float64 // by metric, then by seed
 	attempted, failed float64
+	// refStart/refEnd are the runs' host.ref_ns readings (see the package
+	// comment), from the detail line of the runs that carry one.
+	refStart, refEnd []float64
 }
 
-// add reads the result line perfbench prints last.  A result that is not
-// correct, or that lacks a metric, is an error: a missing value is not a
-// zero.
+// add reads the result line perfbench prints last, and the host readings
+// of its detail line.  A result that is not correct, or that lacks a
+// metric, is an error: a missing value is not a zero.
 func (s *side) add(stdout []byte, ms []metric) error {
 	lines := bytes.Split(bytes.TrimSpace(stdout), []byte("\n"))
+	for _, l := range lines {
+		var detail struct {
+			Notes struct {
+				Ref []float64 `json:"host.ref_ns"`
+			} `json:"notes"`
+		}
+		if js, ok := bytes.CutPrefix(l, []byte("detail ")); ok && json.Unmarshal(js, &detail) == nil && len(detail.Notes.Ref) == 2 {
+			s.refStart = append(s.refStart, detail.Notes.Ref[0])
+			s.refEnd = append(s.refEnd, detail.Notes.Ref[1])
+		}
+	}
 	var res struct {
 		Correct   bool    `json:"correct"`
 		Attempted float64 `json:"attempted"`
@@ -241,7 +262,17 @@ func report(w io.Writer, workload string, ms []metric, base, change *side) bool 
 		label, pass = "HIGHER", false
 	}
 	fmt.Fprintf(w, "%-13s %-24s %-34.4g %-34.4g %14s  %s\n", workload, "failed share", fb, fc, "", label)
+	fmt.Fprintf(w, "%-13s %-24s %-34s %-34s %14s  %s\n", workload, "host.ref_ns start -> end", base.drift(), change.drift(), "", "drift, no verdict")
 	return pass
+}
+
+// drift renders the side's median host.ref_ns readings at run start and
+// end.
+func (s *side) drift() string {
+	if len(s.refStart) == 0 {
+		return "no readings"
+	}
+	return fmt.Sprintf("%.4g -> %.4g", summarize(s.refStart).median, summarize(s.refEnd).median)
 }
 
 func main() {

@@ -20,14 +20,21 @@ var testBench = benchmark{
 	EndToEnd: []metric{{"rate", "higher", 0.25}, {"lat", "lower", 0.25}},
 }
 
-// resultLine is a perfbench result line reporting value(m) for each metric.
+// resultLine is a perfbench run's output reporting value(m) for each
+// metric, after a detail line whose host readings are 2e6 ns at the
+// start of the run and 2.1e6 ns at its end.
 func resultLine(ms []metric, correct bool, failed int, value func(metric) float64) []byte {
+	return runOutput(ms, correct, failed, value, `{"workload":"w","notes":{"host.ref_ns":[2000000,2100000]}}`)
+}
+
+// runOutput is resultLine with the given detail object.
+func runOutput(ms []metric, correct bool, failed int, value func(metric) float64, detail string) []byte {
 	metrics := map[string]any{}
 	for _, m := range ms {
 		metrics[m.Name] = map[string]any{"value": value(m), "unit": "x"}
 	}
 	out, _ := json.Marshal(map[string]any{"correct": correct, "attempted": 1000, "failed": failed, "metrics": metrics})
-	return append([]byte("rate 1 1/s\ndetail {}\n"), out...)
+	return append([]byte("rate 1 1/s\ndetail "+detail+"\n"), out...)
 }
 
 // seedValue reads 100+seed on every metric, on either side.
@@ -55,6 +62,35 @@ func TestIdenticalSidesPass(t *testing.T) {
 	}
 	if len(calls) != 2*pairs || calls[0] != "1base" || calls[1] != "1change" || calls[2] != "2change" || calls[3] != "2base" {
 		t.Errorf("runs were not seed-paired with alternating order: %v", calls)
+	}
+	if !strings.Contains(out, "2e+06 -> 2.1e+06                   2e+06 -> 2.1e+06") {
+		t.Errorf("no host.ref_ns row with both sides' readings:\n%s", out)
+	}
+}
+
+// TestHostDriftRowJudgesNothing: the host.ref_ns row shows each side's
+// median start and end readings, and a box that drifted between the sides
+// changes no verdict.  A run without readings is not an error.
+func TestHostDriftRowJudgesNothing(t *testing.T) {
+	pass, out := runCompare(func(side, _ string, seed int) ([]byte, error) {
+		detail := fmt.Sprintf(`{"notes":{"host.ref_ns":[%d,%d]}}`, 2000000+seed, 2100000+seed)
+		if side == "change" {
+			detail = fmt.Sprintf(`{"notes":{"host.ref_ns":[%d,%d]}}`, 3000000+seed, 3300000+seed)
+		}
+		return runOutput(testBench.EndToEnd, true, 0, seedValue(seed), detail), nil
+	})
+	if !pass || strings.Count(out, " parity\n") != len(testBench.EndToEnd) {
+		t.Fatalf("drifted host readings changed the verdicts:\n%s", out)
+	}
+	if !strings.Contains(out, "2e+06 -> 2.1e+06") || !strings.Contains(out, "3e+06 -> 3.3e+06") ||
+		!strings.Contains(out, "drift, no verdict") {
+		t.Errorf("host.ref_ns row lacks a side's medians:\n%s", out)
+	}
+	pass, out = runCompare(func(side, _ string, seed int) ([]byte, error) {
+		return runOutput(testBench.EndToEnd, true, 0, seedValue(seed), "{}"), nil
+	})
+	if !pass || !strings.Contains(out, "no readings") {
+		t.Errorf("runs without host readings:\n%s", out)
 	}
 }
 

@@ -116,8 +116,8 @@ func TestTrendWholeFrameSteadyStateAllocs(t *testing.T) {
 
 // TestServeSteadyStateBytesPerShardCount pins the byte side of the
 // steady-state contract at every shard count, in every decision mode
-// (exact, compiled, and the speed-adaptive extension on the compiled
-// kernel): once each shard's sub-batch buffer population exists (built
+// (exact, compiled, the speed-adaptive extension on the compiled kernel,
+// the stateful trend schema and per-terminal algorithms): once each shard's sub-batch buffer population exists (built
 // lazily while the queue first fills; see bufPool), ingest → decide →
 // recycle must allocate nothing, so per-op bytes cannot grow with the
 // shard count.  Bytes are measured from MemStats.TotalAlloc, which is
@@ -148,6 +148,11 @@ func TestServeSteadyStateBytesPerShardCount(t *testing.T) {
 				panic(err)
 			}
 			return a
+		}}},
+		// Every terminal decides through its own HysteresisTTT instance,
+		// looked up from the shard's algorithm table.
+		{"per-terminal-ttt", Config{PerTerminalAlgorithms: true, AlgorithmFactory: func() handover.Algorithm {
+			return handover.NewHysteresisTTT(3, 2)
 		}}},
 	}
 	for _, mode := range modes {

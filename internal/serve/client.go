@@ -403,6 +403,11 @@ func (c *NodeClient) isClosing() bool {
 // lost whenever a connection dies.
 func (c *NodeClient) run(conn net.Conn) {
 	defer c.wg.Done()
+	// carry is a report line whose write failed before its first byte
+	// left (a connection already cut under the writer): it never reached
+	// the node, so the next connection writes it right after the hello,
+	// and its reports count as lost only if no connection comes.
+	var carry pendingLine
 	for {
 		c.setConn(conn)
 		// Announce the connection identity before anything else: the
@@ -414,7 +419,7 @@ func (c *NodeClient) run(conn net.Conn) {
 			next, rerr := c.redial()
 			if rerr != nil {
 				c.failPendingCtl(rerr)
-				c.goDown(rerr)
+				c.goDown(rerr, carry.n)
 				return
 			}
 			conn = next
@@ -423,7 +428,8 @@ func (c *NodeClient) run(conn net.Conn) {
 		var rerr error
 		readerDone := make(chan struct{})
 		go c.readLoop(conn, readerDone, &rerr)
-		finished, werr := c.writeLoop(conn, readerDone, &rerr)
+		finished, unsent, werr := c.writeLoop(conn, carry, readerDone, &rerr)
+		carry = unsent
 		if finished {
 			// Clean shutdown: everything queued was written; half-close
 			// so the node sees EOF, decides the tail and closes — the
@@ -452,26 +458,40 @@ func (c *NodeClient) run(conn net.Conn) {
 		}
 		next, err := c.redial()
 		if err != nil {
-			c.goDown(err)
+			c.goDown(err, carry.n)
 			return
 		}
 		conn = next
 	}
 }
 
-// writeLoop drains the send queue onto the connection.  It returns
-// finished=true when Close was requested and the queue is empty, false
-// (with the error) when the connection failed — including a connection
-// the peer closed or that failed a read, which only the reader notices
-// (readerDone, after which *rerr holds its read error).
-func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}, rerr *error) (finished bool, err error) {
+// writeLoop writes carry (when it holds a line) and then drains the send
+// queue onto the connection.  It returns finished=true when Close was
+// requested and the queue is empty, false (with the error) when the
+// connection failed — including a connection the peer closed or that
+// failed a read, which only the reader notices (readerDone, after which
+// *rerr holds its read error).  unsent is the report line, if any, whose
+// failed write sent no byte: the next connection's carry.
+func (c *NodeClient) writeLoop(conn net.Conn, carry pendingLine, readerDone <-chan struct{}, rerr *error) (finished bool, unsent pendingLine, err error) {
 	write := func(p pendingLine) error {
+		n, werr := conn.Write(p.line)
+		if werr != nil && n == 0 && p.n > 0 {
+			unsent = p // no byte reached the node: carry, do not lose
+			return werr
+		}
 		// The line may partially reach the node on failure, where the
 		// fragment cannot parse as a complete report line; its reports
-		// are this connection's in-flight loss either way.
-		_, werr := conn.Write(p.line)
+		// are this connection's in-flight loss either way.  A control
+		// line that fails is not carried: its caller's op fails with the
+		// connection, and a replayed extract would remove terminals no
+		// one receives.
 		c.written.Add(p.n)
 		return werr
+	}
+	if carry.line != nil {
+		if err := write(carry); err != nil {
+			return false, unsent, err
+		}
 	}
 	idle := time.NewTimer(10 * time.Millisecond)
 	defer idle.Stop()
@@ -479,7 +499,7 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}, rerr *
 		select {
 		case p := <-c.queue:
 			if err := write(p); err != nil {
-				return false, err
+				return false, unsent, err
 			}
 		default:
 			if c.isClosing() {
@@ -489,11 +509,11 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}, rerr *
 				select {
 				case p := <-c.queue:
 					if err := write(p); err != nil {
-						return false, err
+						return false, unsent, err
 					}
 					continue
 				default:
-					return true, nil
+					return true, unsent, nil
 				}
 			}
 			// Idle: block until work, peer death or closing (reusable
@@ -508,13 +528,13 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}, rerr *
 			select {
 			case p := <-c.queue:
 				if err := write(p); err != nil {
-					return false, err
+					return false, unsent, err
 				}
 			case <-readerDone:
 				if *rerr != nil {
-					return false, fmt.Errorf("read: %w", *rerr)
+					return false, unsent, fmt.Errorf("read: %w", *rerr)
 				}
-				return false, errors.New("connection closed by peer")
+				return false, unsent, errors.New("connection closed by peer")
 			case <-idle.C:
 			}
 		}
@@ -634,18 +654,19 @@ func newClientID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// goDown marks the client fatally down: queued lines are drained into the
+// goDown marks the client fatally down: the carried reports (those of a
+// line no connection took) and every queued line are drained into the
 // lost ledger (loudly), and future sends fail with err.  The fatal error
-// is published before down closes, so a sender woken by down always reads
-// a non-nil Err.  The drain runs under the write lock, which a sender
-// never holds while enqueueing-or-waiting: any enqueue that raced the
-// transition completed before the lock was granted and is caught by the
-// drain, so no report is ever stranded un-accounted.
-func (c *NodeClient) goDown(err error) {
+// is published before down closes, so a sender woken by down always
+// reads a non-nil Err.  The drain runs under the write lock, which a
+// sender never holds while enqueueing-or-waiting: any enqueue that raced
+// the transition completed before the lock was granted and is caught by
+// the drain, so no report is ever stranded un-accounted.
+func (c *NodeClient) goDown(err error, carried uint64) {
 	c.fatalErr.Store(&err)
 	close(c.down)
 	c.mu.Lock()
-	var dropped uint64
+	dropped := carried
 	for {
 		select {
 		case p := <-c.queue:

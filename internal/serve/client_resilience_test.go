@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -137,6 +139,82 @@ func TestNodeClientIdentityTakeover(t *testing.T) {
 		for i, s := range got {
 			if s != uint64(i) {
 				t.Fatalf("terminal %d: outcome %d has seq %d — sequence broke at the reconnect", tid, i, s)
+			}
+		}
+	}
+}
+
+// cutBeforeWriteConn closes itself at its first report-line write and
+// fails that write with no byte sent: the state a writer meets when the
+// connection is cut between taking a line from the queue and writing it.
+type cutBeforeWriteConn struct {
+	net.Conn
+	cut bool // only the client's writer goroutine writes
+}
+
+func (c *cutBeforeWriteConn) Write(b []byte) (int, error) {
+	if !c.cut && !isControlLine(b) {
+		c.cut = true
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
+// TestNodeClientCarriesUnwrittenLine: a report line whose write fails
+// before its first byte left never reached the node, so it is not lost:
+// the client writes it first on the next connection, and every outcome
+// arrives in sequence.
+func TestNodeClientCarriesUnwrittenLine(t *testing.T) {
+	addr, stop := startTestNode(t, Config{Shards: 2})
+	defer stop()
+
+	var dials atomic.Int32
+	var mu sync.Mutex
+	seqs := map[TerminalID][]uint64{}
+	c, err := DialNode(addr, NodeClientConfig{
+		RedialWait:    10 * time.Millisecond,
+		RedialMaxWait: 50 * time.Millisecond,
+		Dial: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil || dials.Add(1) > 1 {
+				return conn, err
+			}
+			return &cutBeforeWriteConn{Conn: conn}, nil
+		},
+		OnOutcome: func(o Outcome) {
+			mu.Lock()
+			seqs[o.Terminal] = append(seqs[o.Terminal], o.Seq)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	terminals := []uint64{1, 2, 3}
+	for _, from := range []int{0, 6} {
+		if err := c.Send(contReports(terminals, from, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if cnt := c.Counters(); cnt.Lost != 0 || cnt.Reconnects != 1 || cnt.Delivered != 36 {
+		t.Errorf("ledger %+v, want 36 delivered, none lost, one reconnect", cnt)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tid := range terminals {
+		got := seqs[TerminalID(tid)]
+		if len(got) != 12 {
+			t.Fatalf("terminal %d: %d outcomes, want 12", tid, len(got))
+		}
+		for i, s := range got {
+			if s != uint64(i) {
+				t.Fatalf("terminal %d: outcome %d has seq %d", tid, i, s)
 			}
 		}
 	}
@@ -340,6 +418,32 @@ func TestFaultInjectorShapesTraffic(t *testing.T) {
 	}
 	if cnt := c.Counters(); cnt.Reconnects == 0 {
 		t.Errorf("partition+heal left no reconnect trace: %+v", cnt)
+	}
+}
+
+// secondWriteFails accepts its first write and fails every later one.
+type secondWriteFails struct {
+	net.Conn // nil: only Write is called
+	writes   int
+}
+
+func (c *secondWriteFails) Write(b []byte) (int, error) {
+	if c.writes++; c.writes > 1 {
+		return 0, net.ErrClosed
+	}
+	return len(b), nil
+}
+
+// TestFaultInjectorDuplicateCountsTheSentCopy: a duplicated write whose
+// replay fails still reports the first copy as sent, so the client does
+// not carry a line the node already has.
+func TestFaultInjectorDuplicateCountsTheSentCopy(t *testing.T) {
+	inj := NewFaultInjector()
+	inj.DuplicateWrites(1)
+	fc := &faultConn{Conn: &secondWriteFails{}, f: inj}
+	line := []byte("{\"terminal\":1}\n")
+	if n, err := fc.Write(line); n != len(line) || err == nil {
+		t.Errorf("Write = (%d, %v), want (%d, the replay's error)", n, err, len(line))
 	}
 }
 

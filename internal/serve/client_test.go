@@ -225,13 +225,18 @@ func TestNodeClientRejectsInvalidReports(t *testing.T) {
 	sameCell := Report{Terminal: 2, Meas: wireMeas(0, 0, 0, 0, -88, -84, -2.5, 1.1, 3.2, 30)}
 	nan := valid
 	nan.Meas.ServingDB = math.NaN()
+	wideServing := Report{Terminal: 3, Meas: wireMeas(math.MaxInt32+1, 0, 1, 0, -88, -84, -2.5, 1.1, 3.2, 30)}
+	wideNeighbor := Report{Terminal: 4, Meas: wireMeas(0, 0, 1, math.MinInt32-1, -88, -84, -2.5, 1.1, 3.2, 30)}
 	for _, tc := range []struct {
 		name string
 		bad  Report
-	}{{"serving==neighbor", sameCell}, {"NaN", nan}} {
+	}{{"serving==neighbor", sameCell}, {"NaN", nan}, {"serving", wideServing}, {"neighbor", wideNeighbor}} {
 		err := c.Send([]Report{valid, tc.bad})
 		if err == nil || !strings.Contains(err.Error(), "report 1") {
 			t.Errorf("%s: Send = %v, want index-naming validation error", tc.name, err)
+		}
+		if wide := tc.bad.Terminal > 2; wide && !strings.Contains(err.Error(), tc.name+" [") {
+			t.Errorf("%s: Send = %v, want the field named", tc.name, err)
 		}
 	}
 	if cnt := c.Counters(); cnt.Submitted != 0 {

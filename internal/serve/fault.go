@@ -142,6 +142,13 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		if _, err := c.Conn.Write(b); err != nil {
 			return 0, err
 		}
+		// The line already reached the node once: a failed replay must
+		// not read as a write that sent nothing, which the client would
+		// carry to its next connection and have decided again.
+		if _, err := c.Conn.Write(b); err != nil {
+			return len(b), err
+		}
+		return len(b), nil
 	}
 	return c.Conn.Write(b)
 }

@@ -89,6 +89,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	// anchored-only first observation.
 	f.Add(uint64(3), uint64(5), -90.0, true, 1, 0, true, uint64(1), uint64(0), uint64(1), 0.5, -91.25, -0.5, true)
 	f.Add(uint64(4), uint64(1), 0.0, false, 0, 0, false, uint64(0), uint64(0), uint64(0), 0.0, -84.0, 0.0, true)
+	// Cells are stored as int32 pairs: a full ring that reaches both
+	// limits round-trips; one past either limit is rejected.
+	f.Add(uint64(5), uint64(9), -70.0, true, math.MaxInt32-pingPongHistory, math.MinInt32+pingPongHistory-1, true, uint64(9), uint64(2), uint64(9), 0.1, 0.0, 0.0, false)
+	f.Add(uint64(6), uint64(1), 0.0, false, math.MaxInt32, 0, true, uint64(1), uint64(0), uint64(1), 0.0, 0.0, 0.0, false)
+	f.Add(uint64(7), uint64(1), 0.0, false, 0, math.MinInt32-1, true, uint64(0), uint64(0), uint64(0), 0.0, 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, terminal, seq uint64, prevDB float64, havePrev bool,
 		si, sj int, haveServing bool, handovers, pingpongs, totalEvents uint64, walked float64,
 		trendPrevSSN, trendSlope float64, trendHave bool) {
@@ -116,12 +121,29 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if n > pingPongHistory {
 			n = pingPongHistory
 		}
+		inInt32 := func(c hexgrid.Cell) bool {
+			return c.I >= math.MinInt32 && c.I <= math.MaxInt32 && c.J >= math.MinInt32 && c.J <= math.MaxInt32
+		}
+		fits := inInt32(s.Serving)
 		for i := 0; i < n; i++ {
-			s.Events = append(s.Events, SnapshotEvent{
+			e := SnapshotEvent{
 				From:     hexgrid.Cell{I: si + i, J: sj - i},
 				To:       hexgrid.Cell{I: si + i + 1, J: sj - i},
 				WalkedKm: walked + float64(i),
-			})
+			}
+			fits = fits && inInt32(e.From) && inInt32(e.To)
+			s.Events = append(s.Events, e)
+		}
+		if !fits {
+			// A label outside the int32 range cannot be stored: both the
+			// struct and its encoding must be refused.
+			if err := s.Validate(); err == nil {
+				t.Fatalf("snapshot with an out-of-range cell validated: %+v", s)
+			}
+			if _, err := ParseSnapshotLine(AppendSnapshotJSON(nil, s)); err == nil {
+				t.Fatalf("snapshot line with an out-of-range cell parsed: %+v", s)
+			}
+			return
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("constructed snapshot invalid: %v", err)

@@ -301,6 +301,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		s.scorer = handover.AsBatchScorer(factory())
 		s.scorer.Reset()
+		s.algos = []handover.BatchScorer{s.scorer}
 		s.stateful = s.scorer.Schema().Stateful()
 		s.cols = newBatchCols(s.scorer.Schema())
 		e.shards[i] = s

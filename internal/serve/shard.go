@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/handover"
 	"repro/internal/hexgrid"
 )
@@ -15,65 +17,105 @@ import (
 // many handovers inside one window, which the window exists to prevent.
 const pingPongHistory = 8
 
-// hoEvent is one executed handover in a terminal's ring.
+// ErrCellOutOfRange is the outcome error of a report whose serving or
+// neighbor label lies outside the int32 range the engine stores cells in.
+// Such a report writes no terminal state except its sequence number, so
+// the terminal's next in-range report decides as if it never came.  The
+// wire decoders and TerminalSnapshot.Validate reject the same labels
+// before they reach an engine.
+var ErrCellOutOfRange = errors.New("serve: cell label outside the int32 range")
+
+// cell32 is a stored cell label: a hexgrid.Cell narrowed to 32-bit axial
+// coordinates.  Every conversion and range check between the two lives
+// in the functions below; a label is narrowed only after cellFits
+// admitted it, so narrowing never truncates.
+type cell32 struct{ i, j int32 }
+
+// cellFits reports whether c survives narrowing to a cell32.
+//
+//fuzzyho:hotpath
+func cellFits(c hexgrid.Cell) bool {
+	return int(int32(c.I)) == c.I && int(int32(c.J)) == c.J
+}
+
+// narrowCell converts a label cellFits admitted.
+//
+//fuzzyho:hotpath
+func narrowCell(c hexgrid.Cell) cell32 { return cell32{int32(c.I), int32(c.J)} }
+
+// cell widens a stored label back to the grid's type.
+//
+//fuzzyho:hotpath
+func (c cell32) cell() hexgrid.Cell { return hexgrid.Cell{I: int(c.i), J: int(c.j)} }
+
+// measFits reports whether both of a measurement's cells can be stored.
+//
+//fuzzyho:hotpath
+func measFits(m *cell.Measurement) bool { return cellFits(m.Serving) && cellFits(m.Neighbor) }
+
+// hoEvent is one executed handover in a terminal's ring (24 B).
 type hoEvent struct {
-	from, to hexgrid.Cell
+	from, to cell32
 	walkedKm float64
 }
 
 // terminal is the engine-owned state of one terminal: everything the
 // single-threaded sim path keeps in its Measurer/algorithm/detector,
-// reduced to what streamed reports cannot carry themselves.
+// reduced to what streamed reports cannot carry themselves.  It holds no
+// pointer, so the store's slabs are noscan: the garbage collector never
+// walks terminal state.  Field order packs it into 272 B (pinned by
+// TestTerminalLayout).
 type terminal struct {
-	// algo is the terminal-private algorithm (PerTerminalAlgorithms
-	// mode); nil means the shard's shared instance decides.
-	algo handover.BatchScorer
 	// seq counts reports served for this terminal.
 	seq uint64
 	// prevDB/havePrev mirror Measurer.PrevServingDB: the serving power
 	// of the previous epoch, invalidated by an executed handover.
-	prevDB   float64
-	havePrev bool
+	prevDB float64
 	// derived is the per-terminal state stateful schema features extract
 	// from (the SSN trend derivation); reset exactly where the algorithm
 	// is: executed handovers and external reattachments.
 	derived handover.DerivedState
-	// serving tracks the attachment the engine believes the terminal
-	// holds (updated on executed handovers, corrected from reports).
-	serving     hexgrid.Cell
+	// serving/haveServing track the attachment the engine believes the
+	// terminal holds (updated on executed handovers, corrected from
+	// reports).
+	serving cell32
+	// algo indexes the shard's algos: 0 is the shared scorer, and a
+	// PerTerminalAlgorithms terminal holds its own instance's index.
+	algo uint32
+	// total counts events ever recorded (restore bounds it to 2^31−1);
+	// next indexes the ring slot the next event overwrites.
+	total       uint32
+	next        uint8
+	havePrev    bool
 	haveServing bool
 	// handovers/pingpongs are per-terminal tallies.
 	handovers uint64
 	pingpongs uint64
-	// events is the recent-handover ring; next indexes the slot the
-	// next event overwrites and total counts events ever recorded.
+	// events is the recent-handover ring.
 	events [pingPongHistory]hoEvent
-	next   int
-	total  int
 }
 
 // observeHandover records an executed handover and reports whether it
 // closes a ping-pong pair, using the simulator detector's rule: a prior
 // B→A hop within the walked-distance window makes this A→B hop a return.
+// Both cells must fit (cellFits).
 //
 //fuzzyho:hotpath
 func (t *terminal) observeHandover(from, to hexgrid.Cell, walkedKm, windowKm float64) bool {
+	src, dst := narrowCell(from), narrowCell(to)
 	pingPong := false
-	n := t.total
-	if n > pingPongHistory {
-		n = pingPongHistory
-	}
-	for i := 1; i <= n; i++ {
-		prev := t.events[(t.next-i+pingPongHistory)%pingPongHistory]
+	n := min(t.total, pingPongHistory)
+	for i := uint32(1); i <= n; i++ {
+		prev := t.events[(uint32(t.next)-i+pingPongHistory)%pingPongHistory]
 		if walkedKm-prev.walkedKm > windowKm {
 			break
 		}
-		if prev.from == to && prev.to == from {
+		if prev.from == dst && prev.to == src {
 			pingPong = true
 			break
 		}
 	}
-	t.events[t.next] = hoEvent{from: from, to: to, walkedKm: walkedKm}
+	t.events[t.next] = hoEvent{from: src, to: dst, walkedKm: walkedKm}
 	t.next = (t.next + 1) % pingPongHistory
 	t.total++
 	return pingPong
@@ -111,6 +153,10 @@ type batchCols struct {
 	repeat [maxSubBatch]bool
 	head   [routeBuckets]int8
 	next   [maxSubBatch]int8
+	// discard is the derived state a stateful gather advances for a
+	// report the engine rejects (ErrCellOutOfRange): its row is never
+	// decided, and its terminal's own state must not move.
+	discard handover.DerivedState
 }
 
 func newBatchCols(schema *handover.FeatureSchema) *batchCols {
@@ -154,11 +200,16 @@ type shard struct {
 	// scorer is the shared per-shard instance (handover.AsBatchScorer
 	// of the configured algorithm): it scores every frame, and decides
 	// every report unless newAlgo, when non-nil, built the terminal its
-	// own instance.  stateful mirrors scorer.Schema().Stateful() — the
-	// gather advances per-terminal derived state, so repeated terminals
-	// split the sub-batch into runs (see processBatch).
+	// own instance.  algos[0] is scorer; algos[k] for k ≥ 1 is the
+	// instance of the terminal whose algo field is k.  Append-only:
+	// per-terminal engines refuse every path that removes a terminal
+	// (ErrStatefulAlgorithms).  stateful mirrors
+	// scorer.Schema().Stateful() — the gather advances per-terminal
+	// derived state, so repeated terminals split the sub-batch into runs
+	// (see processBatch).
 	scorer   handover.BatchScorer
 	newAlgo  func() handover.Algorithm
+	algos    []handover.BatchScorer
 	stateful bool
 	cols     *batchCols
 	window   float64
@@ -282,8 +333,11 @@ func (s *shard) decideRun(run []Report, off int) {
 			// Stateful features read per-terminal derived state: apply the
 			// reattachment correction before extraction so the derivation
 			// restarts exactly where the per-report order restarts it.
-			s.observe(r, slots[i])
-			d = &slots[i].derived
+			d = &s.cols.discard
+			if measFits(&r.Meas) {
+				s.observe(r, slots[i])
+				d = &slots[i].derived
+			}
 		}
 		f.Gather(i, &r.Meas, r.Ext, d)
 	}
@@ -302,13 +356,15 @@ func (s *shard) decideRun(run []Report, off int) {
 	for i := range run {
 		r := &run[i]
 		t := slots[i]
+		if !measFits(&r.Meas) {
+			s.errors.Add(1)
+			s.deliver(r, t, s.scorer, handover.Decision{}, ErrCellOutOfRange, false, false)
+			continue
+		}
 		if !s.stateful {
 			s.observe(r, t)
 		}
-		algo := s.scorer
-		if t.algo != nil {
-			algo = t.algo
-		}
+		algo := s.algos[t.algo]
 		dec, derr := handover.Decision{}, err
 		if err == nil {
 			dec, derr = algo.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
@@ -372,8 +428,10 @@ func (s *shard) routeBatch(batch []Report) {
 // initTerminal completes a freshly created (zero-valued) terminal slot.
 func (s *shard) initTerminal(t *terminal) {
 	if s.newAlgo != nil {
-		t.algo = handover.AsBatchScorer(s.newAlgo())
-		t.algo.Reset()
+		a := handover.AsBatchScorer(s.newAlgo())
+		a.Reset()
+		t.algo = uint32(len(s.algos))
+		s.algos = append(s.algos, a)
 	}
 	s.nTerminals.Add(1)
 }
@@ -383,24 +441,21 @@ func (s *shard) initTerminal(t *terminal) {
 //
 //fuzzyho:hotpath
 func (s *shard) observe(r *Report, t *terminal) {
-	if t.haveServing && r.Meas.Serving != t.serving {
+	serving := narrowCell(r.Meas.Serving)
+	if t.haveServing && serving != t.serving {
 		// The radio side reattached the terminal without this engine
 		// deciding it (restart, external handover): the previous-epoch
 		// power belongs to another cell, so the history restarts, as it
 		// does after an engine-decided handover.
 		t.havePrev = false
 		t.derived.Reset()
-		if t.algo != nil {
-			t.algo.Reset()
-		} else {
-			s.scorer.Reset()
-		}
+		s.algos[t.algo].Reset()
 	}
-	t.serving, t.haveServing = r.Meas.Serving, true
+	t.serving, t.haveServing = serving, true
 }
 
 // commit applies one decision to the terminal's state, updates counters
-// and delivers the outcome.
+// and delivers the outcome.  Both of the report's cells fit (measFits).
 //
 //fuzzyho:hotpath
 func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec handover.Decision, err error) {
@@ -423,7 +478,7 @@ func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec ha
 		// the simulator's Measurer.Handover — the power history restarts:
 		// havePrev stays false until the next no-handover epoch seeds
 		// prevDB from its own measurement.
-		t.serving = m.Neighbor
+		t.serving = narrowCell(m.Neighbor)
 		t.havePrev = false
 		t.derived.Reset()
 		algo.Reset()
@@ -435,6 +490,14 @@ func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec ha
 		t.prevDB = m.ServingDB
 		t.havePrev = true
 	}
+	s.deliver(r, t, algo, dec, err, executed, pingPong)
+}
+
+// deliver advances the terminal's sequence number, samples the decision
+// into telemetry and hands the outcome to the delivery hook.
+//
+//fuzzyho:hotpath
+func (s *shard) deliver(r *Report, t *terminal, algo handover.BatchScorer, dec handover.Decision, err error, executed, pingPong bool) {
 	if s.metrics != nil {
 		s.classifyVerdict(&dec, err, executed)
 	}

@@ -67,13 +67,17 @@ type TerminalSnapshot struct {
 }
 
 // maxSnapshotTotalEvents bounds TotalEvents so the restore cast to the
-// terminal's int counter is safe on every platform.
+// terminal's uint32 event counter never truncates.
 const maxSnapshotTotalEvents = 1<<31 - 1
 
-// Validate rejects snapshots no engine can restore faithfully.
+// Validate rejects snapshots no engine can restore faithfully, among them
+// any cell label outside the int32 range the engine stores cells in.
 func (s TerminalSnapshot) Validate() error {
 	if math.IsNaN(s.PrevDB) || math.IsInf(s.PrevDB, 0) {
 		return fmt.Errorf("serve: snapshot terminal %d: prev_db is not finite", s.Terminal)
+	}
+	if !cellFits(s.Serving) {
+		return fmt.Errorf("serve: snapshot terminal %d: serving %v outside the int32 range", s.Terminal, s.Serving)
 	}
 	if s.TotalEvents > maxSnapshotTotalEvents {
 		return fmt.Errorf("serve: snapshot terminal %d: total_events %d out of range", s.Terminal, s.TotalEvents)
@@ -89,6 +93,9 @@ func (s TerminalSnapshot) Validate() error {
 	for i, e := range s.Events {
 		if math.IsNaN(e.WalkedKm) || math.IsInf(e.WalkedKm, 0) {
 			return fmt.Errorf("serve: snapshot terminal %d: event %d walked_km is not finite", s.Terminal, i)
+		}
+		if !cellFits(e.From) || !cellFits(e.To) {
+			return fmt.Errorf("serve: snapshot terminal %d: event %d cell %v→%v outside the int32 range", s.Terminal, i, e.From, e.To)
 		}
 	}
 	if math.IsNaN(s.Trend.PrevSSN) || math.IsInf(s.Trend.PrevSSN, 0) ||
@@ -108,20 +115,16 @@ func (t *terminal) snapshot(id TerminalID) TerminalSnapshot {
 		Seq:         t.seq,
 		PrevDB:      t.prevDB,
 		HavePrev:    t.havePrev,
-		Serving:     t.serving,
+		Serving:     t.serving.cell(),
 		HaveServing: t.haveServing,
 		Handovers:   t.handovers,
 		PingPongs:   t.pingpongs,
 		TotalEvents: uint64(t.total),
 		Trend:       t.derived.Trend,
 	}
-	n := t.total
-	if n > pingPongHistory {
-		n = pingPongHistory
-	}
-	for i := n; i >= 1; i-- {
-		e := t.events[(t.next-i+pingPongHistory)%pingPongHistory]
-		s.Events = append(s.Events, SnapshotEvent{From: e.from, To: e.to, WalkedKm: e.walkedKm})
+	for i := min(t.total, pingPongHistory); i >= 1; i-- {
+		e := t.events[(uint32(t.next)-i+pingPongHistory)%pingPongHistory]
+		s.Events = append(s.Events, SnapshotEvent{From: e.from.cell(), To: e.to.cell(), WalkedKm: e.walkedKm})
 	}
 	return s
 }
@@ -134,15 +137,15 @@ func (t *terminal) restoreFrom(s TerminalSnapshot) {
 	t.seq = s.Seq
 	t.prevDB = s.PrevDB
 	t.havePrev = s.HavePrev
-	t.serving = s.Serving
+	t.serving = narrowCell(s.Serving)
 	t.haveServing = s.HaveServing
 	t.handovers = s.Handovers
 	t.pingpongs = s.PingPongs
 	for i, e := range s.Events {
-		t.events[i] = hoEvent{from: e.From, to: e.To, walkedKm: e.WalkedKm}
+		t.events[i] = hoEvent{from: narrowCell(e.From), to: narrowCell(e.To), walkedKm: e.WalkedKm}
 	}
-	t.next = len(s.Events) % pingPongHistory
-	t.total = int(s.TotalEvents)
+	t.next = uint8(len(s.Events) % pingPongHistory)
+	t.total = uint32(s.TotalEvents)
 	t.derived.Trend = s.Trend
 }
 

@@ -169,7 +169,7 @@ func (ts *terminalStore) remove(id TerminalID, hashed uint64) bool {
 		i = (i + 1) & ts.mask
 	}
 	ref := ts.refs[i] - 1
-	*ts.at(ref) = terminal{} // drop algorithm/state references for the GC
+	*ts.at(ref) = terminal{} // acquire hands recycled slots out zero-valued
 	ts.freeRefs = append(ts.freeRefs, ref)
 	j := i
 	for {

@@ -123,6 +123,7 @@ const (
 	ruleFinite = iota
 	ruleNonNegative
 	ruleDistinctCells
+	ruleCellRange
 	ruleExtFinite
 	ruleExtUnique
 )
@@ -151,6 +152,14 @@ func validateReport(r *Report) error {
 		//fuzzyho:allow cold: formats the rejection of an invalid report
 		return rejectReport(r, ruleDistinctCells, 0)
 	}
+	if !cellFits(m.Serving) {
+		//fuzzyho:allow cold: formats the rejection of an invalid report
+		return rejectReport(r, ruleCellRange, 0)
+	}
+	if !cellFits(m.Neighbor) {
+		//fuzzyho:allow cold: formats the rejection of an invalid report
+		return rejectReport(r, ruleCellRange, 1)
+	}
 	for i, e := range r.Ext {
 		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
 			//fuzzyho:allow cold: formats the rejection of an invalid report
@@ -170,7 +179,8 @@ func validateReport(r *Report) error {
 var wireFloatNames = [...]string{"serving_db", "ssn_db", "cssp_db", "dmb", "walked_km", "speed_kmh"}
 
 // rejectReport formats validateReport's rejection of r for the broken
-// rule; i is the float field's or "x" entry's index.
+// rule; i is the float field's or "x" entry's index, or 0 for serving and
+// 1 for neighbor.
 func rejectReport(r *Report, rule, i int) error {
 	m := &r.Meas
 	switch rule {
@@ -181,6 +191,12 @@ func rejectReport(r *Report, rule, i int) error {
 		return fmt.Errorf("serve: negative %s %g", wireFloatNames[i], v)
 	case ruleDistinctCells:
 		return fmt.Errorf("serve: serving and neighbor are both BS(%d,%d)", m.Serving.I, m.Serving.J)
+	case ruleCellRange:
+		c, name := m.Serving, "serving"
+		if i == 1 {
+			c, name = m.Neighbor, "neighbor"
+		}
+		return fmt.Errorf("serve: %s [%d,%d] outside the int32 range", name, c.I, c.J)
 	case ruleExtFinite:
 		return fmt.Errorf("serve: x extension feature %q is not finite", r.Ext[i].Name)
 	}

@@ -118,6 +118,16 @@ func oracleValidate(w WireReport) error {
 	if w.Serving == w.Neighbor {
 		return fmt.Errorf("serve: serving and neighbor are both BS(%d,%d)", w.Serving[0], w.Serving[1])
 	}
+	for _, c := range [...]struct {
+		name string
+		v    [2]int
+	}{{"serving", w.Serving}, {"neighbor", w.Neighbor}} {
+		for _, x := range c.v {
+			if x < math.MinInt32 || x > math.MaxInt32 {
+				return fmt.Errorf("serve: %s [%d,%d] outside the int32 range", c.name, c.v[0], c.v[1])
+			}
+		}
+	}
 	for i, e := range w.X {
 		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
 			return fmt.Errorf("serve: x extension feature %q is not finite", e.Name)
@@ -341,6 +351,10 @@ func batchQuirkLines() []string {
 		withField(`"terminal":1.0`), withField(`"terminal":1e2`), withField(`"terminal":-1`), withField(`"terminal":-0`),
 		withField(`"terminal":18446744073709551615`), withField(`"terminal":18446744073709551616`),
 		withField(`"serving":[9223372036854775807,-9223372036854775808]`), withField(`"serving":[9223372036854775808,0]`),
+		// Cells are stored as int32 pairs: the limits pass, one past rejects.
+		withField(`"serving":[2147483647,-2147483648]`), withField(`"neighbor":[-2147483648,2147483647]`),
+		withField(`"serving":[2147483648,0]`), withField(`"serving":[0,-2147483649]`),
+		withField(`"neighbor":[-2147483649,0]`), withField(`"neighbor":[0,2147483648]`),
 		withField(`"serving":[-0,1]`), withField(`"terminal":"1"`), withField(`"terminal":true`),
 		// Floats: bit-identical through ParseFloat; overflow rejects.
 		withField(`"serving_db":1e999`), withField(`"serving_db":-1e-400`), withField(`"dmb":-0`),

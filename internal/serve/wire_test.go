@@ -170,6 +170,8 @@ var parseRejectContractCases = map[string]string{
 	"x-value-string": `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":"fast"}}`,
 	"x-value-null":   `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":null}}`,
 	"x-dup-name":     `{"terminal":2,"serving":[0,0],"neighbor":[1,0],"x":{"t":1,"t":2}}`,
+	"serving-int32":  `{"terminal":2,"serving":[2147483648,0],"neighbor":[1,0]}`,
+	"neighbor-int32": `{"terminal":2,"serving":[0,0],"neighbor":[1,-2147483649]}`,
 }
 
 // wireMeas builds a measurement for wire-codec tests.
@@ -187,12 +189,14 @@ func wireMeas(si, sj, ni, nj int, serving, ssn, cssp, dmb, walked, speed float64
 }
 
 // TestReportJSONRoundTrip pins AppendBatchJSON ∘ ParseBatchLine as the
-// identity on reports, including negative axial labels and zero fields.
+// identity on reports, including negative axial labels, labels at the
+// int32 limits and zero fields.
 func TestReportJSONRoundTrip(t *testing.T) {
 	in := []Report{
 		{Terminal: 0, Meas: wireMeas(-2, 1, 0, 0, -88.5, -84.25, -2.5, 1.1, 3.2, 30)},
 		{Terminal: 1 << 40, Meas: wireMeas(0, 0, -1, 3, 0, 0, 0, 0, 0, 0)},
 		{Terminal: 42, Meas: wireMeas(5, -7, 2, 2, -120.125, -60.5, 12.75, 0.333333333333, 123.456, 250)},
+		{Terminal: 43, Meas: wireMeas(math.MaxInt32, math.MinInt32, math.MinInt32, math.MaxInt32, -90, -85, 1, 0.5, 2, 10)},
 	}
 	line := AppendBatchJSON(nil, in)
 	if line[len(line)-1] != '\n' {

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint escape-check bench-build bench bench-ab load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check lint escape-check bench-build microbench-smoke bench bench-ab load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,14 @@ escape-check:
 # and build it here, so an API change it depends on fails the pipeline.
 bench-build:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
+# Every fast-path, serve and cluster micro-benchmark body, 100 iterations
+# each: catches a benchmark that no longer builds its fixture or fails
+# mid-loop.  It measures nothing.
+microbench-smoke:
+	$(GO) test -run='^$$' -bench=BenchmarkEvaluate -benchtime=100x -benchmem .
+	$(GO) test -run='^$$' -bench=BenchmarkServe -benchtime=100x -benchmem ./internal/serve
+	$(GO) test -run='^$$' -bench=BenchmarkCluster -benchtime=100x -benchmem ./internal/cluster
 
 # Full benchmark/reproduction record (slow).
 bench:
@@ -181,4 +189,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip $(FUZZ_FLAGS)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine $(FUZZ_FLAGS)
 
-ci: vet fmt-check lint escape-check build bench-build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke
+ci: vet fmt-check lint escape-check build bench-build test microbench-smoke race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

@@ -180,12 +180,9 @@ func BenchmarkEvaluateFast(b *testing.B) {
 // compiled away.  Must report 0 allocs/op; the headline is the ratio to
 // BenchmarkEvaluateFast.
 func BenchmarkEvaluateCompiled(b *testing.B) {
-	cs, err := fuzzy.CompileSurface(NewFLC().System(), fuzzy.CompileOptions{})
+	cs, err := fuzzy.CompileSurface(NewFLC().System())
 	if err != nil {
 		b.Fatal(err)
-	}
-	if !cs.Exact() {
-		b.Fatal("paper FLC did not compile to the exact kernel")
 	}
 	xs := []float64{-3.5, 0, 1.1}
 	var sink float64
@@ -208,7 +205,7 @@ func BenchmarkEvaluateCompiled(b *testing.B) {
 // the serve shards drain sub-batches through: per-decision cost with the
 // call and branch overhead amortized across a 64-row column batch.
 func BenchmarkEvaluateCompiledBatch(b *testing.B) {
-	cs, err := fuzzy.CompileSurface(NewFLC().System(), fuzzy.CompileOptions{})
+	cs, err := fuzzy.CompileSurface(NewFLC().System())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,9 +236,6 @@ func BenchmarkEvaluateCompiledBatchTrend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !cs.Exact() {
-		b.Fatal("trend FLC did not compile to the exact kernel")
-	}
 	const n = 64
 	var cols [4][n]float64
 	for a, v := range cs.System().Inputs() {
@@ -262,31 +256,6 @@ func BenchmarkEvaluateCompiledBatchTrend(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/decision")
-}
-
-// BenchmarkEvaluateLattice measures the interpolation-lattice fallback at
-// the default resolution (forced: the paper's FLC normally takes the
-// kernel) — the compiled mode operator ablations get.
-func BenchmarkEvaluateLattice(b *testing.B) {
-	cs, err := fuzzy.CompileSurface(NewFLC().System(), fuzzy.CompileOptions{ForceLattice: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := []float64{-3.5, 0, 1.1}
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xs[1] = -95 + float64(i%10)
-		hd, err := cs.Evaluate(xs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink += hd
-	}
-	if math.IsNaN(sink) {
-		b.Fatal("sink NaN")
-	}
 }
 
 // BenchmarkEvaluateParallel runs the fast path on every core with one

@@ -113,19 +113,17 @@ type (
 	// fast path (one per goroutine; see InferenceSystem.EvaluateInto).
 	Scratch = fuzzy.Scratch
 	// CompiledSurface is a precompiled control surface: the exact
-	// segment-table kernel for grid-shaped min/max systems (the paper's
-	// FLC), or a sampled interpolation lattice with a probe-reported
-	// error bound otherwise.  Scratch-free, allocation-free, concurrent.
+	// segment-table kernel of a grid-shaped min/max system (the paper's
+	// FLC).  Scratch-free, allocation-free, concurrent.
 	CompiledSurface = fuzzy.CompiledSurface
-	// CompileOptions tunes CompileSurface.
-	CompileOptions = fuzzy.CompileOptions
 )
 
-// CompileSurface compiles an inference system's control surface; see
+// CompileSurface compiles an inference system's control surface, or
+// reports why the system does not fit the kernel; see
 // fuzzy.CompileSurface.  FLC.Compile is the controller-level entry point
 // and core.DefaultCompiledFLC the shared compiled paper controller.
-func CompileSurface(s *InferenceSystem, opts CompileOptions) (*CompiledSurface, error) {
-	return fuzzy.CompileSurface(s, opts)
+func CompileSurface(s *InferenceSystem) (*CompiledSurface, error) {
+	return fuzzy.CompileSurface(s)
 }
 
 // DefaultCompiledFLC returns the process-wide compiled instance of the

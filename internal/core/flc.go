@@ -86,13 +86,12 @@ func NewFLCWithOptions(opts FLCOptions) (*FLC, error) {
 // Compile builds the compiled control surface and routes every subsequent
 // Evaluate/EvaluateInto/EvaluateBatch through it.  The paper's
 // configuration compiles into the exact segment-table kernel
-// (bit-equivalent); operator ablations fall back to a sampled
-// interpolation lattice of resolution points per axis (< 2: the fuzzy
-// package default) with a probe-reported error bound.  Call before the
-// FLC is shared across goroutines.  Compilation fails — leaving the FLC
-// on the exact path — for operator sets the surface compiler cannot bound.
-func (f *FLC) Compile(resolution int) error {
-	cs, err := fuzzy.CompileSurface(f.sys, fuzzy.CompileOptions{Resolution: resolution})
+// (bit-equivalent).  Call before the FLC is shared across goroutines.
+// Operator ablations outside the kernel's shape (non-min/max norms,
+// non-height defuzzifiers) fail compilation, leaving the FLC on the exact
+// path.
+func (f *FLC) Compile() error {
+	cs, err := fuzzy.CompileSurface(f.sys)
 	if err != nil {
 		return fmt.Errorf("core: compile control surface: %w", err)
 	}
@@ -118,7 +117,7 @@ var defaultCompiled struct {
 func DefaultCompiledFLC() (*FLC, error) {
 	defaultCompiled.once.Do(func() {
 		flc := NewFLC()
-		if err := flc.Compile(0); err != nil {
+		if err := flc.Compile(); err != nil {
 			defaultCompiled.err = err
 			return
 		}

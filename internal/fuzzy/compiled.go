@@ -9,51 +9,28 @@ import (
 // bounded inputs is a fixed function of its input vector, so the whole
 // Mamdani pipeline — fuzzification, rule inference, defuzzification — can
 // be compiled offline into a form that answers online queries without the
-// rule loop.  CompileSurface produces one of two representations:
+// rule loop.  CompileSurface compiles a "grid shaped" system (like the
+// paper's FLC: 2–8 inputs with piecewise-linear terms, a dense AND rule
+// table, min/max norms, height defuzzification) into an exact kernel:
+// every input axis becomes a breakpoint segment table — per segment, the
+// ≤ 2 active terms and their linear grade forms — and a query, whatever
+// the axis count, is one walk: d segment lookups, prefix mins doubled over
+// the first d−1 axes, 2^d table-indexed min/max folds against the last
+// axis and one weighted average.  The kernel reproduces EvaluateInto's
+// arithmetic operation for operation (the construction validates every
+// segment formula against the membership functions bit-for-bit), so its
+// reported error bound is effectively zero.
 //
-//   - Exact kernel: when the system is "grid shaped" (like the paper's
-//     FLC: 2–8 inputs with piecewise-linear terms, a dense AND rule table,
-//     min/max norms, height defuzzification), every input axis is compiled
-//     into a breakpoint segment table — per segment, the ≤ 2 active terms
-//     and their linear grade forms — and a query, whatever the axis count,
-//     is one walk: d segment lookups, prefix mins doubled over the first
-//     d−1 axes, 2^d table-indexed min/max folds against the last axis and
-//     one weighted average.  The kernel reproduces EvaluateInto's
-//     arithmetic operation for operation (the construction validates every
-//     segment formula against the membership functions bit-for-bit), so
-//     its reported error bound is effectively zero.
-//
-//   - Interpolation lattice: for every other operator family the compiler
-//     samples the exact path on a dense res^d grid over the input
-//     universes and answers queries by multilinear interpolation from a
-//     flat []float64.  The constructor probes the 2×-refined grid (every
-//     cell center, face center and edge midpoint) and reports a
-//     conservative error bound — honest but large near the creases the
-//     min/max operators produce, which is exactly why those systems get
-//     the kernel instead.
-//
-// Either way a CompiledSurface is immutable, allocation-free to query, and
-// safe for concurrent use without scratch buffers.  Systems the compiler
-// can bound neither way (sampling fails, e.g. ErrNoActivation from an
-// incomplete rulebase over a sparse universe) return an error and callers
-// fall back to the exact EvaluateInto path.
-
-// DefaultCompiledResolution is the per-axis lattice resolution used when
-// CompileSurface is given a resolution < 2.  65 points per axis keeps a
-// 3-input lattice at 65³ ≈ 275k float64 (≈ 2.1 MiB).
-const DefaultCompiledResolution = 65
-
-// maxLatticePoints caps the lattice size (resolution^inputs): 2^22 points
-// is 32 MiB of float64 — beyond that the cache behaviour that makes the
-// lattice fast is gone anyway.
-const maxLatticePoints = 1 << 22
+// A CompiledSurface is immutable, allocation-free to query, and safe for
+// concurrent use without scratch buffers.  Systems outside that shape
+// (other norms or defuzzifiers, smooth terms, fewer than 2 or more than 8
+// inputs) fail compilation, and callers keep the exact EvaluateInto path.
 
 // compiledSlack is the safety factor applied to the probe-observed maximum
-// error to obtain the reported bound.  The probe grid hits every cell
-// midpoint; for the piecewise-smooth surfaces fuzzy systems produce, the
-// true maximum sits near a mid-cell kink and exceeds the midpoint sample
-// by at most ~1.5× (one-sided kink at quarter-cell); 2× adds headroom for
-// diagonal creases.
+// error to obtain the reported bound.  The kernel is arithmetic-identical
+// to the exact path, so the probe observes 0 and the bound is its 1e-12
+// floor; should a rounding difference ever show at a probe point, the
+// factor covers larger ones between probe points.
 const compiledSlack = 2.0
 
 // kernelMaxOutTerms bounds the output-term count the exact kernel supports
@@ -127,55 +104,30 @@ type surfaceKernel struct {
 	mid      []float64    // output-term core midpoints
 }
 
-// CompiledSurface is the precompiled control surface of a System.
-// Construct with CompileSurface; query with Evaluate/EvaluateBatch.  Exact
-// reports which representation backs it.
+// CompiledSurface is the precompiled control surface of a System: its
+// exact kernel.  Construct with CompileSurface; query with
+// Evaluate/EvaluateBatch.
 type CompiledSurface struct {
 	sys   *System
 	dims  int
 	bound float64
-
-	kern *surfaceKernel // exact kernel, nil in lattice mode
-
-	// Interpolation lattice (nil values in exact mode).
-	res    int
-	min    []float64
-	step   []float64
-	invStp []float64
-	stride []int
-	values []float64
+	kern  *surfaceKernel
 }
 
-// CompileOptions tunes CompileSurface.
-type CompileOptions struct {
-	// Resolution is the per-axis lattice resolution (< 2 selects
-	// DefaultCompiledResolution).  Ignored by the exact kernel, which has
-	// no grid.
-	Resolution int
-	// ForceLattice skips the exact kernel even for eligible systems —
-	// for lattice accuracy sweeps and kernel-vs-lattice benchmarks.
-	ForceLattice bool
-}
-
-// CompileSurface compiles the system's control surface, preferring the
-// exact kernel and falling back to an opts.Resolution-point-per-axis
-// interpolation lattice.  Construction fails when the sampler cannot bound
-// the surface; callers then keep using the exact EvaluateInto path.
-func CompileSurface(s *System, opts CompileOptions) (*CompiledSurface, error) {
+// CompileSurface compiles the system's control surface into the exact
+// kernel.  It returns the kernel's eligibility error for systems that are
+// not grid shaped, and the probe's error should the kernel disagree with
+// the exact path; callers then keep using the exact EvaluateInto path.
+func CompileSurface(s *System) (*CompiledSurface, error) {
 	if s == nil {
 		return nil, fmt.Errorf("fuzzy: compile of nil system")
 	}
-	cs := &CompiledSurface{sys: s, dims: len(s.inputs)}
-	if !opts.ForceLattice {
-		if kern, err := compileKernel(s); err == nil {
-			cs.kern = kern
-			if err := cs.probeKernel(); err != nil {
-				return nil, err
-			}
-			return cs, nil
-		}
+	kern, err := compileKernel(s)
+	if err != nil {
+		return nil, err
 	}
-	if err := cs.buildLattice(opts.Resolution); err != nil {
+	cs := &CompiledSurface{sys: s, dims: len(s.inputs), kern: kern}
+	if err := cs.probeKernel(); err != nil {
 		return nil, err
 	}
 	return cs, nil
@@ -597,169 +549,6 @@ func (cs *CompiledSurface) probeKernel() error {
 	return nil
 }
 
-// --- Interpolation lattice -------------------------------------------------
-
-// buildLattice samples the exact path on a res^d grid and measures the
-// interpolation error bound on the 2×-refined grid.
-func (cs *CompiledSurface) buildLattice(res int) error {
-	s := cs.sys
-	if res < 2 {
-		res = DefaultCompiledResolution
-	}
-	d := cs.dims
-	points := 1
-	for i := 0; i < d; i++ {
-		points *= res
-		if points > maxLatticePoints {
-			return fmt.Errorf("fuzzy: lattice %d^%d exceeds %d points", res, d, maxLatticePoints)
-		}
-	}
-	cs.res = res
-	cs.min = make([]float64, d)
-	cs.step = make([]float64, d)
-	cs.invStp = make([]float64, d)
-	cs.stride = make([]int, d)
-	cs.values = make([]float64, points)
-	for i, v := range s.inputs {
-		cs.min[i] = v.Min
-		cs.step[i] = (v.Max - v.Min) / float64(res-1)
-		cs.invStp[i] = 1 / cs.step[i]
-	}
-	stride := 1
-	for i := d - 1; i >= 0; i-- {
-		cs.stride[i] = stride
-		stride *= res
-	}
-
-	sc := s.NewScratch()
-	xs := sc.Xs()
-	ctr := make([]int, d)
-	for idx := range cs.values {
-		for i := 0; i < d; i++ {
-			if ctr[i] == res-1 {
-				xs[i] = s.inputs[i].Max // pin the edge to the exact universe bound
-			} else {
-				xs[i] = cs.min[i] + float64(ctr[i])*cs.step[i]
-			}
-		}
-		y, err := s.EvaluateInto(sc, xs)
-		if err != nil {
-			return fmt.Errorf("fuzzy: compile sample at %v: %w", xs, err)
-		}
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			return fmt.Errorf("fuzzy: compile sample at %v is not finite", xs)
-		}
-		cs.values[idx] = y
-		for i := d - 1; i >= 0; i-- {
-			ctr[i]++
-			if ctr[i] < res {
-				break
-			}
-			ctr[i] = 0
-		}
-	}
-	return cs.probeLattice(sc)
-}
-
-// probeLattice walks the 2×-refined grid (all points with at least one
-// half-step coordinate: cell centers, face centers, edge midpoints),
-// compares the exact output with the interpolated one, and records the
-// observed maximum × compiledSlack as the reported bound.  Lattice points
-// themselves interpolate exactly and are skipped.
-func (cs *CompiledSurface) probeLattice(sc *Scratch) error {
-	d := cs.dims
-	fine := 2*cs.res - 1
-	xs := sc.Xs()
-	ctr := make([]int, d)
-	maxErr := 0.0
-	for {
-		onLattice := true
-		for i := 0; i < d; i++ {
-			if ctr[i]%2 != 0 {
-				onLattice = false
-			}
-			if ctr[i] == fine-1 {
-				xs[i] = cs.sys.inputs[i].Max
-			} else {
-				xs[i] = cs.min[i] + float64(ctr[i])*cs.step[i]/2
-			}
-		}
-		if !onLattice {
-			exact, err := cs.sys.EvaluateInto(sc, xs)
-			if err != nil {
-				return fmt.Errorf("fuzzy: compile probe at %v: %w", xs, err)
-			}
-			if e := math.Abs(exact - cs.interp(xs)); e > maxErr {
-				maxErr = e
-			}
-		}
-		i := d - 1
-		for ; i >= 0; i-- {
-			ctr[i]++
-			if ctr[i] < fine {
-				break
-			}
-			ctr[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	cs.bound = compiledSlack*maxErr + 1e-12
-	return nil
-}
-
-// locate maps x to its cell index and intra-cell fraction on one lattice
-// axis.  Out-of-universe values clamp to the edge cells — exactly the
-// saturation the exact path applies via Variable.Clamp.  NaN must be
-// rejected by the caller (its comparisons would select the origin cell).
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (cs *CompiledSurface) locate(ax int, x float64) (int, float64) {
-	t := (x - cs.min[ax]) * cs.invStp[ax]
-	last := float64(cs.res - 1)
-	if t <= 0 {
-		return 0, 0
-	}
-	if t >= last {
-		return cs.res - 2, 1
-	}
-	i := int(t)
-	return i, t - float64(i)
-}
-
-// interp is the d-linear interpolation at xs (no validation): the
-// weighted sum of the 2^d corners of xs's cell.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func (cs *CompiledSurface) interp(xs []float64) float64 {
-	base := 0
-	var frac [24]float64 // d ≤ 22 whenever res^d fits maxLatticePoints (res ≥ 2)
-	for i := 0; i < cs.dims; i++ {
-		idx, f := cs.locate(i, xs[i])
-		base += idx * cs.stride[i]
-		frac[i] = f
-	}
-	out := 0.0
-	for corner := 0; corner < 1<<cs.dims; corner++ {
-		off, w := 0, 1.0
-		for i := 0; i < cs.dims; i++ {
-			if corner&(1<<i) != 0 {
-				off += cs.stride[i]
-				w *= frac[i]
-			} else {
-				w *= 1 - frac[i]
-			}
-		}
-		if w != 0 {
-			out += w * cs.values[base+off]
-		}
-	}
-	return out
-}
-
 // --- Queries ---------------------------------------------------------------
 
 // System returns the system the surface was compiled from.
@@ -768,21 +557,9 @@ func (cs *CompiledSurface) System() *System { return cs.sys }
 // NumInputs returns the number of input axes.
 func (cs *CompiledSurface) NumInputs() int { return cs.dims }
 
-// Exact reports whether the surface is backed by the exact kernel (true)
-// or the interpolation lattice (false).
-func (cs *CompiledSurface) Exact() bool { return cs.kern != nil }
-
-// Resolution returns the per-axis lattice resolution (0 in exact-kernel
-// mode, which has no grid).
-func (cs *CompiledSurface) Resolution() int { return cs.res }
-
-// Points returns the number of lattice points (0 in exact-kernel mode).
-func (cs *CompiledSurface) Points() int { return len(cs.values) }
-
 // ErrorBound returns the constructor-reported bound on |compiled − exact|
-// over the whole universe: the probe-observed maximum × a safety factor
-// (≈ 1e-12 in exact-kernel mode; the accuracy regression tests pin real
-// errors under the bound in both modes).
+// over the whole universe: the probe-observed maximum × a safety factor,
+// ≈ 1e-12 (the accuracy regression tests pin real errors under it).
 func (cs *CompiledSurface) ErrorBound() float64 { return cs.bound }
 
 // Evaluate computes the compiled surface at the positional input vector
@@ -804,19 +581,16 @@ func (cs *CompiledSurface) Evaluate(xs []float64) (float64, error) {
 			return 0, fmt.Errorf("fuzzy: input %q is NaN", cs.sys.inputs[i].Name)
 		}
 	}
-	if cs.kern != nil {
-		var w kernelWalk
-		return cs.kern.walk(xs, &w)
-	}
-	return cs.interp(xs), nil
+	var w kernelWalk
+	return cs.kern.walk(xs, &w)
 }
 
 // EvaluateBatch computes a whole column batch: dst[i] is the output at
 // (cols[0][i], cols[1][i], …).  All columns must have len(dst).  Rows with
-// a NaN input — or, in exact-kernel mode, rows where no rule fires — get
-// dst[i] = NaN (finite lattice values and fired kernels cannot produce
-// NaN, so NaN unambiguously marks a rejected row); the error return
-// covers shape problems only.  The call performs no heap allocations.
+// a NaN input, and rows where no rule fires, get dst[i] = NaN (a fired
+// kernel cannot produce NaN, so NaN unambiguously marks a rejected row);
+// the error return covers shape problems only.  The call performs no heap
+// allocations.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
@@ -831,7 +605,7 @@ func (cs *CompiledSurface) EvaluateBatch(dst []float64, cols [][]float64) error 
 			return fmt.Errorf("fuzzy: column length %d ≠ batch length %d", len(c), len(dst))
 		}
 	}
-	var xs [24]float64 // d ≤ kernelMaxAxes on the kernel, d ≤ 22 on the lattice
+	var xs [kernelMaxAxes]float64
 	var w kernelWalk
 	row := xs[:cs.dims]
 	for i := range dst {
@@ -844,18 +618,15 @@ func (cs *CompiledSurface) EvaluateBatch(dst []float64, cols [][]float64) error 
 			}
 			row[a] = x
 		}
-		switch {
-		case bad:
+		if bad {
 			dst[i] = math.NaN()
-		case cs.kern == nil:
-			dst[i] = cs.interp(row)
-		default:
-			y, err := cs.kern.walk(row, &w)
-			if err != nil {
-				y = math.NaN() // no rule fired: mark the row, keep the batch going
-			}
-			dst[i] = y
+			continue
 		}
+		y, err := cs.kern.walk(row, &w)
+		if err != nil {
+			y = math.NaN() // no rule fired: mark the row, keep the batch going
+		}
+		dst[i] = y
 	}
 	return nil
 }

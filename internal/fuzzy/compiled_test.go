@@ -208,15 +208,9 @@ func maxAbsError(t *testing.T, sys *System, cs *CompiledSurface, n int, seed int
 }
 
 func TestCompiledKernelSelectedForGridShape(t *testing.T) {
-	cs, err := CompileSurface(paperShapedSystem(t, Options{}), CompileOptions{})
+	cs, err := CompileSurface(paperShapedSystem(t, Options{}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cs.Exact() {
-		t.Fatal("paper-shaped system compiled to the lattice, want the exact kernel")
-	}
-	if cs.Points() != 0 {
-		t.Fatalf("exact kernel reports %d lattice points, want 0", cs.Points())
 	}
 	if b := cs.ErrorBound(); b > 1e-9 {
 		t.Fatalf("exact kernel error bound %g, want ≈ 0", b)
@@ -225,7 +219,7 @@ func TestCompiledKernelSelectedForGridShape(t *testing.T) {
 
 func TestCompiledKernelMatchesExact(t *testing.T) {
 	sys := paperShapedSystem(t, Options{})
-	cs, err := CompileSurface(sys, CompileOptions{})
+	cs, err := CompileSurface(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,82 +228,30 @@ func TestCompiledKernelMatchesExact(t *testing.T) {
 	}
 }
 
-func TestCompiledLatticeWithinBound(t *testing.T) {
-	// Non-default operators are ineligible for the kernel: these systems
-	// must land on the lattice and still respect the reported bound.
+func TestCompiledRejectsUnboundableOperatorSet(t *testing.T) {
+	// The kernel reproduces min/max inference with height
+	// defuzzification only: every other operator set fails compilation,
+	// and callers keep the exact path.
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"product-norm", Options{AndNorm: ProductNorm, OrNorm: ProbSumNorm}},
+		{"lukasiewicz", Options{AndNorm: LukasiewiczNorm, OrNorm: BoundedSumNorm}},
 		{"centroid", Options{Defuzzifier: Centroid{Samples: 64}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys := paperShapedSystem(t, tc.opts)
-			cs, err := CompileSurface(sys, CompileOptions{Resolution: 17})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cs.Exact() {
-				t.Fatal("non-default operator set took the exact kernel")
-			}
-			if got, bound := maxAbsError(t, sys, cs, 4000, 2), cs.ErrorBound(); got > bound {
-				t.Fatalf("lattice max abs error %g exceeds reported bound %g", got, bound)
+			if cs, err := CompileSurface(paperShapedSystem(t, tc.opts)); err == nil || cs != nil {
+				t.Fatalf("ineligible operator set compiled: surface %v, err %v", cs, err)
 			}
 		})
 	}
 }
 
-func TestCompiledRejectsUnboundableOperatorSet(t *testing.T) {
-	// Łukasiewicz AND zeroes whole regions of the universe (no rule
-	// fires), so neither the kernel nor the lattice sampler can bound the
-	// surface: construction must fail and callers keep the exact path.
-	sys := paperShapedSystem(t, Options{AndNorm: LukasiewiczNorm, OrNorm: BoundedSumNorm})
-	if _, err := CompileSurface(sys, CompileOptions{Resolution: 17}); err == nil {
-		t.Fatal("unboundable operator set compiled without error")
-	}
-}
-
-func TestCompiledLatticeBoundTightensWithResolution(t *testing.T) {
-	sys := paperShapedSystem(t, Options{AndNorm: ProductNorm, OrNorm: ProbSumNorm})
-	prev := math.Inf(1)
-	for _, res := range []int{9, 17, 33, 65} {
-		cs, err := CompileSurface(sys, CompileOptions{Resolution: res, ForceLattice: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b := cs.ErrorBound(); b > prev {
-			t.Fatalf("bound grew with resolution: %g at res %d, %g before", b, res, prev)
-		} else {
-			prev = b
-		}
-		if got := maxAbsError(t, sys, cs, 4000, 3); got > cs.ErrorBound() {
-			t.Fatalf("res %d: max abs error %g exceeds bound %g", res, got, cs.ErrorBound())
-		}
-	}
-}
-
-func TestCompiledForcedLatticeStillWithinBound(t *testing.T) {
-	// Forcing the kernel-eligible system onto the lattice exercises the
-	// interpolation path against the creased min/max surface.
-	sys := paperShapedSystem(t, Options{})
-	cs, err := CompileSurface(sys, CompileOptions{Resolution: 33, ForceLattice: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Exact() {
-		t.Fatal("ForceLattice compiled the kernel")
-	}
-	if got, bound := maxAbsError(t, sys, cs, 6000, 4), cs.ErrorBound(); got > bound {
-		t.Fatalf("forced lattice max abs error %g exceeds bound %g", got, bound)
-	}
-}
-
 func TestCompiledRandomPerturbations(t *testing.T) {
-	// Random operator/partition perturbations: jittered triangular
-	// partitions under every kernel-ineligible operator pairing must stay
-	// within their reported bounds; unperturbed jitter-free shapes take
-	// the kernel and must match exactly.
+	// Random partition perturbations: jittered shoulder–triangle–shoulder
+	// partitions compile to the kernel and must stay within its reported
+	// bound.
 	rng := rand.New(rand.NewSource(99))
 	jitterVar := func(name string, lo, hi float64) *Variable {
 		span := hi - lo
@@ -343,27 +285,22 @@ func TestCompiledRandomPerturbations(t *testing.T) {
 				}
 			}
 		}
-		opts := Options{}
-		if trial%2 == 1 {
-			opts = Options{AndNorm: ProductNorm, OrNorm: ProbSumNorm}
-		}
-		sys, err := NewSystem(y, rb, opts, a, b, c)
+		sys, err := NewSystem(y, rb, Options{}, a, b, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := CompileSurface(sys, CompileOptions{Resolution: 17})
+		cs, err := CompileSurface(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, bound := maxAbsError(t, sys, cs, 3000, int64(trial)), cs.ErrorBound(); got > bound {
-			t.Fatalf("trial %d (exact=%v): max abs error %g exceeds bound %g",
-				trial, cs.Exact(), got, bound)
+			t.Fatalf("trial %d: max abs error %g exceeds bound %g", trial, got, bound)
 		}
 	}
 }
 
 func TestCompiledRejectsNaNAndShapes(t *testing.T) {
-	cs, err := CompileSurface(paperShapedSystem(t, Options{}), CompileOptions{})
+	cs, err := CompileSurface(paperShapedSystem(t, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,26 +337,20 @@ type namedSurface struct {
 }
 
 // compiledSurfaces are the inputs of the query tests: the paper-shaped
-// kernel and lattice, and a 4-axis kernel.
+// kernel and a 4-axis kernel.
 func compiledSurfaces(t *testing.T) []namedSurface {
 	t.Helper()
-	paper := paperShapedSystem(t, Options{})
 	var out []namedSurface
 	for _, c := range []struct {
 		name string
 		sys  *System
-		opts CompileOptions
 	}{
-		{"kernel/d=3", paper, CompileOptions{}},
-		{"lattice/d=3", paper, CompileOptions{Resolution: 17, ForceLattice: true}},
-		{"kernel/d=4", axesSystem(t, 4, 3, func(int, *Rule) bool { return true }), CompileOptions{}},
+		{"kernel/d=3", paperShapedSystem(t, Options{})},
+		{"kernel/d=4", axesSystem(t, 4, 3, func(int, *Rule) bool { return true })},
 	} {
-		cs, err := CompileSurface(c.sys, c.opts)
+		cs, err := CompileSurface(c.sys)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if cs.Exact() == c.opts.ForceLattice {
-			t.Fatalf("%s: Exact() = %v", c.name, cs.Exact())
 		}
 		out = append(out, namedSurface{c.name, cs})
 	}
@@ -529,12 +460,9 @@ func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := tc.sys(t)
 			d := len(sys.Inputs())
-			cs, err := CompileSurface(sys, CompileOptions{})
+			cs, err := CompileSurface(sys)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !cs.Exact() {
-				t.Fatal("grid-shaped system compiled to the lattice, want the exact kernel")
 			}
 			if cs.kern.complete != (tc.table == "complete") {
 				t.Fatalf("kernel complete = %v for the %s table", cs.kern.complete, tc.table)
@@ -616,12 +544,9 @@ func TestCompiledIncompleteGridStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := CompileSurface(sys2, CompileOptions{})
+	cs, err := CompileSurface(sys2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cs.Exact() {
-		t.Fatal("incomplete grid lost the exact kernel")
 	}
 	if got, bound := maxAbsError(t, sys2, cs, 10000, 6), cs.ErrorBound(); got > bound {
 		t.Fatalf("incomplete-grid kernel max abs error %g exceeds bound %g", got, bound)

@@ -221,9 +221,6 @@ func TestTrendCompiledMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compiled.surface.Exact() {
-		t.Fatalf("trend surface compiled to a lattice (bound %g), want the exact kernel", compiled.surface.ErrorBound())
-	}
 	for cssp := core.CsspMin; cssp <= core.CsspMax; cssp += 1.9 {
 		for ssn := core.SsnMin; ssn <= core.SsnMax; ssn += 3.7 {
 			for dmb := core.DmbMin; dmb <= core.DmbMax; dmb += 0.17 {

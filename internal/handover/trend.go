@@ -141,7 +141,7 @@ func DefaultTrendSurface() (*fuzzy.CompiledSurface, error) {
 			trendSurfErr = err
 			return
 		}
-		trendSurf, trendSurfErr = fuzzy.CompileSurface(sys, fuzzy.CompileOptions{})
+		trendSurf, trendSurfErr = fuzzy.CompileSurface(sys)
 	})
 	return trendSurf, trendSurfErr
 }

@@ -240,7 +240,7 @@ func (c *NodeClient) send(rs []Report, block bool) error {
 	// client cannot account.  The in-process backends accept what the
 	// engine accepts; the wire must be held to the wire's rules here.
 	for i := range rs {
-		if err := rs[i].Wire().Validate(); err != nil {
+		if err := validateReport(&rs[i]); err != nil {
 			return fmt.Errorf("serve: node %s: report %d: %w", c.addr, i, err)
 		}
 	}

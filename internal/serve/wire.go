@@ -75,10 +75,7 @@ type WireOutcome struct {
 }
 
 // Wire converts a report to its wire shape — the inverse of
-// WireReport.Report, used by clients to validate before encoding (a
-// non-finite float would render as a bare NaN/Inf token, which is not
-// JSON, and an invalid report would poison its whole coalesced batch
-// line at the remote daemon).
+// WireReport.Report.
 func (r Report) Wire() WireReport {
 	return WireReport{
 		Terminal:   uint64(r.Terminal),

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint escape-check bench-build microbench-smoke bench bench-ab load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check lint escape-check bench-build microbench-smoke bench bench-ab load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,23 @@ load-smoke:
 	grep -q '"decisions_per_sec"' /tmp/fuzzyho-load-series.jsonl
 	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30 -compiled
 	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30,50 -algo adaptive -compiled
+
+# In-process cluster routing against a single node: the same 1 s
+# compiled hoload run through a 2-node cluster.Local and through one
+# engine.  On a multi-core runner the cluster must sustain at least a
+# single node's throughput, less 20% headroom for runner noise.
+cluster-throughput-smoke:
+	sh -ec '\
+		$(GO) run ./cmd/hoload -terminals 256 -shards 2 -cluster 2 -duration 1s -replicas 2 -speeds 0,30 -compiled \
+			>/tmp/fuzzyho-cluster.out; \
+		cat /tmp/fuzzyho-cluster.out; \
+		$(GO) run ./cmd/hoload -terminals 256 -shards 2 -duration 1s -replicas 2 -speeds 0,30 -compiled \
+			>/tmp/fuzzyho-single.out; \
+		cat /tmp/fuzzyho-single.out; \
+		CL=$$(grep -o "throughput  [0-9]*" /tmp/fuzzyho-cluster.out | grep -o "[0-9]*"); \
+		SG=$$(grep -o "throughput  [0-9]*" /tmp/fuzzyho-single.out | grep -o "[0-9]*"); \
+		echo "cluster=$$CL single=$$SG"; \
+		test "$$CL" -ge $$((SG * 80 / 100))'
 
 # Short end-to-end run through the multi-node cluster router: in-process
 # replay, then the full TCP wire path (2 hoserve daemons + hocluster).
@@ -189,4 +206,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip $(FUZZ_FLAGS)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine $(FUZZ_FLAGS)
 
-ci: vet fmt-check lint escape-check build bench-build test microbench-smoke race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke
+ci: vet fmt-check lint escape-check build bench-build test microbench-smoke race load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

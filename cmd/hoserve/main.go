@@ -26,8 +26,9 @@
 // failing report.  In TCP mode each terminal is exclusively owned by the
 // first connection that submits it — a second connection submitting the
 // same terminal has the line rejected with an ownership error until the
-// owner disconnects or a connection with the same -client identity takes
-// the claims over after a drain (see serve.DecisionMux) — so one
+// owner disconnects or a connection announcing the same identity (the
+// "client" field of the {"ctl":"hello"} line serve.NodeClient sends)
+// takes the claims over after a drain (see serve.DecisionMux) — so one
 // terminal's state stream can never interleave across clients.  -stats
 // prints per-shard throughput snapshots to stderr.
 //

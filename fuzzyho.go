@@ -275,9 +275,6 @@ type (
 	// FeatureFrame is the reusable columnar (structure-of-arrays) batch a
 	// BatchScorer scores.
 	FeatureFrame = handover.FeatureFrame
-	// ExtValue is one named extension feature carried by a wire report's
-	// "x" object.
-	ExtValue = handover.ExtValue
 	// TrendState is the per-terminal EWMA slope state behind the SSN-trend
 	// feature.
 	TrendState = handover.TrendState

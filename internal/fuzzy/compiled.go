@@ -17,21 +17,15 @@ import (
 // the axis count, is one walk: d segment lookups, prefix mins doubled over
 // the first d−1 axes, 2^d table-indexed min/max folds against the last
 // axis and one weighted average.  The kernel reproduces EvaluateInto's
-// arithmetic operation for operation (the construction validates every
-// segment formula against the membership functions bit-for-bit), so its
-// reported error bound is effectively zero.
+// arithmetic operation for operation: construction validates every
+// segment formula against the membership functions, then probes the
+// kernel against EvaluateInto and fails on any difference above
+// kernelValidationTol.
 //
 // A CompiledSurface is immutable, allocation-free to query, and safe for
 // concurrent use without scratch buffers.  Systems outside that shape
 // (other norms or defuzzifiers, smooth terms, fewer than 2 or more than 8
 // inputs) fail compilation, and callers keep the exact EvaluateInto path.
-
-// compiledSlack is the safety factor applied to the probe-observed maximum
-// error to obtain the reported bound.  The kernel is arithmetic-identical
-// to the exact path, so the probe observes 0 and the bound is its 1e-12
-// floor; should a rounding difference ever show at a probe point, the
-// factor covers larger ones between probe points.
-const compiledSlack = 2.0
 
 // kernelMaxOutTerms bounds the output-term count the exact kernel supports
 // (its activation accumulator lives on the stack so queries stay
@@ -108,10 +102,9 @@ type surfaceKernel struct {
 // exact kernel.  Construct with CompileSurface; query with
 // Evaluate/EvaluateBatch.
 type CompiledSurface struct {
-	sys   *System
-	dims  int
-	bound float64
-	kern  *surfaceKernel
+	sys  *System
+	dims int
+	kern *surfaceKernel
 }
 
 // CompileSurface compiles the system's control surface into the exact
@@ -224,10 +217,11 @@ func compileAxis(v *Variable, stride int32) (*kernelAxis, error) {
 }
 
 // kernelValidationTol bounds |compiled grade − MF grade| at the validation
-// points of one segment.  The affine form differs from the membership
-// function's own division only by the rounding of the precomputed
-// reciprocal — a few ulps; anything larger means the branch analysis
-// picked the wrong form and the kernel must not ship.
+// points of one segment, and |kernel − EvaluateInto| at every probe
+// point.  The affine form differs from the membership function's own
+// division only by the rounding of the precomputed reciprocal — a few
+// ulps; anything larger means the construction picked the wrong form and
+// the kernel must not ship.
 const kernelValidationTol = 1e-9
 
 // compileSegment resolves the active terms and grade forms on [lo, hi].
@@ -492,12 +486,12 @@ func cfold(m, g float64, ot int32, act *[kernelMaxOutTerms]float64) {
 }
 
 // probeKernel cross-checks the kernel against the exact path on a modest
-// grid and sets the reported bound (expected ≈ 0: the kernel is
-// arithmetic-identical by construction).
+// grid and fails at the first point where the two differ by more than
+// kernelValidationTol (the kernel is arithmetic-identical by
+// construction, so any such point means it must not ship).
 func (cs *CompiledSurface) probeKernel() error {
 	sc := cs.sys.NewScratch()
 	xs := sc.Xs()
-	maxErr := 0.0
 	// Beyond three axes, probe the largest per-axis resolution from 13 down
 	// to 3 (both edges and the middle) whose d-th power fits
 	// kernelProbePoints: 13 at d = 4, 3 at d = 8.
@@ -528,8 +522,8 @@ func (cs *CompiledSurface) probeKernel() error {
 				// dead zone); per-query callers get the same error either way.
 				return nil
 			}
-			if e := math.Abs(exact - got); e > maxErr {
-				maxErr = e
+			if e := math.Abs(exact - got); !(e <= kernelValidationTol) { // NaN fails too
+				return fmt.Errorf("fuzzy: kernel probe at %v: kernel %g, exact %g", xs, got, exact)
 			}
 			return nil
 		}
@@ -542,11 +536,7 @@ func (cs *CompiledSurface) probeKernel() error {
 		}
 		return nil
 	}
-	if err := walk(0); err != nil {
-		return err
-	}
-	cs.bound = compiledSlack*maxErr + 1e-12
-	return nil
+	return walk(0)
 }
 
 // --- Queries ---------------------------------------------------------------
@@ -556,11 +546,6 @@ func (cs *CompiledSurface) System() *System { return cs.sys }
 
 // NumInputs returns the number of input axes.
 func (cs *CompiledSurface) NumInputs() int { return cs.dims }
-
-// ErrorBound returns the constructor-reported bound on |compiled − exact|
-// over the whole universe: the probe-observed maximum × a safety factor,
-// ≈ 1e-12 (the accuracy regression tests pin real errors under it).
-func (cs *CompiledSurface) ErrorBound() float64 { return cs.bound }
 
 // Evaluate computes the compiled surface at the positional input vector
 // (same order and clamping as EvaluateInto).  NaN inputs are rejected, as

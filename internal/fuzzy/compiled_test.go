@@ -208,12 +208,34 @@ func maxAbsError(t *testing.T, sys *System, cs *CompiledSurface, n int, seed int
 }
 
 func TestCompiledKernelSelectedForGridShape(t *testing.T) {
-	cs, err := CompileSurface(paperShapedSystem(t, Options{}))
+	sys := paperShapedSystem(t, Options{})
+	cs, err := CompileSurface(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := cs.ErrorBound(); b > 1e-9 {
-		t.Fatalf("exact kernel error bound %g, want ≈ 0", b)
+	if got := maxAbsError(t, sys, cs, 1000, 2); got > 1e-12 {
+		t.Fatalf("exact kernel max abs error %g, want ≈ 0", got)
+	}
+}
+
+// TestCompiledProbeFailsOnMismatch: the construction probe refuses a
+// kernel that disagrees with its system.  A kernel compiled from the
+// min/max system, probed against its product-norm twin, must fail; the
+// same kernel passes against its own system.
+func TestCompiledProbeFailsOnMismatch(t *testing.T) {
+	sys := paperShapedSystem(t, Options{})
+	kern, err := compileKernel(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := paperShapedSystem(t, Options{AndNorm: ProductNorm, OrNorm: ProbSumNorm})
+	mismatched := &CompiledSurface{sys: twin, dims: len(twin.inputs), kern: kern}
+	if err := mismatched.probeKernel(); err == nil {
+		t.Fatal("probe accepted a min/max kernel against the product-norm system")
+	}
+	own := &CompiledSurface{sys: sys, dims: len(sys.inputs), kern: kern}
+	if err := own.probeKernel(); err != nil {
+		t.Fatalf("probe rejected the kernel against its own system: %v", err)
 	}
 }
 
@@ -223,8 +245,8 @@ func TestCompiledKernelMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, bound := maxAbsError(t, sys, cs, 20000, 1), cs.ErrorBound(); got > bound {
-		t.Fatalf("kernel max abs error %g exceeds reported bound %g", got, bound)
+	if got := maxAbsError(t, sys, cs, 20000, 1); got > 1e-12 {
+		t.Fatalf("kernel max abs error %g exceeds 1e-12", got)
 	}
 }
 
@@ -250,8 +272,8 @@ func TestCompiledRejectsUnboundableOperatorSet(t *testing.T) {
 
 func TestCompiledRandomPerturbations(t *testing.T) {
 	// Random partition perturbations: jittered shoulder–triangle–shoulder
-	// partitions compile to the kernel and must stay within its reported
-	// bound.
+	// partitions compile to the kernel and must stay within 1e-12 of
+	// exact.
 	rng := rand.New(rand.NewSource(99))
 	jitterVar := func(name string, lo, hi float64) *Variable {
 		span := hi - lo
@@ -293,8 +315,8 @@ func TestCompiledRandomPerturbations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, bound := maxAbsError(t, sys, cs, 3000, int64(trial)), cs.ErrorBound(); got > bound {
-			t.Fatalf("trial %d: max abs error %g exceeds bound %g", trial, got, bound)
+		if got := maxAbsError(t, sys, cs, 3000, int64(trial)); got > 1e-12 {
+			t.Fatalf("trial %d: max abs error %g exceeds 1e-12", trial, got)
 		}
 	}
 }
@@ -548,8 +570,8 @@ func TestCompiledIncompleteGridStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, bound := maxAbsError(t, sys2, cs, 10000, 6), cs.ErrorBound(); got > bound {
-		t.Fatalf("incomplete-grid kernel max abs error %g exceeds bound %g", got, bound)
+	if got := maxAbsError(t, sys2, cs, 10000, 6); got > 1e-12 {
+		t.Fatalf("incomplete-grid kernel max abs error %g exceeds 1e-12", got)
 	}
 	// The removed rule is the all-first-terms combo: deep in that corner
 	// nothing fires, and the batch marks the row NaN.

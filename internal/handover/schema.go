@@ -7,39 +7,15 @@ import (
 )
 
 // This file is the feature-schema layer of the columnar decision pipeline.
-// The paper's FLC consumes exactly three antecedents (CSSP, SSN, DMB), and
-// that shape used to be positionally hardcoded through the batch interface
-// and the serving shards' struct-of-arrays buffers.  A FeatureSchema makes
-// the antecedent list a declared, ordered property of the scoring
-// algorithm instead: each feature names itself and knows how to extract
-// its value from a report (the measurement, any wire extension values, and
-// the terminal's derived state), and a FeatureFrame is the reusable
-// column container a shard gathers by that schema and a BatchScorer scores
-// against.  Adding an antecedent is then a schema declaration plus rules —
-// no pipeline surgery (TrendFuzzy's SSN-trend input is the proof).
-
-// ExtValue is one named extension-feature value carried alongside a
-// measurement — the decoded form of the wire report's optional "x" object.
-// Values ride in declaration order; schemas address them by name.
-type ExtValue struct {
-	Name  string
-	Value float64
-}
-
-// extLookup returns the named extension value, or def when absent.  The
-// list is tiny (a handful of extension features at most), so a linear scan
-// beats any map on the hot path.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func extLookup(ext []ExtValue, name string, def float64) float64 {
-	for i := range ext {
-		if ext[i].Name == name {
-			return ext[i].Value
-		}
-	}
-	return def
-}
+// A FeatureSchema is the declared, ordered antecedent list of a scoring
+// algorithm, and a FeatureFrame is the reusable column container a shard
+// gathers by that schema and a BatchScorer scores against.  There are two
+// built-in schemas: the paper's (CSSP, SSN, DMB — the three antecedents
+// the measurement carries) and the trend schema, which adds the
+// per-terminal SSN slope TrendFuzzy reads.  Adding an antecedent means a
+// new Gather column and a BatchScorer that reads it; a derived feature
+// also needs its state in DerivedState and in the snapshot codec, so it
+// migrates with the terminal.
 
 // TrendState is the per-terminal derived state behind the SSN-trend
 // feature: an exponentially weighted moving average of the epoch-to-epoch
@@ -108,149 +84,49 @@ type DerivedState struct {
 //fuzzyho:hotpath
 func (d *DerivedState) Reset() { d.Trend.Reset() }
 
-// featureKind classifies the package's built-in extractors so the gather
-// loop can read the measurement field directly instead of making an
-// indirect call per feature per row (the Gather hot path is one of the two
-// per-report passes the serving shards run).  featCustom — the zero value,
-// and the kind of every externally constructed Feature — dispatches
-// through the Extract func.
-type featureKind uint8
-
-const (
-	featCustom featureKind = iota
-	featCSSP
-	featSSN
-	featDMB
-	featTrend
-	featExt
-)
-
-// Feature is one named input column of a FeatureSchema.
-type Feature struct {
-	// Name identifies the feature; schema hashes are built from names.
-	Name string
-	// Stateful marks features whose extraction reads or advances the
-	// terminal's DerivedState.  A schema with any stateful feature must be
-	// gathered in per-terminal report order (serve shards enforce this).
-	Stateful bool
-	// Extract computes the feature value for one report.  d is nil for
-	// frames gathered without derived state (stateless schemas).
-	//
-	//fuzzyho:hotpath
-	Extract func(m *cell.Measurement, ext []ExtValue, d *DerivedState) float64
-
-	// kind lets Gather inline the built-in extractors; extDef is the
-	// absent-value default of featExt features.  Both mirror what Extract
-	// computes — the func stays the public, always-valid contract.
-	kind   featureKind
-	extDef float64
-}
-
-// FeatureCSSP is the paper's first antecedent: the change of the serving
-// signal strength in dB.
-func FeatureCSSP() Feature {
-	return Feature{Name: "cssp", kind: featCSSP,
-		Extract: func(m *cell.Measurement, _ []ExtValue, _ *DerivedState) float64 {
-			return m.CSSPdB
-		}}
-}
-
-// FeatureSSN is the paper's second antecedent: the strongest neighbor's
-// signal strength in dB.
-func FeatureSSN() Feature {
-	return Feature{Name: "ssn", kind: featSSN,
-		Extract: func(m *cell.Measurement, _ []ExtValue, _ *DerivedState) float64 {
-			return m.NeighborDB
-		}}
-}
-
-// FeatureDMB is the paper's third antecedent: the distance from the
-// serving BS, normalised by the cell radius.
-func FeatureDMB() Feature {
-	return Feature{Name: "dmb", kind: featDMB,
-		Extract: func(m *cell.Measurement, _ []ExtValue, _ *DerivedState) float64 {
-			return m.DMBNorm
-		}}
-}
-
-// FeatureSSNTrend is the derivative antecedent: the per-terminal EWMA
-// slope of SSN in dB per epoch, advanced by every gathered report.
-func FeatureSSNTrend() Feature {
-	return Feature{Name: "ssn_trend", Stateful: true, kind: featTrend,
-		Extract: func(m *cell.Measurement, _ []ExtValue, d *DerivedState) float64 {
-			return d.Trend.Observe(m.NeighborDB)
-		}}
-}
-
-// FeatureExtension reads a wire extension value ("x" object) by name,
-// falling back to def for reports that do not carry it — how a schema
-// consumes antecedents the measurement model does not compute.
-func FeatureExtension(name string, def float64) Feature {
-	return Feature{Name: name, kind: featExt, extDef: def,
-		Extract: func(_ *cell.Measurement, ext []ExtValue, _ *DerivedState) float64 {
-			return extLookup(ext, name, def)
-		}}
-}
-
 // FeatureSchema is an ordered, named feature list — the declared input
 // shape of a BatchScorer.  Order is part of the identity: column k of a
 // frame is feature k, and the schema hash (exchanged in the cluster hello)
 // covers names in order.
 type FeatureSchema struct {
-	features []Feature
+	names    []string
 	stateful bool
 	hash     uint64
 }
 
-// NewFeatureSchema validates and builds a schema from ordered features.
-func NewFeatureSchema(features ...Feature) (*FeatureSchema, error) {
-	if len(features) == 0 {
-		return nil, fmt.Errorf("handover: schema needs at least one feature")
+// newFeatureSchema builds a built-in schema: the paper's three
+// measurement columns, then the stateful SSN-trend column when trend is
+// set.
+func newFeatureSchema(trend bool) *FeatureSchema {
+	names := []string{"cssp", "ssn", "dmb"}
+	if trend {
+		names = append(names, "ssn_trend")
 	}
-	s := &FeatureSchema{features: make([]Feature, len(features))}
-	copy(s.features, features)
+	return &FeatureSchema{names: names, stateful: trend, hash: schemaHash(names)}
+}
+
+// schemaHash is the order-sensitive FNV-1a hash of names, each followed
+// by a NUL separator.
+func schemaHash(names []string) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
 	h := uint64(fnvOffset)
-	for i, f := range s.features {
-		if f.Name == "" {
-			return nil, fmt.Errorf("handover: schema feature %d has no name", i)
-		}
-		if f.Extract == nil {
-			return nil, fmt.Errorf("handover: schema feature %q has no extractor", f.Name)
-		}
-		for _, prev := range s.features[:i] {
-			if prev.Name == f.Name {
-				return nil, fmt.Errorf("handover: duplicate schema feature %q", f.Name)
-			}
-		}
-		for j := 0; j < len(f.Name); j++ {
-			h ^= uint64(f.Name[j])
+	for _, name := range names {
+		for j := 0; j < len(name); j++ {
+			h ^= uint64(name[j])
 			h *= fnvPrime
 		}
 		h ^= 0 // name separator
 		h *= fnvPrime
-		if f.Stateful {
-			s.stateful = true
-		}
 	}
-	s.hash = h
-	return s, nil
-}
-
-func mustSchema(features ...Feature) *FeatureSchema {
-	s, err := NewFeatureSchema(features...)
-	if err != nil {
-		panic(err)
-	}
-	return s
+	return h
 }
 
 var (
-	paperSchema = mustSchema(FeatureCSSP(), FeatureSSN(), FeatureDMB())
-	trendSchema = mustSchema(FeatureCSSP(), FeatureSSN(), FeatureDMB(), FeatureSSNTrend())
+	paperSchema = newFeatureSchema(false)
+	trendSchema = newFeatureSchema(true)
 )
 
 // PaperFeatureSchema is the paper's 3-antecedent schema (CSSP, SSN, DMB)
@@ -262,9 +138,11 @@ func PaperFeatureSchema() *FeatureSchema { return paperSchema }
 func TrendFeatureSchema() *FeatureSchema { return trendSchema }
 
 // Len returns the feature count.
-func (s *FeatureSchema) Len() int { return len(s.features) }
+func (s *FeatureSchema) Len() int { return len(s.names) }
 
-// Stateful reports whether any feature reads per-terminal derived state.
+// Stateful reports whether a feature reads per-terminal derived state
+// (the trend schema's SSN slope); such frames must be gathered in each
+// terminal's report order.
 func (s *FeatureSchema) Stateful() bool { return s.stateful }
 
 // Hash is the order-sensitive FNV-1a hash of the feature names — the
@@ -272,16 +150,7 @@ func (s *FeatureSchema) Stateful() bool { return s.stateful }
 func (s *FeatureSchema) Hash() uint64 { return s.hash }
 
 // Names returns the feature names in column order (a fresh slice).
-func (s *FeatureSchema) Names() []string {
-	out := make([]string, len(s.features))
-	for i, f := range s.features {
-		out[i] = f.Name
-	}
-	return out
-}
-
-// Feature returns feature k.
-func (s *FeatureSchema) Feature(k int) Feature { return s.features[k] }
+func (s *FeatureSchema) Names() []string { return append([]string(nil), s.names...) }
 
 // FeatureFrame is the reusable struct-of-arrays container of one scored
 // sub-batch: the schema's feature columns plus the serving/speed columns
@@ -368,46 +237,31 @@ func (f *FeatureFrame) grow(n int) {
 	f.cap = n
 }
 
-// Gather fills row i from one report: the serving/speed columns and every
-// schema feature's extraction.  For stateful schemas d must be the
-// terminal's derived state and rows must be gathered in that terminal's
-// report order (stateful extractors advance d); stateless schemas may
-// pass d = nil.
+// Gather fills row i from one report: the serving/speed columns, the
+// paper's three feature columns and, for the trend schema, the SSN slope.
+// For the trend schema d must be the terminal's derived state and rows
+// must be gathered in that terminal's report order (the slope advances
+// d); the paper schema may pass d = nil.
 //
 //fuzzyho:hotpath
-func (f *FeatureFrame) Gather(i int, m *cell.Measurement, ext []ExtValue, d *DerivedState) {
+func (f *FeatureFrame) Gather(i int, m *cell.Measurement, d *DerivedState) {
 	f.Serving[i] = m.ServingDB
 	f.Speed[i] = m.SpeedKmh
-	feats := f.schema.features
-	for k := range feats {
-		ft := &feats[k]
-		var v float64
-		switch ft.kind {
-		case featCSSP:
-			v = m.CSSPdB
-		case featSSN:
-			v = m.NeighborDB
-		case featDMB:
-			v = m.DMBNorm
-		case featTrend:
-			v = d.Trend.Observe(m.NeighborDB)
-		case featExt:
-			v = extLookup(ext, ft.Name, ft.extDef)
-		default:
-			//fuzzyho:allow extractor dispatch: custom extractors are fixed at schema construction (NewFeatureSchema) and audited there — the built-in kinds above never reach this call
-			v = ft.Extract(m, ext, d)
-		}
-		f.cols[k][i] = v
+	f.cols[0][i] = m.CSSPdB
+	f.cols[1][i] = m.NeighborDB
+	f.cols[2][i] = m.DMBNorm
+	if f.schema.stateful {
+		f.cols[3][i] = d.Trend.Observe(m.NeighborDB)
 	}
 }
 
-// GatherMeasurements is the convenience bulk form for stateless schemas
-// and single-owner streams (tests, the sim table path): Reset to len(ms)
-// and gather every measurement in order against one derived state.
+// GatherMeasurements is the convenience bulk form for single-owner
+// streams (tests): Reset to len(ms) and gather every measurement in order
+// against one derived state.
 func (f *FeatureFrame) GatherMeasurements(ms []cell.Measurement, d *DerivedState) {
 	f.Reset(len(ms))
 	for i := range ms {
-		f.Gather(i, &ms[i], nil, d)
+		f.Gather(i, &ms[i], d)
 	}
 }
 
@@ -426,8 +280,8 @@ func frameSchemaErr(name string, want *FeatureSchema, f *FeatureFrame) error {
 func SchemaHashOf(a Algorithm) uint64 { return AsBatchScorer(a).Schema().Hash() }
 
 // ClampToUniverse clamps x into [lo, hi], mapping NaN to lo — the same
-// saturation core.ClampInputs applies to the paper inputs, exposed for
-// extension antecedents.
+// saturation core.ClampInputs applies to the paper inputs, applied to
+// the SSN-trend antecedent.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic

@@ -44,6 +44,14 @@ func TestTerminalLayout(t *testing.T) {
 	walk("terminal", reflect.TypeOf(terminal{}))
 }
 
+// TestReportLayout pins the per-report footprint: every queued report
+// is one Report, so a new field costs each queue slot its size.
+func TestReportLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Report{}); got != 112 {
+		t.Errorf("Report is %d B, want 112", got)
+	}
+}
+
 // outOfRange returns r with its serving (even k) or neighbor (odd k)
 // label one past the int32 range, and its powers moved: had the engine
 // stored anything of it, the terminal's later decisions would move too.

@@ -28,8 +28,8 @@ func FuzzParseBatchLine(f *testing.F) {
 	f.Add([]byte(`[{"terminal":1,"serving":[0,0],"neighbor":[1,0],"dmb":-2},` + single + `]`))
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"serving_db":1e999}`))
 	f.Add([]byte(`"just a string"`))
-	// Extension-feature object seeds: valid, wrong shape, wrong value
-	// type, duplicate name, and an unknown top-level field.
+	// Unknown top-level fields: "x" objects of several shapes, and a
+	// plain unknown key.
 	f.Add([]byte(strings.Replace(single, `"speed_kmh":30`, `"speed_kmh":30,"x":{"ssn_trend":-1.25}`, 1)))
 	f.Add([]byte(strings.Replace(single, `"speed_kmh":30`, `"speed_kmh":30,"x":{"b":2,"a":0}`, 1)))
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"x":[1]}`))

@@ -306,7 +306,9 @@ const maxReusedBatch = 4096
 // skipped; the reader keeps going.  A line whose batch fails validation
 // part-way is served up to the failing report: the validated prefix is
 // bound and submitted, and the error names the index where the rest was
-// dropped.  Returns lines read and lines (fully or partially) rejected.
+// dropped.  A read failure (a line past the 16 MiB cap, or a broken
+// connection) ends the input: the line it cut counts as read and
+// rejected.  Returns lines read and lines (fully or partially) rejected.
 //
 // Every line decodes into the same report slice, so submit must not
 // retain it (Daemon.Submit's contract); a slice grown past
@@ -355,6 +357,8 @@ func IngestLines(rd io.Reader, b *Binding, submit func([]Report) error, ctl func
 		}
 	}
 	if err := scanner.Err(); err != nil {
+		lines++
+		bad++
 		reject(lines, fmt.Errorf("read: %w", err))
 	}
 	return lines, bad

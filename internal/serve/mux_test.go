@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -8,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/handover"
 )
 
 func muxReportLine(terminal uint64, servingDB float64) string {
@@ -297,7 +296,8 @@ func TestBindingMutualTakeoverNoDeadlock(t *testing.T) {
 
 // TestIngestLongLines: ingest starts with a 64 KiB line buffer, so a
 // batch line longer than that and a full restore chunk must still
-// arrive whole.
+// arrive whole.  A line past the 16 MiB cap ends the input and counts as
+// rejected, so a daemon fed one exits non-zero.
 func TestIngestLongLines(t *testing.T) {
 	mux := NewDecisionMux()
 	const n = 1000
@@ -326,23 +326,30 @@ func TestIngestLongLines(t *testing.T) {
 	if submitted != n || restored != snapshotChunk {
 		t.Errorf("submitted %d reports and %d snapshots, want %d and %d", submitted, restored, n, snapshotChunk)
 	}
+
+	huge := append(bytes.Repeat([]byte(" "), 1<<24), '\n')
+	submitted, rejects = 0, nil
+	lines, bad = IngestLines(io.MultiReader(bytes.NewReader(huge), bytes.NewReader(AppendBatchJSON(nil, rs[:1]))),
+		NewBinding(mux, NewSink(io.Discard)),
+		func(rs []Report) error { submitted += len(rs); return nil }, nil,
+		func(_ int, err error) { rejects = append(rejects, err) })
+	if lines != 1 || bad != 1 || len(rejects) != 1 || !errors.Is(rejects[0], bufio.ErrTooLong) || submitted != 0 {
+		t.Fatalf("over-cap line: lines=%d bad=%d rejects=%v submitted=%d, want 1, 1, one too-long read error, 0",
+			lines, bad, rejects, submitted)
+	}
 }
 
 // TestIngestReusesReportStorage: consecutive lines decode into one
-// report slice (Daemon.Submit must not retain it), and an "x" object
-// never reuses an earlier line's extension storage — the engine queues
-// Ext headers past Submit's return.
+// report slice, so Daemon.Submit must not retain it.
 func TestIngestReusesReportStorage(t *testing.T) {
 	mux := NewDecisionMux()
-	line := func(id int, x string) string {
-		return `[{"terminal":` + fmt.Sprint(id) + `,"serving":[0,0],"neighbor":[1,0],"x":{"t":` + x + `}}]` + "\n"
+	line := func(id int) string {
+		return `[{"terminal":` + fmt.Sprint(id) + `,"serving":[0,0],"neighbor":[1,0]}]` + "\n"
 	}
 	var firsts []*Report
-	var exts [][]handover.ExtValue
-	lines, bad := IngestLines(strings.NewReader(line(1, "1")+line(2, "2")), NewBinding(mux, NewSink(io.Discard)),
+	lines, bad := IngestLines(strings.NewReader(line(1)+line(2)), NewBinding(mux, NewSink(io.Discard)),
 		func(rs []Report) error {
 			firsts = append(firsts, &rs[0])
-			exts = append(exts, rs[0].Ext)
 			return nil
 		}, nil, func(_ int, err error) { t.Error(err) })
 	if lines != 2 || bad != 0 || len(firsts) != 2 {
@@ -350,8 +357,5 @@ func TestIngestReusesReportStorage(t *testing.T) {
 	}
 	if firsts[0] != firsts[1] {
 		t.Error("the second line did not reuse the first line's report storage")
-	}
-	if exts[0][0].Value != 1 || exts[1][0].Value != 2 {
-		t.Errorf("extension values %v, %v: the second line overwrote the first's", exts[0], exts[1])
 	}
 }

@@ -41,11 +41,6 @@ type Report struct {
 	Terminal TerminalID
 	// Meas is the epoch measurement collected by the radio side.
 	Meas cell.Measurement
-	// Ext carries the wire report's optional extension-feature values
-	// (the "x" object), in wire order; nil for plain paper reports.
-	// Schema extension features (handover.FeatureExtension) read it by
-	// name during the frame gather.
-	Ext []handover.ExtValue
 }
 
 // Outcome is the engine's verdict for one report, delivered to the

@@ -339,7 +339,7 @@ func (s *shard) decideRun(run []Report, off int) {
 				d = &slots[i].derived
 			}
 		}
-		f.Gather(i, &r.Meas, r.Ext, d)
+		f.Gather(i, &r.Meas, d)
 	}
 	var scoreStart int64
 	sampled := s.metrics != nil && s.stageSample

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"repro/internal/cell"
-	"repro/internal/handover"
 	"repro/internal/hexgrid"
 )
 
@@ -28,34 +27,6 @@ type WireReport struct {
 	DMBNorm    float64 `json:"dmb"`
 	WalkedKm   float64 `json:"walked_km"`
 	SpeedKmh   float64 `json:"speed_kmh"`
-	X          WireExt `json:"x,omitempty"`
-}
-
-// WireExt is the optional "x" extension-feature object of a wire report:
-// named scalar inputs for schema features beyond the paper's measurement
-// set.  Order is load-bearing — encode emits entries in stored order and
-// decode preserves arrival order — so encode→decode→encode is
-// byte-identical like every other codec here.  Decode rejects duplicate
-// names and non-number values; an empty object decodes to nil.
-type WireExt []handover.ExtValue
-
-// UnmarshalJSON decodes the extension object with the wire decoder's
-// rules, for callers that unmarshal a WireReport through the stdlib.
-func (x *WireExt) UnmarshalJSON(b []byte) error {
-	s := wireScan{b: b}
-	var vals []handover.ExtValue
-	if !s.ext(&vals) || !s.end() || s.fault != "" {
-		return s.failure("x object")
-	}
-	*x = vals
-	return nil
-}
-
-// MarshalJSON mirrors the hand-rolled appendExtJSON encoding for callers
-// that marshal a WireReport through the stdlib.
-func (x WireExt) MarshalJSON() ([]byte, error) {
-	b := appendExtObj(nil, x)
-	return b, nil
 }
 
 // WireOutcome is the newline-JSON decision format cmd/hoserve emits.
@@ -87,7 +58,6 @@ func (r Report) Wire() WireReport {
 		DMBNorm:    r.Meas.DMBNorm,
 		WalkedKm:   r.Meas.WalkedKm,
 		SpeedKmh:   r.Meas.SpeedKmh,
-		X:          WireExt(r.Ext),
 	}
 }
 
@@ -105,7 +75,6 @@ func (w WireReport) Report() Report {
 			WalkedKm:   w.WalkedKm,
 			SpeedKmh:   w.SpeedKmh,
 		},
-		Ext: []handover.ExtValue(w.X),
 	}
 }
 
@@ -121,8 +90,6 @@ const (
 	ruleNonNegative
 	ruleDistinctCells
 	ruleCellRange
-	ruleExtFinite
-	ruleExtUnique
 )
 
 // validateReport is Validate on the engine's type.  It allocates only to
@@ -157,18 +124,6 @@ func validateReport(r *Report) error {
 		//fuzzyho:allow cold: formats the rejection of an invalid report
 		return rejectReport(r, ruleCellRange, 1)
 	}
-	for i, e := range r.Ext {
-		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-			//fuzzyho:allow cold: formats the rejection of an invalid report
-			return rejectReport(r, ruleExtFinite, i)
-		}
-		for j := 0; j < i; j++ {
-			if r.Ext[j].Name == e.Name {
-				//fuzzyho:allow cold: formats the rejection of an invalid report
-				return rejectReport(r, ruleExtUnique, i)
-			}
-		}
-	}
 	return nil
 }
 
@@ -176,8 +131,8 @@ func validateReport(r *Report) error {
 var wireFloatNames = [...]string{"serving_db", "ssn_db", "cssp_db", "dmb", "walked_km", "speed_kmh"}
 
 // rejectReport formats validateReport's rejection of r for the broken
-// rule; i is the float field's or "x" entry's index, or 0 for serving and
-// 1 for neighbor.
+// rule; i is the float field's index, or 0 for serving and 1 for
+// neighbor.
 func rejectReport(r *Report, rule, i int) error {
 	m := &r.Meas
 	switch rule {
@@ -188,29 +143,25 @@ func rejectReport(r *Report, rule, i int) error {
 		return fmt.Errorf("serve: negative %s %g", wireFloatNames[i], v)
 	case ruleDistinctCells:
 		return fmt.Errorf("serve: serving and neighbor are both BS(%d,%d)", m.Serving.I, m.Serving.J)
-	case ruleCellRange:
-		c, name := m.Serving, "serving"
-		if i == 1 {
-			c, name = m.Neighbor, "neighbor"
-		}
-		return fmt.Errorf("serve: %s [%d,%d] outside the int32 range", name, c.I, c.J)
-	case ruleExtFinite:
-		return fmt.Errorf("serve: x extension feature %q is not finite", r.Ext[i].Name)
 	}
-	return fmt.Errorf("serve: duplicate x extension feature %q", r.Ext[i].Name)
+	c, name := m.Serving, "serving" // ruleCellRange
+	if i == 1 {
+		c, name = m.Neighbor, "neighbor"
+	}
+	return fmt.Errorf("serve: %s [%d,%d] outside the int32 range", name, c.I, c.J)
 }
 
 // ParseBatchLine decodes one ingest line: either a single JSON report
 // object or a JSON array of them (one batch).  A malformed line (broken
 // JSON) yields a descriptive error and no reports.  Reports decode
-// strictly: an unknown top-level field or a malformed "x" extension
-// object rejects that report — this codec's pinned contract, since a
-// silently dropped field would desynchronize a mixed-version cluster's
-// decisions without any error surfacing.  A line whose report i fails to
-// decode or validate yields the validated prefix — every report before
-// the offending one, in order — alongside an error naming the failing
-// index, so callers can serve the prefix (or drop it) without
-// re-parsing; reports after the first invalid one are never returned.
+// strictly: a key that names no WireReport field rejects that report —
+// this codec's pinned contract, since a silently dropped field would
+// desynchronize a mixed-version cluster's decisions without any error
+// surfacing.  A line whose report i fails to decode or validate yields
+// the validated prefix — every report before the offending one, in
+// order — alongside an error naming the failing index, so callers can
+// serve the prefix (or drop it) without re-parsing; reports after the
+// first invalid one are never returned.
 //
 // The decoder is hand-rolled (see wireScan), but the language it accepts
 // and the values it decodes are encoding/json's for WireReport with
@@ -225,8 +176,7 @@ func ParseBatchLine(line []byte) ([]Report, error) {
 // are appended to dst[:0], so a caller that reuses its slice decodes a
 // paper line without allocating.  It returns nil instead of dst when no
 // reports come back for a blank, malformed or rejected single-report
-// line.  The decoded reports share nothing with earlier ones: each "x"
-// object gets fresh storage, because the engine queues Ext headers.
+// line.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
@@ -328,27 +278,6 @@ func AppendReportJSON(dst []byte, r Report) []byte {
 	dst = strconv.AppendFloat(dst, r.Meas.WalkedKm, 'g', -1, 64)
 	dst = append(dst, `,"speed_kmh":`...)
 	dst = strconv.AppendFloat(dst, r.Meas.SpeedKmh, 'g', -1, 64)
-	if len(r.Ext) > 0 {
-		dst = append(dst, `,"x":`...)
-		dst = appendExtObj(dst, r.Ext)
-	}
-	return append(dst, '}')
-}
-
-// appendExtObj appends the "x" extension object in stored entry order.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func appendExtObj(dst []byte, ext []handover.ExtValue) []byte {
-	dst = append(dst, '{')
-	for i, e := range ext {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, e.Name)
-		dst = append(dst, ':')
-		dst = strconv.AppendFloat(dst, e.Value, 'g', -1, 64)
-	}
 	return append(dst, '}')
 }
 
@@ -503,9 +432,9 @@ const maxWireDepth = 10000
 //
 // A syntax error records syn and unwinds: every method then returns
 // false, and the whole line is rejected.  A well-formed value that cannot
-// decode (a mistyped field, an unknown report key, a malformed "x"
-// object) records fault and the scan goes on, so a syntax error later in
-// the line still rejects all of it.
+// decode (a mistyped field, an unknown report key) records fault and the
+// scan goes on, so a syntax error later in the line still rejects all of
+// it.
 type wireScan struct {
 	b     []byte
 	i     int // read offset
@@ -1039,7 +968,7 @@ func (s *wireScan) cellField(c *hexgrid.Cell) bool {
 }
 
 // reportKeys are WireReport's keys, indexed as report decodes them.
-var reportKeys = [...]string{"terminal", "serving", "neighbor", "serving_db", "ssn_db", "cssp_db", "dmb", "walked_km", "speed_kmh", "x"}
+var reportKeys = [...]string{"terminal", "serving", "neighbor", "serving_db", "ssn_db", "cssp_db", "dmb", "walked_km", "speed_kmh"}
 
 // report decodes one report into r, which the caller zeroed: an object,
 // or null, which leaves r zero.  An unknown key is a fault.
@@ -1081,9 +1010,6 @@ func (s *wireScan) report(r *Report) bool {
 			ok = s.floatField(&m.WalkedKm)
 		case 8:
 			ok = s.floatField(&m.SpeedKmh)
-		case 9:
-			//fuzzyho:allow "x" entries get fresh storage by contract (the engine queues Ext headers); paper reports carry none
-			ok = s.ext(&r.Ext)
 		default:
 			ok = s.mistyped("is unknown")
 		}
@@ -1091,43 +1017,6 @@ func (s *wireScan) report(r *Report) bool {
 			more, ok = s.next('}')
 		}
 	}
-	return ok
-}
-
-// ext decodes the "x" object into fresh storage (nil when empty): number
-// values only, unique names, in arrival order.
-//
-//fuzzyho:deterministic
-func (s *wireScan) ext(dst *[]handover.ExtValue) bool {
-	if s.peek() != '{' {
-		return s.mistyped("is not an object")
-	}
-	var vals []handover.ExtValue
-	more, ok := s.enter('}')
-	for ok && more {
-		var raw, lit []byte
-		var esc bool
-		if raw, esc, ok = s.key(); !ok {
-			break
-		}
-		name := wireString(raw, esc)
-		for _, v := range vals {
-			if v.Name == name {
-				s.setFault("duplicates an x extension feature")
-			}
-		}
-		if lit, ok = s.number(); lit == nil {
-			s.setFault("is not a number") // null; number faulted other kinds
-		} else if v, err := strconv.ParseFloat(bstr(lit), 64); err != nil {
-			s.setFault("overflows float64")
-		} else {
-			vals = append(vals, handover.ExtValue{Name: name, Value: v})
-		}
-		if ok {
-			more, ok = s.next('}')
-		}
-	}
-	*dst = vals
 	return ok
 }
 

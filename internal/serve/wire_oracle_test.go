@@ -10,8 +10,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/handover"
 )
 
 // The encoding/json decoders that ParseBatchLine and ParseOutcomeLine
@@ -19,68 +17,20 @@ import (
 // must accept exactly what these accept, decode the same values, and
 // reject a batch at the same report with the same validated prefix.
 // The oracle* declarations are the replaced code, renamed, with their own
-// copy of the "x" decoder and of the validation rules, so no production
-// code runs on the oracle side.
+// copy of the validation rules, so no production code runs on the oracle
+// side.
 
-// oracleExt is the replaced WireExt decoder: the token stream is the only
-// stdlib path that sees object keys in wire order.
-type oracleExt []handover.ExtValue
-
-func (x *oracleExt) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.UseNumber()
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return fmt.Errorf("serve: report field x must be an object")
-	}
-	var vals []handover.ExtValue
-	for dec.More() {
-		ktok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		k, _ := ktok.(string)
-		for _, v := range vals {
-			if v.Name == k {
-				return fmt.Errorf("serve: duplicate x extension feature %q", k)
-			}
-		}
-		vtok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		num, ok := vtok.(json.Number)
-		if !ok {
-			return fmt.Errorf("serve: x extension feature %q is not a number", k)
-		}
-		f, err := num.Float64()
-		if err != nil {
-			return fmt.Errorf("serve: x extension feature %q: %w", k, err)
-		}
-		vals = append(vals, handover.ExtValue{Name: k, Value: f})
-	}
-	if _, err := dec.Token(); err != nil { // consume the closing brace
-		return err
-	}
-	*x = vals
-	return nil
-}
-
-// oracleReport is WireReport with the oracle's "x" decoder.
+// oracleReport is the oracle's own copy of WireReport.
 type oracleReport struct {
-	Terminal   uint64    `json:"terminal"`
-	Serving    [2]int    `json:"serving"`
-	Neighbor   [2]int    `json:"neighbor"`
-	ServingDB  float64   `json:"serving_db"`
-	NeighborDB float64   `json:"ssn_db"`
-	CSSPdB     float64   `json:"cssp_db"`
-	DMBNorm    float64   `json:"dmb"`
-	WalkedKm   float64   `json:"walked_km"`
-	SpeedKmh   float64   `json:"speed_kmh"`
-	X          oracleExt `json:"x,omitempty"`
+	Terminal   uint64  `json:"terminal"`
+	Serving    [2]int  `json:"serving"`
+	Neighbor   [2]int  `json:"neighbor"`
+	ServingDB  float64 `json:"serving_db"`
+	NeighborDB float64 `json:"ssn_db"`
+	CSSPdB     float64 `json:"cssp_db"`
+	DMBNorm    float64 `json:"dmb"`
+	WalkedKm   float64 `json:"walked_km"`
+	SpeedKmh   float64 `json:"speed_kmh"`
 }
 
 func (o oracleReport) wire() WireReport {
@@ -88,7 +38,6 @@ func (o oracleReport) wire() WireReport {
 		Terminal: o.Terminal, Serving: o.Serving, Neighbor: o.Neighbor,
 		ServingDB: o.ServingDB, NeighborDB: o.NeighborDB, CSSPdB: o.CSSPdB,
 		DMBNorm: o.DMBNorm, WalkedKm: o.WalkedKm, SpeedKmh: o.SpeedKmh,
-		X: WireExt(o.X),
 	}
 }
 
@@ -125,16 +74,6 @@ func oracleValidate(w WireReport) error {
 		for _, x := range c.v {
 			if x < math.MinInt32 || x > math.MaxInt32 {
 				return fmt.Errorf("serve: %s [%d,%d] outside the int32 range", c.name, c.v[0], c.v[1])
-			}
-		}
-	}
-	for i, e := range w.X {
-		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-			return fmt.Errorf("serve: x extension feature %q is not finite", e.Name)
-		}
-		for j := 0; j < i; j++ {
-			if w.X[j].Name == e.Name {
-				return fmt.Errorf("serve: duplicate x extension feature %q", e.Name)
 			}
 		}
 	}
@@ -239,8 +178,7 @@ func batchMismatch(line []byte) string {
 	if msg := sameBatch(got, gerr, want, werr); msg != "" {
 		return msg
 	}
-	dirty := []Report{{Terminal: 99, Meas: wireMeas(7, 7, 8, 8, 1, 2, 3, 4, 5, 6),
-		Ext: []handover.ExtValue{{Name: "stale", Value: 1}}}}
+	dirty := []Report{{Terminal: 99, Meas: wireMeas(7, 7, 8, 8, 1, 2, 3, 4, 5, 6)}}
 	reused, rerr := parseBatchInto(dirty[:0], line)
 	if msg := sameBatch(reused, rerr, want, werr); msg != "" {
 		return "into a reused destination: " + msg
@@ -280,14 +218,6 @@ func sameReport(a, b Report) bool {
 	for _, p := range [...][2]float64{{ma.ServingDB, mb.ServingDB}, {ma.NeighborDB, mb.NeighborDB},
 		{ma.CSSPdB, mb.CSSPdB}, {ma.DMBNorm, mb.DMBNorm}, {ma.WalkedKm, mb.WalkedKm}, {ma.SpeedKmh, mb.SpeedKmh}} {
 		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-			return false
-		}
-	}
-	if (a.Ext == nil) != (b.Ext == nil) || len(a.Ext) != len(b.Ext) {
-		return false
-	}
-	for i := range a.Ext {
-		if a.Ext[i].Name != b.Ext[i].Name || math.Float64bits(a.Ext[i].Value) != math.Float64bits(b.Ext[i].Value) {
 			return false
 		}
 	}
@@ -341,7 +271,7 @@ func batchQuirkLines() []string {
 		withField(`"ſpeed_kmh":5`), withField(`"walked_Km":7`), withField(`"walked_\u212am":7`), withField(`"WALKED_KM":7`),
 		withField(`"terminal":9`), withField(`"terminal":2,"terminal":3`),
 		withField(`"rsrp":1`), withField(`"ÿ":1`), withField("\"\xff\":1"), withField(`"terminal ":1`),
-		// null leaves a field unchanged; "x":null is rejected.
+		// null leaves a field unchanged; "x":null is an unknown key.
 		withField(`"terminal":null`), withField(`"serving":null`), withField(`"dmb":null`), withField(`"x":null`),
 		withField(`"serving":[3,4],"serving":[null]`), withField(`"neighbor":[null,5]`),
 		// Cell arrays: short ones zero-fill, long ones drop extras.
@@ -360,7 +290,7 @@ func batchQuirkLines() []string {
 		withField(`"serving_db":1e999`), withField(`"serving_db":-1e-400`), withField(`"dmb":-0`),
 		withField(`"ssn_db":0.1000000000000000055511151231257827`), withField(`"cssp_db":4.9e-324`),
 		withField(`"speed_kmh":1E+2`), withField(`"serving_db":true`), withField(`"serving_db":"1"`),
-		// The "x" object: numbers only, unique names, last "x" wins.
+		// "x" is an unknown key in every spelling, whatever its value.
 		withField(`"x":{"a":1},"x":{"b":2}`), withField(`"x":{"a":1},"x":{}`), withField(`"x":{"ab":-0}`),
 		withField("\"x\":{\"\xff\":1}"), withField(`"x":{"a":1,"a":2}`), withField(`"x":{"a":1e400}`),
 		withField(`"x":{"a":[1]}`), withField(`"x":{"a":{}}`), withField(`"x":{"a":true}`), withField(`"X":{"a":1}`),

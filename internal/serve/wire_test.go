@@ -90,55 +90,10 @@ func TestParseBatchLineMixedBatchPrefix(t *testing.T) {
 	}
 }
 
-// TestReportExtRoundTrip pins the "x" extension-feature object: extension
-// values survive Append → Parse → Append byte-identically, in stored
-// order, and a report without extensions emits exactly the seed wire shape
-// (no "x" key at all).
-func TestReportExtRoundTrip(t *testing.T) {
-	in := []Report{
-		{Terminal: 1, Meas: wireMeas(0, 0, 1, 0, -88.5, -84, -2.5, 1.1, 3.2, 30),
-			Ext: []handover.ExtValue{{Name: "ssn_trend", Value: -1.25}}},
-		{Terminal: 2, Meas: wireMeas(0, 0, 1, 0, -90, -85, -3, 0.9, 4, 10),
-			Ext: []handover.ExtValue{{Name: "b", Value: 2}, {Name: "a", Value: 0}}},
-		{Terminal: 3, Meas: wireMeas(0, 0, 1, 0, -91, -86, -4, 0.8, 5, 0)},
-	}
-	line := AppendBatchJSON(nil, in)
-	out, err := ParseBatchLine(line)
-	if err != nil {
-		t.Fatalf("%v in %s", err, line)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip\n in  %+v\n out %+v\nline %s", in, out, line)
-	}
-	if again := AppendBatchJSON(nil, out); string(again) != string(line) {
-		t.Errorf("re-encode differs:\n first  %s\n second %s", line, again)
-	}
-	if strings.Contains(string(AppendReportJSON(nil, in[2])), `"x"`) {
-		t.Error("extension-free report emitted an x object")
-	}
-	// Declared order is preserved, not sorted: b before a.
-	one := string(AppendReportJSON(nil, in[1]))
-	if !strings.Contains(one, `"x":{"b":2,"a":0}`) {
-		t.Errorf("extension object not in declared order: %s", one)
-	}
-	// The stdlib round trip of a WireReport keeps the same "x" shape.
-	enc, err := json.Marshal(in[1].Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w WireReport
-	if err := json.Unmarshal(enc, &w); err != nil || !reflect.DeepEqual(w.Report(), in[1]) {
-		t.Errorf("stdlib round trip of %s: %+v, %v", enc, w, err)
-	}
-	if err := json.Unmarshal([]byte(`{"x":{"t":1,"t":2}}`), &w); err == nil {
-		t.Error("stdlib decode accepted a duplicate x name")
-	}
-}
-
 // TestParseBatchLineRejectContract pins the strict-ingest contract chosen
-// for the wire codec: unknown top-level report fields and malformed "x"
-// objects are rejected — with the failing report's index and the validated
-// prefix — rather than silently dropped.
+// for the wire codec: unknown top-level report fields ("x" among them,
+// whatever its value) are rejected — with the failing report's index and
+// the validated prefix — rather than silently dropped.
 func TestParseBatchLineRejectContract(t *testing.T) {
 	good := `{"terminal":1,"serving":[0,0],"neighbor":[1,0],"serving_db":-88.5,"ssn_db":-84,"cssp_db":-2.5,"dmb":1.1,"walked_km":3.2,"speed_kmh":30}`
 	for name, bad := range parseRejectContractCases {

@@ -78,7 +78,7 @@ func main() {
 		terminals = flag.Int("terminals", 1024, "terminal population size")
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "engine shards (per node with -cluster)")
 		clusterN  = flag.Int("cluster", 0, "route through an in-process cluster of N engine nodes (0: single engine)")
-		queue     = flag.Int("queue", 1024, "per-shard queue depth (messages)")
+		queue     = flag.Int("queue", 0, "per-shard queue depth (messages; 0: the engine default)")
 		workers   = flag.Int("workers", 2, "submitter goroutines")
 		duration  = flag.Duration("duration", 2*time.Second, "load duration")
 		scenario  = flag.String("scenario", "both", "walk family: boundary, crossing, trend or both")
@@ -101,8 +101,8 @@ func main() {
 	if *clusterN < 0 {
 		fatal(fmt.Errorf("-cluster must be ≥ 0, got %d", *clusterN))
 	}
-	if *queue < 1 {
-		fatal(fmt.Errorf("-queue must be ≥ 1, got %d", *queue))
+	if *queue < 0 {
+		fatal(fmt.Errorf("-queue must be ≥ 0, got %d", *queue))
 	}
 	if *workers < 1 {
 		fatal(fmt.Errorf("-workers must be ≥ 1, got %d", *workers))

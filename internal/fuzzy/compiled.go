@@ -367,16 +367,33 @@ func (ax *kernelAxis) find(x float64) (*kernelSeg, float64) {
 	return &ax.segs[si], x
 }
 
-// kernelWalk is the doubling walk's prefix table: entry j holds the min
-// over the grades that combo j selects on the axes walked so far (bit a of
-// j picks axis a's second slot) and the summed rule-table offset.  At
-// 2^(kernelMaxAxes−1) entries it is 1.5 KiB on the stack: a scalar query
-// declares one per call, a batch query one per batch that every row
-// reuses.
-type kernelWalk struct {
-	m   [1 << (kernelMaxAxes - 1)]float64
-	idx [1 << (kernelMaxAxes - 1)]int32
+// walkEntry is one row of the doubling walk's prefix table: the min over
+// the grades its combo selects on the axes walked so far, and the summed
+// rule-table offset.
+type walkEntry struct {
+	m   float64
+	idx int32
 }
+
+// kernelWalk is the doubling walk's prefix table: entry j's combo picks
+// axis a's second slot where bit a of j is set.  At 2^(kernelMaxAxes−1)
+// entries it is 2 KiB on the stack, which a batch query declares once per
+// batch and every row reuses.  A scalar query would zero all of it per
+// call, so Evaluate walks smallWalk up to smallWalkAxes.
+type kernelWalk [1 << (kernelMaxAxes - 1)]walkEntry
+
+// smallWalkAxes is the largest axis count Evaluate walks on smallWalk: the
+// paper's 3-input FLC and trendfuzzy's 4-input surface.
+const smallWalkAxes = 4
+
+// smallWalk is kernelWalk cut to 2^(smallWalkAxes−1) entries (128 B).
+type smallWalk [1 << (smallWalkAxes - 1)]walkEntry
+
+// walkTable is a prefix table walk can run on.  walk takes the table's
+// array type rather than a slice so that each table gets its own compiled
+// walk with constant bounds: a slice-taking walk read 5–10% slower on
+// BenchmarkEvaluateCompiledBatch and BenchmarkEvaluateCompiledBatchTrend.
+type walkTable interface{ kernelWalk | smallWalk }
 
 // walk is the exact-kernel query: one segment lookup and two grade forms
 // per axis.  Axes 0…d−2 double the prefix table — entry j becomes
@@ -391,49 +408,47 @@ type kernelWalk struct {
 // are order-free on grades in [0, 1].  Axis 0 starts from the neutral 1.0,
 // so a flank grade rounding above 1 is clamped as the reference fold
 // clamps it.  xs must be NaN-free (the exported queries reject NaN first);
-// out-of-universe values clamp exactly like the reference path.
+// out-of-universe values clamp exactly like the reference path.  w must
+// hold 2^(d−1) entries.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
-func (k *surfaceKernel) walk(xs []float64, w *kernelWalk) (float64, error) {
+func walk[T walkTable](k *surfaceKernel, xs []float64, w *T) (float64, error) {
 	d := k.dims
 	sg, x := k.axes[0].find(xs[0])
-	w.m[0] = min(1, (x-sg.f0.p)*sg.f0.r+sg.f0.c)
-	w.m[1] = min(1, (x-sg.f1.p)*sg.f1.r+sg.f1.c)
-	w.idx[0], w.idx[1] = sg.b0, sg.b1
+	(*w)[0] = walkEntry{min(1, (x-sg.f0.p)*sg.f0.r+sg.f0.c), sg.b0}
+	(*w)[1] = walkEntry{min(1, (x-sg.f1.p)*sg.f1.r+sg.f1.c), sg.b1}
 	n := 2
 	for a := 1; a < d-1; a++ {
 		sg, x := k.axes[a].find(xs[a])
 		g0 := (x-sg.f0.p)*sg.f0.r + sg.f0.c
 		g1 := (x-sg.f1.p)*sg.f1.r + sg.f1.c
-		m0, i0 := w.m[:n], w.idx[:n]
-		m1, i1 := w.m[n:2*n], w.idx[n:2*n]
-		for j, m := range m0 {
-			m1[j] = min(m, g1)
-			i1[j] = i0[j] + sg.b1
-			m0[j] = min(m, g0)
-			i0[j] += sg.b0
+		for j := 0; j < n; j++ {
+			e := (*w)[j]
+			(*w)[j+n] = walkEntry{min(e.m, g1), e.idx + sg.b1}
+			(*w)[j] = walkEntry{min(e.m, g0), e.idx + sg.b0}
 		}
 		n *= 2
 	}
 	sg, x = k.axes[d-1].find(xs[d-1])
 	g0 := (x-sg.f0.p)*sg.f0.r + sg.f0.c
 	g1 := (x-sg.f1.p)*sg.f1.r + sg.f1.c
-	ms, ids := w.m[:n], w.idx[:n]
 	var act [kernelMaxOutTerms]float64
 	if k.complete {
 		// Complete unweighted grid (the paper's 64-rule FRB): every combo
 		// resolves to a consequent with weight 1, so the fold is a min, a
 		// consequent load and a max — no weight multiply, no rule check.
 		outs := k.outs
-		for j, m := range ms {
-			cfold(m, g0, outs[ids[j]+sg.b0], &act)
-			cfold(m, g1, outs[ids[j]+sg.b1], &act)
+		for j := 0; j < n; j++ {
+			e := (*w)[j]
+			cfold(e.m, g0, outs[e.idx+sg.b0], &act)
+			cfold(e.m, g1, outs[e.idx+sg.b1], &act)
 		}
 	} else {
-		for j, m := range ms {
-			k.fold(m, g0, ids[j]+sg.b0, &act)
-			k.fold(m, g1, ids[j]+sg.b1, &act)
+		for j := 0; j < n; j++ {
+			e := (*w)[j]
+			k.fold(e.m, g0, e.idx+sg.b0, &act)
+			k.fold(e.m, g1, e.idx+sg.b1, &act)
 		}
 	}
 	var num, den float64
@@ -508,11 +523,11 @@ func (cs *CompiledSurface) probeKernel() error {
 		}
 	}
 	var w kernelWalk
-	var walk func(ax int) error
-	walk = func(ax int) error {
+	var probe func(ax int) error
+	probe = func(ax int) error {
 		if ax == cs.dims {
 			exact, exactErr := cs.sys.EvaluateInto(sc, xs)
-			got, kernErr := cs.kern.walk(xs, &w)
+			got, kernErr := walk(cs.kern, xs, &w)
 			if (exactErr == nil) != (kernErr == nil) {
 				return fmt.Errorf("fuzzy: kernel probe at %v: exact err %v, kernel err %v",
 					xs, exactErr, kernErr)
@@ -530,13 +545,13 @@ func (cs *CompiledSurface) probeKernel() error {
 		v := cs.sys.inputs[ax]
 		for i := 0; i < res; i++ {
 			xs[ax] = v.Min + (v.Max-v.Min)*float64(i)/float64(res-1)
-			if err := walk(ax + 1); err != nil {
+			if err := probe(ax + 1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return walk(0)
+	return probe(0)
 }
 
 // --- Queries ---------------------------------------------------------------
@@ -566,8 +581,12 @@ func (cs *CompiledSurface) Evaluate(xs []float64) (float64, error) {
 			return 0, fmt.Errorf("fuzzy: input %q is NaN", cs.sys.inputs[i].Name)
 		}
 	}
+	if cs.dims <= smallWalkAxes {
+		var w smallWalk
+		return walk(cs.kern, xs, &w)
+	}
 	var w kernelWalk
-	return cs.kern.walk(xs, &w)
+	return walk(cs.kern, xs, &w)
 }
 
 // EvaluateBatch computes a whole column batch: dst[i] is the output at
@@ -607,7 +626,7 @@ func (cs *CompiledSurface) EvaluateBatch(dst []float64, cols [][]float64) error 
 			dst[i] = math.NaN()
 			continue
 		}
-		y, err := cs.kern.walk(row, &w)
+		y, err := walk(cs.kern, row, &w)
 		if err != nil {
 			y = math.NaN() // no rule fired: mark the row, keep the batch going
 		}

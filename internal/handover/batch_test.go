@@ -34,8 +34,17 @@ func randomMeasurements(n int, seed int64) []cell.Measurement {
 // single-terminal contract the equivalence walks exercise).
 func gatherFrame(bat BatchScorer, ms []cell.Measurement, d *DerivedState) *FeatureFrame {
 	f := NewFeatureFrame(bat.Schema(), len(ms))
-	f.GatherMeasurements(ms, d)
+	gatherMeasurements(f, ms, d)
 	return f
+}
+
+// gatherMeasurements resets f to len(ms) rows and gathers every
+// measurement in order against one derived state.
+func gatherMeasurements(f *FeatureFrame, ms []cell.Measurement, d *DerivedState) {
+	f.Reset(len(ms))
+	for i := range ms {
+		f.Gather(i, &ms[i], d)
+	}
 }
 
 // TestScoreFrameMatchesDecide drives the same measurement stream through
@@ -449,7 +458,7 @@ func TestScoreFrameAllocationFree(t *testing.T) {
 		var derived DerivedState
 		f := NewFeatureFrame(bat.Schema(), n)
 		// Warm the gather buffers and the lazy scratch.
-		f.GatherMeasurements(ms, &derived)
+		gatherMeasurements(f, ms, &derived)
 		if err := bat.ScoreFrame(f); err != nil {
 			t.Fatal(err)
 		}

@@ -195,14 +195,8 @@ func NewFeatureFrame(schema *FeatureSchema, capacity int) *FeatureFrame {
 	return f
 }
 
-// Schema returns the schema the frame was built for.
-func (f *FeatureFrame) Schema() *FeatureSchema { return f.schema }
-
 // Len returns the current row count.
 func (f *FeatureFrame) Len() int { return len(f.Serving) }
-
-// Col returns feature column k (length Len), valid until the next Reset.
-func (f *FeatureFrame) Col(k int) []float64 { return f.cols[k] }
 
 // Cols returns all feature columns in schema order.  The slice and its
 // columns are owned by the frame; treat them as read-only.
@@ -252,16 +246,6 @@ func (f *FeatureFrame) Gather(i int, m *cell.Measurement, d *DerivedState) {
 	f.cols[2][i] = m.DMBNorm
 	if f.schema.stateful {
 		f.cols[3][i] = d.Trend.Observe(m.NeighborDB)
-	}
-}
-
-// GatherMeasurements is the convenience bulk form for single-owner
-// streams (tests): Reset to len(ms) and gather every measurement in order
-// against one derived state.
-func (f *FeatureFrame) GatherMeasurements(ms []cell.Measurement, d *DerivedState) {
-	f.Reset(len(ms))
-	for i := range ms {
-		f.Gather(i, &ms[i], d)
 	}
 }
 

@@ -117,11 +117,12 @@ func TestTrendWholeFrameSteadyStateAllocs(t *testing.T) {
 // TestServeSteadyStateBytesPerShardCount pins the byte side of the
 // steady-state contract at every shard count, in every decision mode
 // (exact, compiled, the speed-adaptive extension on the compiled kernel,
-// the stateful trend schema and per-terminal algorithms): once each shard's sub-batch buffer population exists (built
-// lazily while the queue first fills; see bufPool), ingest → decide →
-// recycle must allocate nothing, so per-op bytes cannot grow with the
-// shard count.  Bytes are measured from MemStats.TotalAlloc, which is
-// monotonic and GC-independent.
+// the stateful trend schema and per-terminal algorithms): once each
+// shard's sub-batch buffer population exists (built lazily while the
+// queue first fills; see getBuf), ingest → decide → recycle must allocate
+// nothing, so per-op bytes cannot grow with the shard count.  Bytes are
+// measured from MemStats.TotalAlloc, which is monotonic and
+// GC-independent.
 func TestServeSteadyStateBytesPerShardCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the regression runs in the non-race job")

@@ -9,16 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// benchQueueDepth is the per-shard queue bound of the serve benchmarks:
-// deep enough that ingest is never the bottleneck, shallow enough that the
-// warm-up pass can build the complete sub-batch buffer population (shards
-// × depth buffers; see bufPool) before the timer starts.
-const benchQueueDepth = 256
-
-// benchEngine builds and starts an engine with the given shard count.
+// benchEngine builds and starts an engine with the given shard count and
+// the shipped queue depth.
 func benchEngine(b *testing.B, shards int, compiled bool) *Engine {
 	b.Helper()
-	return benchEngineCfg(b, Config{Shards: shards, QueueDepth: benchQueueDepth, Compiled: compiled})
+	return benchEngineCfg(b, Config{Shards: shards, Compiled: compiled})
 }
 
 func benchEngineCfg(b *testing.B, cfg Config) *Engine {
@@ -43,7 +38,7 @@ func benchEngineCfg(b *testing.B, cfg Config) *Engine {
 // steady state.
 func warmEngine(b *testing.B, e *Engine, batches [][]Report) {
 	b.Helper()
-	runLoad(b, e, batches, e.NumShards()*benchQueueDepth*maxSubBatch+4*512)
+	runLoad(b, e, batches, e.NumShards()*DefaultQueueDepth*maxSubBatch+4*512)
 }
 
 // runLoad pushes n reports through the engine from `submitters` concurrent
@@ -129,7 +124,7 @@ func BenchmarkServeCompiledMetrics(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			e := benchEngineCfg(b, Config{
-				Shards: shards, QueueDepth: benchQueueDepth, Compiled: true,
+				Shards: shards, Compiled: true,
 				Metrics: obs.NewRegistry(),
 			})
 			benchServeShards(b, e)
@@ -144,7 +139,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			e := benchEngineCfg(b, Config{
-				Shards: shards, QueueDepth: benchQueueDepth,
+				Shards: shards,
 				AlgorithmFactory: func() handover.Algorithm {
 					a, err := handover.NewCompiledAdaptiveFuzzy()
 					if err != nil {

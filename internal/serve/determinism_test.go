@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/handover"
@@ -343,5 +344,111 @@ func TestDeterminismPerTerminalAlgorithms(t *testing.T) {
 				t.Error("TTT fleet executed no handovers; streak state never exercised")
 			}
 		})
+	}
+}
+
+// simOutcomes is the outcome sequence the sim path decided for terminal
+// id: what an engine replaying res must report, the Shard field aside.
+func simOutcomes(id TerminalID, res *sim.Result) []Outcome {
+	pingPong := make(map[int]bool, len(res.Events))
+	for _, ev := range res.Events {
+		pingPong[ev.Epoch] = ev.PingPong
+	}
+	out := make([]Outcome, len(res.Epochs))
+	for j, e := range res.Epochs {
+		out[j] = Outcome{Terminal: id, Seq: uint64(j), Decision: e.Decision, Executed: e.Executed, PingPong: pingPong[j]}
+	}
+	return out
+}
+
+// TestDeterminismAcrossQueueDepth pins that the queue bound shapes timing
+// only.  One seeded fleet replays through engines whose shard queues hold
+// 1, 2, 16, DefaultQueueDepth or 1,024 messages, on 1 and 4 shards,
+// batched or one Submit per report.  Every terminal's (Seq, Decision,
+// Executed, PingPong, Err) sequence must equal the sim's, for the
+// compiled paper controller and for trendfuzzy.  The 80-leg walks give
+// ~2,000 and ~1,000 reports, so the small queues fill, and the paper
+// fleet makes one ping-pong.
+func TestDeterminismAcrossQueueDepth(t *testing.T) {
+	trend, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speeds := []float64{0, 30, 50}
+	var paper []sim.Config
+	for _, base := range []sim.Config{sim.PaperBoundaryConfig(), sim.PaperCrossingConfig()} {
+		c, _ := sim.SweepGrid("x", base, 4, speeds)
+		paper = append(paper, c...)
+	}
+	trendCfgs, _ := sim.SweepGrid("trend", sim.TrendDriftConfig(), 4, speeds)
+	for i := range paper {
+		paper[i].CompiledFLC, paper[i].NWalk = true, 80
+	}
+	for i := range trendCfgs {
+		trendCfgs[i].AlgorithmFactory, trendCfgs[i].NWalk = trend, 80
+	}
+	pingPongs := 0
+	for _, fleet := range []struct {
+		name string
+		cfgs []sim.Config
+		cfg  Config
+	}{
+		{"paper-compiled", paper, Config{Compiled: true}},
+		{"trendfuzzy", trendCfgs, Config{AlgorithmFactory: trend}},
+	} {
+		t.Run(fleet.name, func(t *testing.T) {
+			streams, results := simStreams(t, fleet.cfgs)
+			reports := InterleaveReports(streams)
+			handovers := 0
+			for _, res := range results {
+				handovers += res.HandoverCount()
+				pingPongs += res.PingPongCount
+			}
+			if handovers == 0 {
+				t.Fatal("the fleet executes no handover; only no-handover epochs are under test")
+			}
+			for _, depth := range slices.Compact(slices.Sorted(slices.Values([]int{1, 2, 16, DefaultQueueDepth, 1024}))) {
+				for _, shards := range []int{1, 4} {
+					for _, mode := range submitModes {
+						t.Run(fmt.Sprintf("depth=%d,shards=%d,%s", depth, shards, mode.name), func(t *testing.T) {
+							rec := newRecorder(len(fleet.cfgs))
+							cfg := fleet.cfg
+							cfg.Shards, cfg.QueueDepth = shards, depth
+							cfg.PingPongWindowKm = sim.DefaultPingPongWindowKm
+							cfg.OnDecision = rec.record
+							e, err := New(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := e.Start(); err != nil {
+								t.Fatal(err)
+							}
+							if err := mode.submit(e, reports); err != nil {
+								t.Fatal(err)
+							}
+							e.Flush()
+							if err := e.Stop(); err != nil {
+								t.Fatal(err)
+							}
+							for i, res := range results {
+								got, want := *rec[TerminalID(i)], simOutcomes(TerminalID(i), res)
+								if len(got) != len(want) {
+									t.Fatalf("terminal %d: %d outcomes, sim has %d epochs", i, len(got), len(want))
+								}
+								for j, o := range got {
+									o.Shard = 0
+									if o != want[j] {
+										t.Fatalf("terminal %d epoch %d: %+v, sim %+v", i, j, o, want[j])
+									}
+								}
+							}
+						})
+					}
+				}
+			}
+		})
+	}
+	if pingPongs == 0 {
+		t.Error("no fleet makes a ping-pong; the PingPong column is not under test")
 	}
 }

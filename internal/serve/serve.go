@@ -71,8 +71,13 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's ingest queue, in queued messages:
 	// each Submit/TrySubmit enqueues one message of one report, each
-	// SubmitBatch packs per-shard messages of up to 64 reports.  0
-	// selects DefaultQueueDepth; negative is invalid.
+	// SubmitBatch packs per-shard messages of up to 64 reports.  A full
+	// queue of depth D therefore holds up to D × 64 reports from
+	// SubmitBatch, about D × 26 µs of compiled-paper decisions that a
+	// newly queued report waits behind, but only D reports from
+	// Submit/TrySubmit, and about 2.5·D from a node daemon fed wire lines
+	// (one SubmitBatch of ~2.5 reports per line).  0 selects
+	// DefaultQueueDepth; negative is invalid.
 	QueueDepth int
 	// AlgorithmFactory builds the decision algorithm (nil: the paper's
 	// fuzzy controller).  It is called once per shard — and once per
@@ -119,8 +124,14 @@ type Config struct {
 
 // Defaults.
 const (
-	// DefaultQueueDepth is the per-shard ingest queue bound.
-	DefaultQueueDepth = 1024
+	// DefaultQueueDepth is the per-shard ingest queue bound, in messages.
+	// A saturated shard makes every report wait behind its whole queue,
+	// so the bound is sized by latency: 16 is the smallest depth of a
+	// 16–1,024 sweep (seed-paired perfbench engine-paper runs, recorded
+	// in CHANGES.md) whose decisions/s and CPU per decision held parity
+	// with 1,024.  A full queue of SubmitBatch messages holds 1,024
+	// reports, ~0.4 ms of compiled-paper work.
+	DefaultQueueDepth = 16
 	// DefaultPingPongWindowKm matches the simulator's detector window.
 	DefaultPingPongWindowKm = 1.0
 )
@@ -154,14 +165,12 @@ const maxSubBatch = 64
 //
 // The only allocation this scheme performs after warm-up is population
 // growth: a queue of depth D can hold D sub-batches, and those buffers
-// are built lazily on first use, so an engine whose queues have filled
-// once owns shards × (depth+16) buffers and never allocates again (pinned
-// per shard count by TestServeSteadyStateBytesPerShardCount).  This
-// population build is what BenchmarkServeShards used to report as per-op
-// bytes "growing" with the shard count — ~2100 × 7 KiB buffers per shard
-// amortized over a b.N that did not scale with the queue volume; the
-// bench now warms until the population is complete and measures true
-// steady state.
+// (7 KiB each) are built lazily on first use, so an engine whose queues
+// have filled once owns up to shards × (depth+16) buffers and never
+// allocates again (pinned per shard count by
+// TestServeSteadyStateBytesPerShardCount).  BenchmarkServeShards warms
+// until the population is complete, so it measures steady state rather
+// than the population build.
 
 // getBuf takes an empty sub-batch buffer from the shard's free list,
 // growing the population when the list is empty.
@@ -196,7 +205,7 @@ type Engine struct {
 	perTerminal bool
 	// staging recycles the per-call shard→sub-batch scatter tables of
 	// SubmitBatch on a bounded free list (same GC-immunity rationale as
-	// bufPool).
+	// the shards' sub-batch free lists; see getBuf).
 	staging chan []*[]Report
 	// metrics/traces are the optional telemetry surfaces (Config.Metrics
 	// / Config.TraceEvery); epoch is the monotonic base the queue-wait

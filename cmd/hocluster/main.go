@@ -88,7 +88,7 @@ func main() {
 		nodesCS    = flag.String("nodes", "", "comma-separated hoserve node addresses (TCP backend)")
 		local      = flag.Int("local", 0, "run N in-process engine nodes instead of -nodes")
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "shards per in-process node")
-		queue      = flag.Int("queue", serve.DefaultQueueDepth, "per-shard queue depth of in-process nodes (messages)")
+		queue      = flag.Int("queue", 0, "per-shard queue depth of in-process nodes (messages; 0: the engine default)")
 		nodeQ      = flag.Int("node-queue", serve.DefaultNodeQueueDepth, "per-node send queue of the TCP backend (lines)")
 		vnodes     = flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per ring member")
 		window     = flag.Float64("window", serve.DefaultPingPongWindowKm, "ping-pong window in km (in-process nodes)")
@@ -109,8 +109,11 @@ func main() {
 	if (len(addrs) == 0) == (*local == 0) {
 		fatal(fmt.Errorf("pick exactly one backend: -nodes host:port,... or -local N"))
 	}
-	if *local < 0 || *shards < 1 || *queue < 1 || *nodeQ < 1 || *vnodes < 1 {
-		fatal(fmt.Errorf("-local/-shards/-queue/-node-queue/-vnodes must be positive"))
+	if *local < 0 || *shards < 1 || *nodeQ < 1 || *vnodes < 1 {
+		fatal(fmt.Errorf("-local/-shards/-node-queue/-vnodes must be positive"))
+	}
+	if *queue < 0 {
+		fatal(fmt.Errorf("-queue must be ≥ 0, got %d", *queue))
 	}
 	if *window <= 0 {
 		fatal(fmt.Errorf("-window must be > 0 km, got %g", *window))

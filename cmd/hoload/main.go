@@ -36,7 +36,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -89,7 +88,7 @@ func main() {
 		compiled  = flag.Bool("compiled", false, "decide on the compiled control surface (columnar batch pipeline)")
 		pprofHost = flag.String("pprof", "", "net/http/pprof listen address (e.g. 127.0.0.1:6060; empty: off)")
 		churn     = flag.Duration("churn", 0, "with -cluster: alternately grow and shrink the membership every interval, migrating terminal state live (0: off)")
-		metricsTo = flag.String("metrics-out", "", "write a per-second JSONL time series (throughput, windowed latency quantiles, backlog sheds, per-node submitted) to this file")
+		metricsTo = flag.String("metrics-out", "", "write a per-second JSONL time series (throughput, windowed latency quantiles, per-node submitted) to this file")
 	)
 	flag.Parse()
 	if *terminals < 1 {
@@ -162,22 +161,9 @@ func main() {
 	if *churn > 0 && router == nil {
 		fatal(fmt.Errorf("-churn needs -cluster N"))
 	}
-	// Count backlog sheds for the -metrics-out series without changing
-	// submit error semantics (the blocking submit paths rarely shed; the
-	// counter proves it either way).
-	var sheds atomic.Uint64
-	baseSubmit := target.submit
-	target.submit = func(rs []fuzzyho.MeasurementReport) error {
-		err := baseSubmit(rs)
-		var be *fuzzyho.ClusterBacklogError
-		if errors.As(err, &be) {
-			sheds.Add(uint64(be.Shed))
-		}
-		return err
-	}
 	var sampler *metricsSampler
 	if *metricsTo != "" {
-		sampler, err = startSampler(*metricsTo, target, &lat, &sheds)
+		sampler, err = startSampler(*metricsTo, target, &lat)
 		if err != nil {
 			fatal(err)
 		}
@@ -249,7 +235,6 @@ type metricsSample struct {
 	P99Ns     int64        `json:"p99_ns"`
 	MaxNs     int64        `json:"max_ns"`
 	Samples   uint64       `json:"samples"`
-	Sheds     uint64       `json:"backlog_sheds"`
 	Nodes     []nodeSample `json:"nodes,omitempty"`
 }
 
@@ -266,7 +251,6 @@ type metricsSampler struct {
 	enc    *json.Encoder
 	target *loadTarget
 	lat    *fuzzyho.LatencyRecorder
-	sheds  *atomic.Uint64
 	start  time.Time
 	prev   fuzzyho.LatencySnapshot
 	prevN  uint64
@@ -277,7 +261,7 @@ type metricsSampler struct {
 }
 
 // startSampler opens path and samples once a second until closed.
-func startSampler(path string, target *loadTarget, lat *fuzzyho.LatencyRecorder, sheds *atomic.Uint64) (*metricsSampler, error) {
+func startSampler(path string, target *loadTarget, lat *fuzzyho.LatencyRecorder) (*metricsSampler, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("metrics-out: %w", err)
@@ -285,7 +269,7 @@ func startSampler(path string, target *loadTarget, lat *fuzzyho.LatencyRecorder,
 	now := time.Now()
 	s := &metricsSampler{
 		f: f, enc: json.NewEncoder(f), target: target, lat: lat,
-		sheds: sheds, start: now, prevT: now,
+		start: now, prevT: now,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	go s.loop()
@@ -322,7 +306,6 @@ func (s *metricsSampler) sample() {
 		P99Ns:     int64(win.Quantile(0.99)),
 		MaxNs:     int64(win.Max()),
 		Samples:   win.Count(),
-		Sheds:     s.sheds.Load(),
 	}
 	s.prevN, s.prevT = dec, now
 	if s.target.nodes != nil {

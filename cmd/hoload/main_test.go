@@ -22,10 +22,9 @@ func TestSamplerRateOverPartialWindow(t *testing.T) {
 		return fuzzyho.ClusterNodeStats{Decisions: decisions.Load()}
 	}}
 	var lat fuzzyho.LatencyRecorder
-	var sheds atomic.Uint64
 	path := filepath.Join(t.TempDir(), "series.jsonl")
 	begin := time.Now()
-	s, err := startSampler(path, target, &lat, &sheds)
+	s, err := startSampler(path, target, &lat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ var lastSnapshot atomic.Int64
 func main() {
 	var (
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "engine shards (state partitions)")
-		queue      = flag.Int("queue", serve.DefaultQueueDepth, "per-shard queue depth (messages)")
+		queue      = flag.Int("queue", 0, "per-shard queue depth (messages; 0: the engine default)")
 		window     = flag.Float64("window", serve.DefaultPingPongWindowKm, "ping-pong window in km")
 		listen     = flag.String("listen", "", "TCP listen address (empty: stdin/stdout)")
 		statsSec   = flag.Float64("stats", 0, "print engine stats to stderr every N seconds (0: off)")
@@ -99,8 +99,8 @@ func main() {
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be ≥ 1, got %d", *shards))
 	}
-	if *queue < 1 {
-		fatal(fmt.Errorf("-queue must be ≥ 1, got %d", *queue))
+	if *queue < 0 {
+		fatal(fmt.Errorf("-queue must be ≥ 0, got %d", *queue))
 	}
 	if *window <= 0 {
 		fatal(fmt.Errorf("-window must be > 0 km, got %g", *window))

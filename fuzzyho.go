@@ -392,11 +392,8 @@ type (
 // to every exported point.
 func NewMetricsRegistry(base ...MetricsLabel) *MetricsRegistry { return obs.NewRegistry(base...) }
 
-// Serve-layer sentinel errors (re-exported).
-var (
-	ErrServeNotRunning = serve.ErrNotRunning
-	ErrServeBacklogged = serve.ErrBacklogged
-)
+// ErrServeNotRunning is the serve layer's lifecycle error (re-exported).
+var ErrServeNotRunning = serve.ErrNotRunning
 
 // NewServeEngine validates the configuration and builds a stopped engine;
 // see serve.New.
@@ -434,8 +431,6 @@ type (
 	TCPCluster = cluster.TCP
 	// ClusterRing is the consistent-hash ring over TerminalID.
 	ClusterRing = cluster.Ring
-	// ClusterBacklogError reports reports shed by a backlogged node.
-	ClusterBacklogError = cluster.BacklogError
 	// ServeNodeClient speaks the wire protocol to one engine node.
 	ServeNodeClient = serve.NodeClient
 	// ServeNodeClientConfig configures a ServeNodeClient.

@@ -47,35 +47,6 @@ func (m *member) submit(rs []serve.Report) error {
 	return nil
 }
 
-// trySubmit is submit without blocking.  It returns how many reports a
-// backlogged member shed: always a tail of rs, so a shed report is never
-// overtaken by an accepted later one for the same terminal.
-//
-//fuzzyho:nolockio
-func (m *member) trySubmit(rs []serve.Report) (shed int, err error) {
-	if m.client != nil {
-		err = m.client.TrySend(rs)
-		if errors.Is(err, serve.ErrBacklogged) {
-			return len(rs), nil
-		}
-		return 0, err
-	}
-	for i := range rs {
-		m.submitted.Add(1)
-		err := m.engine.TrySubmit(rs[i])
-		if err != nil {
-			m.submitted.Add(^uint64(0))
-		}
-		if errors.Is(err, serve.ErrBacklogged) {
-			return len(rs) - i, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return 0, nil
-}
-
 // flush waits until every report routed to the member is decided (or,
 // over TCP, accounted lost).  In-process queues drain deterministically,
 // so the engine never consults the timeout.
@@ -182,7 +153,6 @@ func (m *member) restore(snaps []serve.TerminalSnapshot, skipLive bool) error {
 // cutover flips the ring (see migration).
 type core struct {
 	vnodes    int // ring virtual nodes per member (0 resolved to the default)
-	bufCap    int // migration buffer cap (0 resolved to the default)
 	orphanDir string
 	journal   *Journal // nil: membership changes are not crash-safe
 	onError   func(node int, err error)
@@ -222,14 +192,11 @@ type core struct {
 
 // configure resolves the configuration defaults shared by both
 // transports.
-func (c *core) configure(vnodes, bufCap int, orphanDir string, connect func(int, string) (*member, error)) {
+func (c *core) configure(vnodes int, orphanDir string, connect func(int, string) (*member, error)) {
 	if vnodes == 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	if bufCap == 0 {
-		bufCap = DefaultMigrateBufferCap
-	}
-	c.vnodes, c.bufCap, c.orphanDir, c.connect = vnodes, bufCap, orphanDir, connect
+	c.vnodes, c.orphanDir, c.connect = vnodes, orphanDir, connect
 	c.nodes = map[int]*member{}
 	c.scatter.New = func() any { return &map[int][]serve.Report{} }
 }
@@ -420,7 +387,7 @@ func (c *core) change(op string, node *member, oldRing, newRing *Ring) (bool, er
 // cutover (or abort), submissions for moving terminals buffer instead of
 // routing, and everything else routes under the old ring.
 func (c *core) beginMigration(op string, node int, oldRing, newRing *Ring) {
-	m := &migration{oldRing: oldRing, newRing: newRing, cap: c.bufCap}
+	m := &migration{oldRing: oldRing, newRing: newRing}
 	c.memMu.Lock()
 	c.mig = m
 	c.memMu.Unlock()
@@ -664,14 +631,6 @@ func (c *core) checkpoint() error {
 	return c.journal.Checkpoint(members, addrs, next)
 }
 
-// Submit implements Router: one report, routed as a one-report batch.
-//
-//fuzzyho:nolockio
-func (c *core) Submit(r serve.Report) error {
-	//fuzzyho:allow backpressure by design: reaches only member.submit's engine wait, bounded by shard progress (see there)
-	return c.SubmitBatch([]serve.Report{r})
-}
-
 // SubmitBatch implements Router: reports scatter into per-member
 // sub-batches (preserving per-terminal order) and each member gets one
 // coalesced call — Engine.SubmitBatch in-process, one wire line over
@@ -684,7 +643,7 @@ func (c *core) SubmitBatch(rs []serve.Report) error {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	if c.mig != nil {
-		rs, _, _ = c.mig.intercept(rs, false)
+		rs = c.mig.intercept(rs)
 	}
 	//fuzzyho:allow backpressure by design: reaches only member.submit's engine wait, bounded by shard progress (see there)
 	return c.submitLocked(rs)
@@ -709,45 +668,6 @@ func (c *core) submitLocked(rs []serve.Report) error {
 		if err := c.nodes[id].submit(sub); err != nil {
 			return fmt.Errorf("cluster: node %d: %w", id, err)
 		}
-	}
-	return nil
-}
-
-// TrySubmitBatch implements Router: like SubmitBatch, but a backlogged
-// member sheds the rest of its sub-batch instead of blocking, and the
-// call fails with *BacklogError; other members' sub-batches are still
-// accepted.  A full migration buffer sheds moving-terminal reports the
-// same way.
-//
-//fuzzyho:nolockio
-func (c *core) TrySubmitBatch(rs []serve.Report) error {
-	c.memMu.RLock()
-	defer c.memMu.RUnlock()
-	shed, first := 0, -1
-	if c.mig != nil {
-		rs, shed, first = c.mig.intercept(rs, true)
-	}
-	bufs := c.scatterLocked(rs)
-	defer c.putScatter(bufs)
-	for _, id := range c.ring.members {
-		sub := rs
-		if bufs != nil {
-			sub = (*bufs)[id]
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		n, err := c.nodes[id].trySubmit(sub)
-		if err != nil {
-			return fmt.Errorf("cluster: node %d: %w", id, err)
-		}
-		if n > 0 && first < 0 {
-			first = id
-		}
-		shed += n
-	}
-	if shed > 0 {
-		return &BacklogError{Node: first, Shed: shed}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -176,54 +175,5 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestLocalSubmitAndTrySubmit covers the remaining Router entry points:
-// single-report Submit routes like SubmitBatch, and TrySubmitBatch either
-// accepts everything or sheds loudly with a BacklogError.
-func TestLocalSubmitAndTrySubmit(t *testing.T) {
-	var mu sync.Mutex
-	perNode := map[int]uint64{}
-	l, err := NewLocal(LocalConfig{
-		Nodes: 3,
-		// TrySubmit enqueues one message per report (no sub-batching), so
-		// the queue must hold a node's whole share for the happy path.
-		Engine: serve.Config{Shards: 1, QueueDepth: 512},
-		OnDecision: func(node int, o serve.Outcome) {
-			mu.Lock()
-			perNode[node]++
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	var rs []serve.Report
-	for id := 0; id < 300; id++ {
-		rs = append(rs, serve.Report{Terminal: serve.TerminalID(id), Meas: testMeas(id)})
-	}
-	for _, r := range rs[:100] {
-		if err := l.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.TrySubmitBatch(rs[100:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tot := l.Stats().Totals()
-	if tot.Decisions != 300 || tot.Submitted != 300 {
-		t.Fatalf("totals %+v, want 300 decided", tot)
-	}
-	mu.Lock()
-	nodesServing := len(perNode)
-	mu.Unlock()
-	if nodesServing != 3 {
-		t.Errorf("%d of 3 nodes served decisions", nodesServing)
 	}
 }

@@ -33,10 +33,6 @@ type LocalConfig struct {
 	// snapshots that could be delivered to no live owner ("": the OS temp
 	// directory).
 	OrphanDir string
-	// MigrateBufferCap bounds the reports buffered for moving terminals
-	// during a membership change; TrySubmitBatch sheds past it (0:
-	// DefaultMigrateBufferCap).
-	MigrateBufferCap int
 }
 
 // Local is the in-process Router: the router core over N serve.Engines
@@ -61,7 +57,7 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 		return nil, err
 	}
 	l := &Local{cfg: cfg}
-	l.configure(cfg.VirtualNodes, cfg.MigrateBufferCap, cfg.OrphanDir, l.startNode)
+	l.configure(cfg.VirtualNodes, cfg.OrphanDir, l.startNode)
 	if err := l.start(ring, nil, -1); err != nil {
 		l.Close()
 		return nil, err

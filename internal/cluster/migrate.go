@@ -11,11 +11,6 @@ import (
 	"repro/internal/serve"
 )
 
-// DefaultMigrateBufferCap bounds the reports buffered for moving
-// terminals during one membership change (TrySubmitBatch sheds past it;
-// blocking submits are exempt — they already accepted backpressure).
-const DefaultMigrateBufferCap = 1 << 16
-
 // errMigrationAbandoned is what the test hook (core.hook) turns a
 // migration into: the router walks away mid-change exactly as a killed
 // process would — no rollback, no journal truncation — so recovery
@@ -28,11 +23,13 @@ var errMigrationAbandoned = errors.New("cluster: migration abandoned (simulated 
 // never stall), reports for moving terminals are buffered here and
 // released to the destination at cutover — preserving per-terminal
 // submission order, because a moving terminal's reports go exclusively
-// through the buffer for the whole window.
+// through the buffer for the whole window.  The buffer has no bound:
+// buffering cannot block (see intercept) and a submit never sheds, so it
+// holds every moving-terminal report of the window.  Its depth is on
+// /statusz (MigrationStatus.Buffered).
 type migration struct {
 	oldRing *Ring
 	newRing *Ring
-	cap     int
 
 	mu  sync.Mutex
 	buf []serve.Report
@@ -54,15 +51,8 @@ func (m *migration) moving(t serve.TerminalID) bool {
 // stalled here while holding the router's read lock would deadlock the
 // cutover's write lock.
 //
-// On the fail-fast path (try) moving reports past the buffer cap are
-// shed instead — counted, with the destination node of the first shed
-// report — so the buffer cannot grow unboundedly.  Only this call's own
-// reports are ever shed: reports a blocking submit already buffered were
-// accepted and stay accepted.
-//
 //fuzzyho:nolockio
-func (m *migration) intercept(rs []serve.Report, try bool) (rest []serve.Report, shed int, node int) {
-	node = -1
+func (m *migration) intercept(rs []serve.Report) []serve.Report {
 	split := -1
 	for i := range rs {
 		if m.moving(rs[i].Terminal) {
@@ -71,26 +61,20 @@ func (m *migration) intercept(rs []serve.Report, try bool) (rest []serve.Report,
 		}
 	}
 	if split < 0 {
-		return rs, 0, node
+		return rs
 	}
-	rest = make([]serve.Report, 0, len(rs)-1)
+	rest := make([]serve.Report, 0, len(rs)-1)
 	rest = append(rest, rs[:split]...)
 	m.mu.Lock()
 	for _, r := range rs[split:] {
-		switch {
-		case !m.moving(r.Terminal):
-			rest = append(rest, r)
-		case try && len(m.buf) >= m.cap:
-			shed++
-			if node < 0 {
-				node = m.newRing.NodeOf(r.Terminal)
-			}
-		default:
+		if m.moving(r.Terminal) {
 			m.buf = append(m.buf, r)
+		} else {
+			rest = append(rest, r)
 		}
 	}
 	m.mu.Unlock()
-	return rest, shed, node
+	return rest
 }
 
 // take hands the buffered reports to the cutover (or abort) flush.

@@ -13,25 +13,14 @@ import (
 // preserved end to end, which is what makes cluster decision sequences
 // identical to a single engine's.
 //
-// Backpressure is part of the contract:
-//
-//   - SubmitBatch blocks while a destination cannot accept (in-process,
-//     Engine.SubmitBatch's bounded queues; over TCP, the owning node's
-//     send queue).
-//   - TrySubmitBatch never blocks: a full destination fails fast with a
-//     *BacklogError (errors.Is serve.ErrBacklogged) naming the node and
-//     how many reports were shed — sub-batches bound for other nodes are
-//     still accepted, so the error is the caller's resubmission ledger,
-//     never a silent drop.
+// SubmitBatch is the one way reports enter a cluster, and backpressure
+// is part of its contract: it blocks while a destination cannot accept
+// (in-process, Engine.SubmitBatch's bounded queues; over TCP, the owning
+// node's bounded send queue) and never sheds a report to avoid waiting.
 type Router interface {
-	// Submit routes one report.
-	Submit(r serve.Report) error
 	// SubmitBatch routes a batch, coalescing per destination node and
 	// blocking under backpressure.
 	SubmitBatch(rs []serve.Report) error
-	// TrySubmitBatch routes a batch without blocking; see the
-	// backpressure contract above.
-	TrySubmitBatch(rs []serve.Report) error
 	// Flush blocks until every routed report is decided (or accounted
 	// lost by a failed node), up to timeout.
 	Flush(timeout time.Duration) error
@@ -72,22 +61,6 @@ type MigrationStatus struct {
 	// route-to-both buffer, to be released at cutover.
 	Buffered int `json:"buffered"`
 }
-
-// BacklogError reports a fail-fast submission that shed reports because a
-// node's queue was full.  It unwraps to serve.ErrBacklogged.
-type BacklogError struct {
-	// Node is the first backlogged member; Shed the total reports (across
-	// all backlogged members) that were NOT accepted and may be
-	// resubmitted by the caller.
-	Node int
-	Shed int
-}
-
-func (e *BacklogError) Error() string {
-	return fmt.Sprintf("cluster: node %d backlogged; %d reports shed", e.Node, e.Shed)
-}
-
-func (e *BacklogError) Unwrap() error { return serve.ErrBacklogged }
 
 // NodeStats is one member's counter snapshot.
 type NodeStats struct {

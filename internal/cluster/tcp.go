@@ -49,10 +49,6 @@ type TCPConfig struct {
 	// snapshots that could be delivered to no live owner ("": the OS temp
 	// directory).
 	OrphanDir string
-	// MigrateBufferCap bounds the reports buffered for moving terminals
-	// during a membership change; TrySubmitBatch sheds past it (0:
-	// DefaultMigrateBufferCap).
-	MigrateBufferCap int
 	// OnDecision, when non-nil, receives every outcome with the deciding
 	// node's ID, on that node client's reader goroutine.
 	OnDecision func(node int, o serve.Outcome)
@@ -104,7 +100,7 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 		cfg.MigrateTimeout = DefaultMigrateTimeout
 	}
 	t := &TCP{cfg: cfg}
-	t.configure(cfg.VirtualNodes, cfg.MigrateBufferCap, cfg.OrphanDir, t.dialNode)
+	t.configure(cfg.VirtualNodes, cfg.OrphanDir, t.dialNode)
 	t.onError = cfg.OnError
 	members := make([]int, 0, len(cfg.Addrs))
 	addrs := make(map[int]string, len(cfg.Addrs))

@@ -1,10 +1,11 @@
 package cluster
 
 import (
-	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,14 +313,15 @@ func TestTCPClusterTrendFuzzyMatchesSingleEngine(t *testing.T) {
 	checkSequencesEqual(t, "tcp-trend/nodes=2", rec, ref)
 }
 
-// TestTCPClusterBackpressure: a stalled node fills its bounded send queue
-// and TrySubmitBatch sheds that node's sub-batch with a BacklogError
-// naming the shed count, while the healthy node keeps accepting.
+// TestTCPClusterBackpressure: a node that accepts but does not read
+// fills its bounded send queue and socket buffers, and SubmitBatch then
+// blocks on it, while the healthy node keeps deciding its share; once the
+// stalled node reads again, the blocked SubmitBatch returns.
 func TestTCPClusterBackpressure(t *testing.T) {
 	// Healthy node.
 	addr0, stop0 := startNodeDaemon(t, serve.Config{Shards: 1, QueueDepth: 64})
 	defer stop0()
-	// Stalled node: accepts and never reads.
+	// Stalled node: accepts, then reads nothing until released.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -333,15 +335,14 @@ func TestTCPClusterBackpressure(t *testing.T) {
 		if err != nil {
 			return
 		}
+		defer conn.Close()
 		<-hold
-		conn.Close()
+		io.Copy(io.Discard, conn)
 	}()
 
 	router, err := DialTCP(TCPConfig{
 		Addrs:      []string{addr0, ln.Addr().String()},
 		QueueDepth: 2,
-		RedialWait: 10 * time.Millisecond,
-		MaxRedials: 2,
 		CloseGrace: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -354,36 +355,65 @@ func TestTCPClusterBackpressure(t *testing.T) {
 	for id := 0; id < 512; id++ {
 		rs = append(rs, serve.Report{Terminal: serve.TerminalID(id), Meas: testMeas(id)})
 	}
-	sawBacklog := false
-	for i := 0; i < 20000 && !sawBacklog; i++ {
-		err := router.TrySubmitBatch(rs)
-		if err == nil {
-			// Pace on the healthy node: its writer takes the queued line
-			// before the next batch, so only the stalled node's 2-line
-			// queue can fill.
-			for deadline := time.Now().Add(10 * time.Second); router.Client(0).Counters().QueuedLines > 0; {
-				if time.Now().After(deadline) {
-					t.Fatal("healthy node's send queue never drained")
-				}
-				time.Sleep(50 * time.Microsecond)
+	const maxBatches = 1 << 14
+	var sent atomic.Int64
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < maxBatches && !stop.Load(); i++ {
+			if err := router.SubmitBatch(rs); err != nil {
+				done <- err
+				return
 			}
-			continue
+			sent.Add(1)
 		}
-		var be *BacklogError
-		if !errors.As(err, &be) || !errors.Is(err, serve.ErrBacklogged) {
-			t.Fatalf("TrySubmitBatch: %v", err)
+		done <- nil
+	}()
+
+	// Blocked: the batch count stops moving with the stalled node's
+	// queue full.
+	stalled := router.Client(1)
+	deadline := time.Now().Add(10 * time.Second)
+	for last := int64(-1); ; {
+		select {
+		case err := <-done:
+			t.Fatalf("submitter finished (%v) after %d batches without blocking on a node that does not read", err, sent.Load())
+		case <-time.After(100 * time.Millisecond):
 		}
-		if be.Node != 1 || be.Shed == 0 {
-			t.Fatalf("backlog error %+v, want node 1 with a shed count", be)
+		n := sent.Load()
+		if n == last && stalled.Counters().QueuedLines == 2 {
+			break
 		}
-		sawBacklog = true
+		if time.Now().After(deadline) {
+			t.Fatalf("SubmitBatch never blocked: %d batches sent, %d lines queued", n, stalled.Counters().QueuedLines)
+		}
+		last = n
 	}
-	if !sawBacklog {
-		t.Fatal("stalled node never surfaced ErrBacklogged")
+	blocked := sent.Load()
+
+	// The healthy node accepted its share and decides all of it while its
+	// peer is stalled.
+	healthy := router.Client(0)
+	if err := healthy.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	// The healthy node kept serving its share.
-	if n0 := router.Stats().Nodes[0]; n0.Submitted == 0 {
-		t.Error("healthy node accepted nothing while its peer was stalled")
+	if n0 := healthy.Counters(); n0.Submitted == 0 || n0.Delivered != n0.Submitted {
+		t.Errorf("healthy node %+v while its peer was stalled, want its share accepted and decided", n0)
+	}
+
+	// Unblocked: once the stalled node reads, the pending SubmitBatch
+	// returns.
+	unhold()
+	deadline = time.Now().Add(10 * time.Second)
+	for sent.Load() == blocked {
+		if time.Now().After(deadline) {
+			t.Fatal("SubmitBatch still blocked after the stalled node resumed reading")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

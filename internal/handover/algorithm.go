@@ -29,8 +29,10 @@ type Decision struct {
 // Algorithm decides handovers from successive measurements.  Implementations
 // may keep state across epochs (e.g. time-to-trigger counters) and must
 // reset it in Reset; the simulator calls Reset once per run and after every
-// executed handover, and the serve engine calls it whenever a pooled
-// instance is (re)bound to a terminal's decision stream.
+// executed handover.  The serve engine never calls it: one instance decides
+// every terminal of a shard, so an algorithm it serves must keep no
+// per-terminal cross-epoch state (the engine holds each terminal's history
+// itself).
 //
 // Reset contract: after Reset, the instance must be indistinguishable from
 // a freshly constructed one for every future Decide call — no cross-epoch
@@ -47,8 +49,9 @@ type Algorithm interface {
 	//
 	//fuzzyho:hotpath
 	Decide(m cell.Measurement, prevServingDB float64, havePrev bool) (Decision, error)
-	// Reset clears cross-epoch state (see the contract above).  Called
-	// per executed handover on the decision loop: must not allocate.
+	// Reset clears cross-epoch state (see the contract above).  The
+	// simulator calls it per executed handover on its decision loop: it
+	// must not allocate.
 	//
 	//fuzzyho:hotpath
 	Reset()

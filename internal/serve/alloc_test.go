@@ -26,10 +26,10 @@ func steadyBatch(n, nTerminals int) []Report {
 // TestSubmitBatchSteadyStateAllocs is the acceptance regression: once
 // every terminal has been seen (state structs built, scratches warm), the
 // whole SubmitBatch → shard → frame pipeline → counters path must run
-// without heap allocations — and so must one Submit per report, whose
-// 1-row sub-batches take the same frame pipeline.  AllocsPerRun counts
-// mallocs process-wide, so the shard goroutines are included in the
-// measurement.
+// without heap allocations — and so must one SubmitBatch per report,
+// whose 1-row sub-batches take the same frame pipeline.  AllocsPerRun
+// counts mallocs process-wide, so the shard goroutines are included in
+// the measurement.
 func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the regression runs in the non-race job")
@@ -117,7 +117,7 @@ func TestTrendWholeFrameSteadyStateAllocs(t *testing.T) {
 // TestServeSteadyStateBytesPerShardCount pins the byte side of the
 // steady-state contract at every shard count, in every decision mode
 // (exact, compiled, the speed-adaptive extension on the compiled kernel,
-// the stateful trend schema and per-terminal algorithms): once each
+// the stateful trend schema and a plain Algorithm): once each
 // shard's sub-batch buffer population exists (built lazily while the
 // queue first fills; see getBuf), ingest → decide → recycle must allocate
 // nothing, so per-op bytes cannot grow with the shard count.  Bytes are
@@ -150,11 +150,7 @@ func TestServeSteadyStateBytesPerShardCount(t *testing.T) {
 			}
 			return a
 		}}},
-		// Every terminal decides through its own HysteresisTTT instance,
-		// looked up from the shard's algorithm table.
-		{"per-terminal-ttt", Config{PerTerminalAlgorithms: true, AlgorithmFactory: func() handover.Algorithm {
-			return handover.NewHysteresisTTT(3, 2)
-		}}},
+		{"hysteresis", Config{AlgorithmFactory: zeroHysteresis}},
 	}
 	for _, mode := range modes {
 		for _, shards := range []int{1, 2, 4, 8} {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -16,13 +15,13 @@ import (
 	"repro/internal/sim"
 )
 
-// TestTerminalLayout pins the per-terminal footprint — 272 B, of which the
+// TestTerminalLayout pins the per-terminal footprint — 264 B, of which the
 // ring is eight 24-B events — and keeps every field pointer-free, so the
 // store's slabs are allocated noscan and the garbage collector never
 // walks terminal state.
 func TestTerminalLayout(t *testing.T) {
-	if got := unsafe.Sizeof(terminal{}); got != 272 {
-		t.Errorf("terminal is %d B, want 272", got)
+	if got := unsafe.Sizeof(terminal{}); got != 264 {
+		t.Errorf("terminal is %d B, want 264", got)
 	}
 	if got := unsafe.Sizeof(hoEvent{}); got != 24 {
 		t.Errorf("hoEvent is %d B, want 24", got)
@@ -68,34 +67,14 @@ func outOfRange(r Report, k int) Report {
 
 // TestEngineRejectsOutOfRangeCells: a report whose serving or neighbor
 // label does not fit the engine's int32 cell storage completes as an
-// ErrCellOutOfRange outcome, counted in Errors, on every submit path and
-// in every decision mode.  It writes no terminal state but the sequence
+// ErrCellOutOfRange outcome, counted in Errors, in every sub-batch shape
+// and decision mode.  It writes no terminal state but the sequence
 // number: with the rejected reports' outcomes removed and the rest
 // renumbered, every terminal's decisions are the simulator's.
 func TestEngineRejectsOutOfRangeCells(t *testing.T) {
 	trend, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ttt := func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }
-	tttCfgs := paperFleetConfigs()
-	for i := range tttCfgs {
-		tttCfgs[i].AlgorithmFactory = ttt
-	}
-	trySubmit := func(e *Engine, rs []Report) error {
-		for _, r := range rs {
-			for {
-				err := e.TrySubmit(r)
-				if !errors.Is(err, ErrBacklogged) {
-					if err != nil {
-						return err
-					}
-					break
-				}
-				runtime.Gosched()
-			}
-		}
-		return nil
 	}
 	for _, a := range []struct {
 		name string
@@ -104,9 +83,12 @@ func TestEngineRejectsOutOfRangeCells(t *testing.T) {
 	}{
 		{"paper", paperFleetConfigs(), Config{}},
 		{"trendfuzzy", trendFleetConfigs(trend), Config{AlgorithmFactory: trend}},
-		{"per-terminal-ttt", tttCfgs, Config{AlgorithmFactory: ttt, PerTerminalAlgorithms: true}},
+		{"hysteresis", hysteresisFleetConfigs(), Config{AlgorithmFactory: zeroHysteresis}},
 	} {
 		streams, results := simStreams(t, a.cfgs)
+		if a.name == "hysteresis" {
+			checkPingPongDomain(t, results, sim.DefaultPingPongWindowKm)
+		}
 		// A rejected report before every third epoch, so some land right
 		// before handovers and some between a handover and its return.
 		aug := make([][]Report, len(streams))
@@ -131,7 +113,6 @@ func TestEngineRejectsOutOfRangeCells(t *testing.T) {
 			// schemas split them into runs around the rejected rows.
 			{"batch-sequential", sequential, (*Engine).SubmitBatch},
 			{"submit", interleaved, submitModes[1].submit},
-			{"trysubmit", interleaved, trySubmit},
 		} {
 			t.Run(a.name+"/"+mode.name, func(t *testing.T) {
 				rec := newRecorder(len(streams))

@@ -38,8 +38,8 @@ var ErrClientClosed = errors.New("serve: node client closed")
 // NodeClientConfig configures a NodeClient.
 type NodeClientConfig struct {
 	// QueueDepth bounds the send queue in encoded batch lines (0:
-	// DefaultNodeQueueDepth).  A full queue is per-node backpressure:
-	// TrySend fails fast with ErrBacklogged, Send blocks.
+	// DefaultNodeQueueDepth).  A full queue is per-node backpressure: Send
+	// blocks until the writer drains a line.
 	QueueDepth int
 	// OnOutcome receives every decoded decision, in the node's emission
 	// order (per-terminal order is the engine's submission order).  It
@@ -156,12 +156,11 @@ type NodeClient struct {
 
 // ctlOp is one in-flight control operation: the reader goroutine
 // accumulates shipped snapshots (or the stats payload, or an ack's
-// count/node) into it and completes done exactly once.
+// count) into it and completes done exactly once.
 type ctlOp struct {
 	snaps []TerminalSnapshot
 	stats WireStats
 	count int
-	node  int
 	done  chan error // buffered; completion never blocks the reader
 }
 
@@ -223,13 +222,7 @@ func (c *NodeClient) Err() error {
 // while the node's queue is full (backpressure).  It fails with
 // ErrClientClosed after Close and with the fatal error once the client
 // has given up on the node.
-func (c *NodeClient) Send(rs []Report) error { return c.send(rs, true) }
-
-// TrySend is Send without blocking: a full queue fails fast with
-// ErrBacklogged so the caller can shed or retry on its own terms.
-func (c *NodeClient) TrySend(rs []Report) error { return c.send(rs, false) }
-
-func (c *NodeClient) send(rs []Report, block bool) error {
+func (c *NodeClient) Send(rs []Report) error {
 	if len(rs) == 0 {
 		return nil
 	}
@@ -245,12 +238,12 @@ func (c *NodeClient) send(rs []Report, block bool) error {
 		}
 	}
 	p := pendingLine{line: AppendBatchJSON(make([]byte, 0, 160*len(rs)), rs), n: uint64(len(rs))}
-	return c.enqueue(p, block, time.Time{})
+	return c.enqueue(p, time.Time{})
 }
 
-// enqueue adds one encoded line to the send queue.  block=false fails
-// fast on a full queue; a non-zero deadline bounds the blocking wait.
-func (c *NodeClient) enqueue(p pendingLine, block bool, deadline time.Time) error {
+// enqueue adds one encoded line to the send queue, blocking while it is
+// full; a non-zero deadline bounds the wait.
+func (c *NodeClient) enqueue(p pendingLine, deadline time.Time) error {
 	var wait *time.Timer
 	defer func() {
 		if wait != nil {
@@ -281,9 +274,6 @@ func (c *NodeClient) enqueue(p pendingLine, block bool, deadline time.Time) erro
 		default:
 		}
 		c.mu.RUnlock()
-		if !block {
-			return ErrBacklogged
-		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return fmt.Errorf("serve: node %s: send queue full past deadline", c.addr)
 		}
@@ -698,7 +688,7 @@ func (c *NodeClient) Extract(members []int, vnodes, self int, keep bool, timeout
 	op := c.armCtl()
 	defer c.disarmCtl()
 	line := AppendControlJSON(nil, WireControl{Op: "extract", Members: members, VNodes: vnodes, Self: self, Keep: keep})
-	if err := c.enqueue(pendingLine{line: line}, true, deadline); err != nil {
+	if err := c.enqueue(pendingLine{line: line}, deadline); err != nil {
 		return nil, err
 	}
 	if err := c.waitCtl(op, deadline); err != nil {
@@ -718,7 +708,7 @@ func (c *NodeClient) Release(members []int, vnodes, self int, timeout time.Durat
 	op := c.armCtl()
 	defer c.disarmCtl()
 	line := AppendControlJSON(nil, WireControl{Op: "release", Members: members, VNodes: vnodes, Self: self})
-	if err := c.enqueue(pendingLine{line: line}, true, deadline); err != nil {
+	if err := c.enqueue(pendingLine{line: line}, deadline); err != nil {
 		return 0, err
 	}
 	if err := c.waitCtl(op, deadline); err != nil {
@@ -741,47 +731,13 @@ func (c *NodeClient) Restore(snaps []TerminalSnapshot, skipLive bool, timeout ti
 	for rest := snaps; len(rest) > 0; {
 		n := min(len(rest), snapshotChunk)
 		line := AppendControlJSON(nil, WireControl{Op: "restore", Snapshots: rest[:n], SkipLive: skipLive})
-		if err := c.enqueue(pendingLine{line: line}, true, deadline); err != nil {
+		if err := c.enqueue(pendingLine{line: line}, deadline); err != nil {
 			return err
 		}
 		rest = rest[n:]
 	}
 	done := AppendControlJSON(nil, WireControl{Op: "restore-done"})
-	if err := c.enqueue(pendingLine{line: done}, true, deadline); err != nil {
-		return err
-	}
-	return c.waitCtl(op, deadline)
-}
-
-// AddNode asks a cluster front-door daemon (hocluster) to grow the
-// membership by dialing addr as a fresh member, returning the new
-// member's ID.  Engine nodes answer with an unsupported-op error.
-func (c *NodeClient) AddNode(addr string, timeout time.Duration) (int, error) {
-	c.ctlMu.Lock()
-	defer c.ctlMu.Unlock()
-	deadline := time.Now().Add(timeout)
-	op := c.armCtl()
-	defer c.disarmCtl()
-	line := AppendControlJSON(nil, WireControl{Op: "addnode", Addr: addr})
-	if err := c.enqueue(pendingLine{line: line}, true, deadline); err != nil {
-		return 0, err
-	}
-	if err := c.waitCtl(op, deadline); err != nil {
-		return 0, err
-	}
-	return op.node, nil
-}
-
-// RemoveNode asks a cluster front-door daemon to retire member node,
-// migrating its terminals to the remaining members first.
-func (c *NodeClient) RemoveNode(node int, timeout time.Duration) error {
-	c.ctlMu.Lock()
-	defer c.ctlMu.Unlock()
-	deadline := time.Now().Add(timeout)
-	op := c.armCtl()
-	defer c.disarmCtl()
-	line := AppendControlJSON(nil, WireControl{Op: "removenode", Node: node})
-	if err := c.enqueue(pendingLine{line: line}, true, deadline); err != nil {
+	if err := c.enqueue(pendingLine{line: done}, deadline); err != nil {
 		return err
 	}
 	return c.waitCtl(op, deadline)
@@ -799,7 +755,7 @@ func (c *NodeClient) Stats(timeout time.Duration) (WireStats, error) {
 	op := c.armCtl()
 	defer c.disarmCtl()
 	line := AppendControlJSON(nil, WireControl{Op: "stats"})
-	if err := c.enqueue(pendingLine{line: line}, true, deadline); err != nil {
+	if err := c.enqueue(pendingLine{line: line}, deadline); err != nil {
 		return WireStats{}, err
 	}
 	if err := c.waitCtl(op, deadline); err != nil {
@@ -890,7 +846,7 @@ func (c *NodeClient) handleCtlLine(line []byte) {
 		case op.done <- res:
 		default:
 		}
-	case "extracted", "restored", "released", "node-added", "node-removed":
+	case "extracted", "restored", "released":
 		var res error
 		if ctl.Error != "" {
 			res = fmt.Errorf("serve: node %s: %s", c.addr, ctl.Error)
@@ -898,7 +854,6 @@ func (c *NodeClient) handleCtlLine(line []byte) {
 			res = fmt.Errorf("serve: node %s: extracted ack counts %d snapshots, %d received", c.addr, ctl.Count, len(op.snaps))
 		}
 		op.count = ctl.Count
-		op.node = ctl.Node
 		select {
 		case op.done <- res:
 		default:

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"errors"
+	"io"
 	"math"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -288,8 +290,9 @@ func TestNodeClientFlushFailsFastAfterRemoteReject(t *testing.T) {
 	}
 }
 
-// TestNodeClientBackpressure: a node that accepts but never reads fills
-// the bounded queue; TrySend surfaces ErrBacklogged instead of blocking.
+// TestNodeClientBackpressure: against a node that accepts but does not
+// read, Send blocks once the bounded queue and the socket buffers are
+// full, and returns once the node reads again.
 func TestNodeClientBackpressure(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -304,34 +307,70 @@ func TestNodeClientBackpressure(t *testing.T) {
 		if err != nil {
 			return
 		}
+		defer conn.Close()
 		<-hold
-		conn.Close()
+		io.Copy(io.Discard, conn)
 	}()
-	// Unblock the peer before Close runs (defers are LIFO): a Close while
-	// the writer is kernel-blocked against a never-reading peer would wait
-	// out the whole redial budget.
+	// The node never answers, so Close cuts the tail after a short grace;
+	// unhold runs first (defers are LIFO), so a failing test cannot leave
+	// the writer kernel-blocked against the peer.
 	c, err := DialNode(ln.Addr().String(), NodeClientConfig{
-		QueueDepth: 2, RedialWait: 10 * time.Millisecond, MaxRedials: 2,
+		QueueDepth: 2, CloseGrace: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	defer unhold()
-	rs := clientTestReports(1, 1)
-	backlogged := false
-	// The OS socket buffer absorbs some lines; the bounded queue must
-	// still fill once the writer blocks on the kernel.
-	for i := 0; i < 100000 && !backlogged; i++ {
-		if err := c.TrySend(rs); err != nil {
-			if !errors.Is(err, ErrBacklogged) {
-				t.Fatalf("TrySend: %v", err)
+	// 64-report lines (~10 KB each) fill the loopback socket buffers in
+	// a few thousand sends.
+	rs := clientTestReports(64, 1)
+	const maxLines = 1 << 16
+	var sent atomic.Int64
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < maxLines && !stop.Load(); i++ {
+			if err := c.Send(rs); err != nil {
+				done <- err
+				return
 			}
-			backlogged = true
+			sent.Add(1)
 		}
+		done <- nil
+	}()
+
+	// Blocked: the send count stops moving with the queue full.
+	deadline := time.Now().Add(10 * time.Second)
+	for last := int64(-1); ; {
+		select {
+		case err := <-done:
+			t.Fatalf("sender finished (%v) after %d lines without blocking on a node that does not read", err, sent.Load())
+		case <-time.After(100 * time.Millisecond):
+		}
+		n := sent.Load()
+		if n == last && c.Counters().QueuedLines == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Send never blocked: %d lines sent, %d queued", n, c.Counters().QueuedLines)
+		}
+		last = n
 	}
-	if !backlogged {
-		t.Fatal("queue never backlogged against a stalled node")
+	blocked := sent.Load()
+
+	// Unblocked: once the node reads, the pending Send returns.
+	unhold()
+	deadline = time.Now().Add(10 * time.Second)
+	for sent.Load() == blocked {
+		if time.Now().After(deadline) {
+			t.Fatalf("Send still blocked %v after the node resumed reading", 10*time.Second)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -490,8 +529,7 @@ func TestNodeClientGoesDownLoudly(t *testing.T) {
 	// Poll sends until the client reports itself down.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.Send(rs)
-		if err != nil && !errors.Is(err, ErrBacklogged) {
+		if err := c.Send(rs); err != nil {
 			if !strings.Contains(err.Error(), "gave up") {
 				t.Fatalf("fatal error %v, want redial give-up", err)
 			}

@@ -27,16 +27,16 @@ func simStreams(t *testing.T, cfgs []sim.Config) ([][]Report, []*sim.Result) {
 }
 
 // submitModes are the ingest shapes the determinism pins replay: one
-// SubmitBatch (sub-batches of up to maxSubBatch reports) and one Submit
-// per report (1-row sub-batches).
+// SubmitBatch (sub-batches of up to maxSubBatch reports) and one
+// SubmitBatch per report (1-row sub-batches).
 var submitModes = []struct {
 	name   string
 	submit func(e *Engine, rs []Report) error
 }{
 	{"batch", (*Engine).SubmitBatch},
 	{"submit", func(e *Engine, rs []Report) error {
-		for _, r := range rs {
-			if err := e.Submit(r); err != nil {
+		for i := range rs {
+			if err := e.SubmitBatch(rs[i : i+1]); err != nil {
 				return err
 			}
 		}
@@ -53,6 +53,51 @@ func paperFleetConfigs() []sim.Config {
 		cfgs = append(cfgs, c...)
 	}
 	return cfgs
+}
+
+// zeroHysteresis is a plain Algorithm: a 0-dB RSS hysteresis, which hands
+// over at every crossing of the two powers and so ping-pongs.  An engine
+// serves it through handover.AsBatchScorer, whose DecideScored is Decide —
+// the path of every algorithm without a batch stage.
+func zeroHysteresis() handover.Algorithm { return handover.Hysteresis{MarginDB: 0} }
+
+// hysteresisFleetConfigs is the plain-Algorithm fleet: the paper walks of
+// paperFleetConfigs at 20 legs, decided by zeroHysteresis.
+func hysteresisFleetConfigs() []sim.Config {
+	cfgs := paperFleetConfigs()
+	for i := range cfgs {
+		cfgs[i].NWalk = 20
+		cfgs[i].AlgorithmFactory = zeroHysteresis
+	}
+	return cfgs
+}
+
+// checkPingPongDomain fails unless the sim results put the engine's
+// ping-pong accounting under test within its known limit: some handover
+// closes a ping-pong pair, and no window holds more handovers than the
+// engine's ring keeps (pingPongHistory; past it the ring forgets, as
+// TestRingForgetsBeyondHistory pins).
+func checkPingPongDomain(t *testing.T, results []*sim.Result, windowKm float64) {
+	t.Helper()
+	pingPongs := 0
+	for i, res := range results {
+		pingPongs += res.PingPongCount
+		for j, ev := range res.Events {
+			inWindow := 0
+			for _, prev := range res.Events[:j+1] {
+				if ev.WalkedKm-prev.WalkedKm <= windowKm {
+					inWindow++
+				}
+			}
+			if inWindow > pingPongHistory {
+				t.Fatalf("terminal %d: %d handovers inside the %g-km window ending at epoch %d, more than the ring's %d",
+					i, inWindow, windowKm, ev.Epoch, pingPongHistory)
+			}
+		}
+	}
+	if pingPongs == 0 {
+		t.Fatal("the fleet makes no ping-pong; the PingPong column is not under test")
+	}
 }
 
 // recorder collects outcomes per terminal.  Entries are created before the
@@ -112,8 +157,8 @@ func checkAgainstSim(t *testing.T, rec recorder, results []*sim.Result, shards i
 // TestDeterminismMatchesSim is the multi-shard determinism guarantee:
 // replaying sim-generated walks for a fleet of terminals through the
 // engine — reports interleaved round-robin across terminals, any shard
-// count, batched or one Submit per report — yields per-terminal decision
-// sequences identical to the single-threaded sim path.
+// count, batched or one SubmitBatch per report — yields per-terminal
+// decision sequences identical to the single-threaded sim path.
 func TestDeterminismMatchesSim(t *testing.T) {
 	cfgs := paperFleetConfigs()
 	streams, results := simStreams(t, cfgs)
@@ -299,54 +344,6 @@ func TestDeterminismTrendFuzzySequentialBatches(t *testing.T) {
 	}
 }
 
-// TestDeterminismPerTerminalAlgorithms covers the stateful-algorithm mode:
-// per-terminal HysteresisTTT instances must reproduce the sim sequences,
-// streak state and all, under concurrent sharding, batched or one Submit
-// per report.
-func TestDeterminismPerTerminalAlgorithms(t *testing.T) {
-	factory := func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }
-	cfgs := paperFleetConfigs()
-	for i := range cfgs {
-		cfgs[i].AlgorithmFactory = factory
-	}
-	streams, results := simStreams(t, cfgs)
-	reports := InterleaveReports(streams)
-
-	for _, mode := range submitModes {
-		t.Run(mode.name, func(t *testing.T) {
-			rec := newRecorder(len(cfgs))
-			e, err := New(Config{
-				Shards:                4,
-				QueueDepth:            64,
-				AlgorithmFactory:      factory,
-				PerTerminalAlgorithms: true,
-				PingPongWindowKm:      sim.DefaultPingPongWindowKm,
-				OnDecision:            rec.record,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := mode.submit(e, reports); err != nil {
-				t.Fatal(err)
-			}
-			e.Flush()
-			if err := e.Stop(); err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstSim(t, rec, results, 4)
-
-			// The probe is only meaningful if the TTT baseline actually
-			// fires somewhere in the fleet.
-			if e.Stats().Totals().Handovers == 0 {
-				t.Error("TTT fleet executed no handovers; streak state never exercised")
-			}
-		})
-	}
-}
-
 // simOutcomes is the outcome sequence the sim path decided for terminal
 // id: what an engine replaying res must report, the Shard field aside.
 func simOutcomes(id TerminalID, res *sim.Result) []Outcome {
@@ -362,13 +359,14 @@ func simOutcomes(id TerminalID, res *sim.Result) []Outcome {
 }
 
 // TestDeterminismAcrossQueueDepth pins that the queue bound shapes timing
-// only.  One seeded fleet replays through engines whose shard queues hold
-// 1, 2, 16, DefaultQueueDepth or 1,024 messages, on 1 and 4 shards,
-// batched or one Submit per report.  Every terminal's (Seq, Decision,
-// Executed, PingPong, Err) sequence must equal the sim's, for the
-// compiled paper controller and for trendfuzzy.  The 80-leg walks give
-// ~2,000 and ~1,000 reports, so the small queues fill, and the paper
-// fleet makes one ping-pong.
+// only.  Each seeded fleet replays through engines whose shard queues
+// hold 1, 2, 16, DefaultQueueDepth or 1,024 messages, on 1 and 4 shards,
+// batched or one report per SubmitBatch.  Every terminal's (Seq,
+// Decision, Executed, PingPong, Err) sequence must equal the sim's, for
+// the compiled paper controller, for trendfuzzy and for a plain
+// Algorithm (hysteresisFleetConfigs).  The 80-leg walks give ~2,000 and
+// ~1,000 reports, so the small queues fill, and the paper fleet makes one
+// ping-pong; the hysteresis fleet makes several.
 func TestDeterminismAcrossQueueDepth(t *testing.T) {
 	trend, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
 	if err != nil {
@@ -395,9 +393,13 @@ func TestDeterminismAcrossQueueDepth(t *testing.T) {
 	}{
 		{"paper-compiled", paper, Config{Compiled: true}},
 		{"trendfuzzy", trendCfgs, Config{AlgorithmFactory: trend}},
+		{"hysteresis", hysteresisFleetConfigs(), Config{AlgorithmFactory: zeroHysteresis}},
 	} {
 		t.Run(fleet.name, func(t *testing.T) {
 			streams, results := simStreams(t, fleet.cfgs)
+			if fleet.name == "hysteresis" {
+				checkPingPongDomain(t, results, sim.DefaultPingPongWindowKm)
+			}
 			reports := InterleaveReports(streams)
 			handovers := 0
 			for _, res := range results {

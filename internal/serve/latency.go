@@ -15,12 +15,6 @@ type LatencyRecorder struct {
 	h obs.Histogram
 }
 
-// bucketIndex maps nanoseconds to a log-linear bucket.
-func bucketIndex(ns uint64) int { return obs.BucketIndex(ns) }
-
-// bucketValue returns the lower bound of bucket i (inverse of bucketIndex).
-func bucketValue(i int) uint64 { return obs.BucketValue(i) }
-
 // Observe records one sample.  Negative durations are ignored (they arise
 // only from cross-goroutine clock misuse).
 func (l *LatencyRecorder) Observe(d time.Duration) { l.h.ObserveDuration(d) }

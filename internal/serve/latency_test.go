@@ -6,20 +6,6 @@ import (
 	"time"
 )
 
-func TestLatencyBucketsInvertible(t *testing.T) {
-	for _, ns := range []uint64{0, 1, 5, 31, 32, 33, 63, 64, 100, 1 << 20, 1<<40 + 12345, 1 << 62} {
-		i := bucketIndex(ns)
-		lo := bucketValue(i)
-		if lo > ns {
-			t.Errorf("bucketValue(%d) = %d > sample %d", i, lo, ns)
-		}
-		// Relative resolution: the lower bound is within 1/32 of the sample.
-		if ns > 64 && float64(ns-lo)/float64(ns) > 1.0/32 {
-			t.Errorf("sample %d mapped to bound %d: error %g", ns, lo, float64(ns-lo)/float64(ns))
-		}
-	}
-}
-
 func TestLatencyRecorderQuantiles(t *testing.T) {
 	var l LatencyRecorder
 	if l.Quantile(0.5) != 0 || l.Max() != 0 || l.Mean() != 0 {

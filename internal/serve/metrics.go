@@ -277,7 +277,7 @@ func (e *Engine) TracesSampled() uint64 {
 // captureTrace records one sampled decision, re-running the explainable
 // part of the pipeline for the rationale.  This path allocates by design
 // — it runs once every TraceEvery decisions, never in between.
-func (s *shard) captureTrace(r *Report, algo handover.Algorithm, dec *handover.Decision, err error, executed, pingPong bool, seq uint64) {
+func (s *shard) captureTrace(r *Report, dec *handover.Decision, err error, executed, pingPong bool, seq uint64) {
 	start := time.Now()
 	tr := DecisionTrace{
 		Terminal: r.Terminal,
@@ -295,7 +295,7 @@ func (s *shard) captureTrace(r *Report, algo handover.Algorithm, dec *handover.D
 	if err != nil {
 		tr.Err = err.Error()
 	}
-	if ex, ok := algo.(handover.Explainer); ok {
+	if ex, ok := s.scorer.(handover.Explainer); ok {
 		if text, ok := ex.Explain(r.Meas); ok {
 			tr.FLC = text
 		}

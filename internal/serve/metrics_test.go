@@ -62,7 +62,7 @@ func TestMetricsMatchEngineStats(t *testing.T) {
 				} else {
 					r = flcMeas(TerminalID(w*64 + i%32))
 				}
-				if err := e.Submit(r); err != nil {
+				if err := e.SubmitBatch([]Report{r}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -171,7 +171,7 @@ func TestDecisionTraceSampling(t *testing.T) {
 	defer e.Stop()
 
 	for i := 0; i < 50; i++ {
-		if err := e.Submit(flcMeas(TerminalID(i % 8))); err != nil {
+		if err := e.SubmitBatch([]Report{flcMeas(TerminalID(i % 8))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,9 +13,8 @@
 // identical to the single-threaded sim path for the same measurement
 // stream, regardless of the shard count (see the determinism tests).
 //
-// Ingest is through bounded per-shard queues with explicit backpressure:
-// Submit and SubmitBatch block while the owning shard's queue is full,
-// TrySubmit fails fast with ErrBacklogged instead.  Per-shard counters
+// Ingest is SubmitBatch, through bounded per-shard queues: it blocks while
+// an owning shard's queue is full (backpressure).  Per-shard counters
 // (decisions, handovers, ping-pongs, queue depth) are readable at any time
 // through Stats without stopping the world.
 package serve
@@ -70,27 +69,21 @@ type Config struct {
 	// 0 selects GOMAXPROCS; negative is invalid.
 	Shards int
 	// QueueDepth bounds each shard's ingest queue, in queued messages:
-	// each Submit/TrySubmit enqueues one message of one report, each
 	// SubmitBatch packs per-shard messages of up to 64 reports.  A full
-	// queue of depth D therefore holds up to D × 64 reports from
-	// SubmitBatch, about D × 26 µs of compiled-paper decisions that a
-	// newly queued report waits behind, but only D reports from
-	// Submit/TrySubmit, and about 2.5·D from a node daemon fed wire lines
-	// (one SubmitBatch of ~2.5 reports per line).  0 selects
+	// queue of depth D therefore holds up to D × 64 reports, about
+	// D × 26 µs of compiled-paper decisions that a newly queued report
+	// waits behind, but only about 2.5·D from a node daemon fed wire
+	// lines (one SubmitBatch of ~2.5 reports per line).  0 selects
 	// DefaultQueueDepth; negative is invalid.
 	QueueDepth int
 	// AlgorithmFactory builds the decision algorithm (nil: the paper's
-	// fuzzy controller).  It is called once per shard — and once per
-	// terminal when PerTerminalAlgorithms is set — and must be safe to
-	// call from multiple goroutines.
+	// fuzzy controller).  It is called once per shard, from multiple
+	// goroutines, and the one instance it returns decides every terminal
+	// of that shard: it must keep no per-terminal cross-epoch state.
+	// Per-terminal history lives in the engine (previous serving power,
+	// handover ring, the schema's DerivedState).  HysteresisTTT, whose
+	// streak counter is such state, is a sim baseline.
 	AlgorithmFactory func() handover.Algorithm
-	// PerTerminalAlgorithms gives every terminal its own algorithm
-	// instance to complete its decisions (the shard's instance still
-	// scores the frames).  Required for algorithms with cross-epoch
-	// state (e.g. HysteresisTTT's streak counter); the paper's fuzzy
-	// controller is stateless across epochs and serves all of a shard's
-	// terminals from one instance.
-	PerTerminalAlgorithms bool
 	// Compiled serves decisions from the compiled control surface: the
 	// default fuzzy controller is built around the process-wide compiled
 	// kernel (core.DefaultCompiledFLC) instead of per-decision Mamdani
@@ -138,12 +131,9 @@ const (
 
 // Engine lifecycle errors.
 var (
-	// ErrNotRunning is returned by Submit/SubmitBatch/TrySubmit before
-	// Start and after Stop.
+	// ErrNotRunning is returned by SubmitBatch before Start and after
+	// Stop.
 	ErrNotRunning = errors.New("serve: engine not running")
-	// ErrBacklogged is returned by TrySubmit when the owning shard's
-	// queue is full.
-	ErrBacklogged = errors.New("serve: shard queue full")
 )
 
 // engine lifecycle states.
@@ -155,8 +145,7 @@ const (
 
 // maxSubBatch caps the reports packed into one queued sub-batch: large
 // enough to amortize the channel operation across many decisions, small
-// enough to keep queueing granularity (and TrySubmit backpressure
-// resolution) fine.
+// enough to keep queueing granularity fine.
 const maxSubBatch = 64
 
 // Sub-batch buffers cycle producer → queue → shard → per-shard free list
@@ -196,13 +185,10 @@ func (s *shard) putBuf(b *[]Report) {
 }
 
 // Engine is the sharded streaming decision engine.  Construct with New,
-// then Start, Submit/SubmitBatch from any number of goroutines, and Stop
-// (which drains the queues) when done.  An Engine cannot be restarted.
+// then Start, SubmitBatch from any number of goroutines, and Stop (which
+// drains the queues) when done.  An Engine cannot be restarted.
 type Engine struct {
 	shards []*shard
-	// perTerminal mirrors Config.PerTerminalAlgorithms: snapshot APIs are
-	// refused in that mode (algorithm-internal state is not capturable).
-	perTerminal bool
 	// staging recycles the per-call shard→sub-batch scatter tables of
 	// SubmitBatch on a bounded free list (same GC-immunity rationale as
 	// the shards' sub-batch free lists; see getBuf).
@@ -217,7 +203,7 @@ type Engine struct {
 	// SchemaHash).
 	schemaHash uint64
 
-	// mu serializes lifecycle transitions against submissions: Submit
+	// mu serializes lifecycle transitions against submissions: SubmitBatch
 	// holds the read side across the queue send so Stop can only close
 	// the queues once no send is in flight.
 	mu    sync.RWMutex
@@ -271,10 +257,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: Compiled applies to the default algorithm only; compile inside the custom AlgorithmFactory instead")
 	}
 	e := &Engine{
-		shards:      make([]*shard, nshards),
-		perTerminal: cfg.PerTerminalAlgorithms,
-		staging:     make(chan []*[]Report, 2*nshards+8),
-		epoch:       time.Now(),
+		shards:  make([]*shard, nshards),
+		staging: make(chan []*[]Report, 2*nshards+8),
+		epoch:   time.Now(),
 	}
 	if cfg.Metrics != nil {
 		e.metrics = newEngineMetrics(cfg.Metrics, cfg.MetricsLabels)
@@ -300,12 +285,7 @@ func New(cfg Config) (*Engine, error) {
 			traceEvery: cfg.TraceEvery,
 			traces:     e.traces,
 		}
-		if cfg.PerTerminalAlgorithms {
-			s.newAlgo = factory
-		}
 		s.scorer = handover.AsBatchScorer(factory())
-		s.scorer.Reset()
-		s.algos = []handover.BatchScorer{s.scorer}
 		s.stateful = s.scorer.Schema().Stateful()
 		s.cols = newBatchCols(s.scorer.Schema())
 		e.shards[i] = s
@@ -401,27 +381,12 @@ func (e *Engine) send(s *shard, buf *[]Report) {
 	s.in <- msg
 }
 
-// Submit enqueues one report, blocking while the owning shard's queue is
-// full (backpressure).  It fails with ErrNotRunning before Start or after
-// Stop.
-func (e *Engine) Submit(r Report) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.state != stateRunning {
-		return ErrNotRunning
-	}
-	s := e.shards[e.ShardOf(r.Terminal)]
-	buf := s.getBuf()
-	*buf = append(*buf, r)
-	e.send(s, buf)
-	return nil
-}
-
-// SubmitBatch enqueues a batch of reports, blocking on full shard queues
-// like Submit.  Reports are scattered into per-shard sub-batches of up to
-// maxSubBatch — one channel operation amortized over up to 64 decisions —
-// preserving each terminal's in-batch order; the steady-state path
-// performs no heap allocations.
+// SubmitBatch enqueues a batch of reports, blocking while an owning
+// shard's queue is full (backpressure).  Reports are scattered into
+// per-shard sub-batches of up to maxSubBatch — one channel operation
+// amortized over up to 64 decisions — preserving each terminal's in-batch
+// order; the steady-state path performs no heap allocations.  It fails
+// with ErrNotRunning before Start or after Stop.
 func (e *Engine) SubmitBatch(rs []Report) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -461,47 +426,12 @@ func (e *Engine) SubmitBatch(rs []Report) error {
 	return nil
 }
 
-// TrySubmit enqueues one report without blocking: a full shard queue fails
-// fast with ErrBacklogged so the caller can shed or retry on its own terms.
-func (e *Engine) TrySubmit(r Report) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.state != stateRunning {
-		return ErrNotRunning
-	}
-	s := e.shards[e.ShardOf(r.Terminal)]
-	buf := s.getBuf()
-	*buf = append(*buf, r)
-	msg := shardMsg{batch: buf}
-	if s.metrics != nil {
-		msg.enq = int64(time.Since(s.epoch))
-	}
-	// Account before the enqueue, as send does: once the report is in the
-	// queue the shard may decide it immediately, and a submitted counter
-	// that lags the send lets Stats/Flush observe processed > submitted.
-	s.submitted.Add(1)
-	select {
-	case s.in <- msg:
-		return nil
-	default:
-		s.submitted.Add(^uint64(0)) // roll back the optimistic accounting
-		s.putBuf(buf)               // recycle: the buffer never reached the queue
-		return ErrBacklogged
-	}
-}
-
 // Flush blocks until every report submitted before the call has been
 // decided.  It does not prevent concurrent submitters from adding more.
 func (e *Engine) Flush() {
 	for _, s := range e.shards {
 		target := s.submitted.Load()
 		for i := 0; s.processed.Load() < target; i++ {
-			// The target may include a TrySubmit that lost its enqueue
-			// race and rolled back; chase submitted downward so Flush
-			// never waits on a report that was never queued.
-			if cur := s.submitted.Load(); cur < target {
-				target = cur
-			}
 			if i < 256 {
 				runtime.Gosched()
 			} else {

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,8 +85,8 @@ func TestStartAfterStop(t *testing.T) {
 	if err := e.Start(); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("Start after Stop: %v, want ErrNotRunning", err)
 	}
-	if err := e.Submit(gateMeas(1)); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("Submit after failed restart: %v, want ErrNotRunning", err)
+	if err := e.SubmitBatch([]Report{gateMeas(1)}); !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("SubmitBatch after failed restart: %v, want ErrNotRunning", err)
 	}
 }
 
@@ -96,8 +95,8 @@ func TestLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(gateMeas(1)); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("Submit before Start: %v", err)
+	if err := e.SubmitBatch([]Report{gateMeas(1)}); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("SubmitBatch before Start: %v", err)
 	}
 	if err := e.Stop(); !errors.Is(err, ErrNotRunning) {
 		t.Errorf("Stop before Start: %v", err)
@@ -108,15 +107,15 @@ func TestLifecycle(t *testing.T) {
 	if err := e.Start(); !errors.Is(err, ErrNotRunning) {
 		t.Errorf("double Start: %v", err)
 	}
-	if err := e.Submit(gateMeas(1)); err != nil {
+	if err := e.SubmitBatch([]Report{gateMeas(1)}); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
 	if err := e.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(gateMeas(1)); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("Submit after Stop: %v", err)
+	if err := e.SubmitBatch([]Report{gateMeas(1)}); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("SubmitBatch after Stop: %v", err)
 	}
 	if got := e.Stats().Totals().Decisions; got != 1 {
 		t.Errorf("decisions = %d, want 1", got)
@@ -135,7 +134,7 @@ func TestStopDrainsQueue(t *testing.T) {
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := e.Submit(gateMeas(TerminalID(i % 7))); err != nil {
+		if err := e.SubmitBatch([]Report{gateMeas(TerminalID(i % 7))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,9 +146,8 @@ func TestStopDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestBackpressure: a stalled shard fills its bounded queue; TrySubmit
-// then fails fast with ErrBacklogged while Submit blocks until the shard
-// drains.
+// TestBackpressure: a stalled shard fills its bounded queue, and
+// SubmitBatch then blocks until the shard drains.
 func TestBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	first := make(chan struct{})
@@ -168,24 +166,21 @@ func TestBackpressure(t *testing.T) {
 	}
 	// One report stalls in the callback; two more fill the queue.
 	for i := 0; i < 3; i++ {
-		if err := e.Submit(gateMeas(TerminalID(i))); err != nil {
+		if err := e.SubmitBatch([]Report{gateMeas(TerminalID(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-first
-	if err := e.TrySubmit(gateMeas(9)); !errors.Is(err, ErrBacklogged) {
-		t.Fatalf("TrySubmit on full queue: %v", err)
-	}
 	if got := e.Stats().Shards[0].QueueDepth; got != 2 {
 		t.Errorf("queue depth %d, want 2", got)
 	}
 
-	// A blocking Submit must complete once the shard drains.
+	// A blocked SubmitBatch must complete once the shard drains.
 	done := make(chan error, 1)
-	go func() { done <- e.Submit(gateMeas(10)) }()
+	go func() { done <- e.SubmitBatch([]Report{gateMeas(10)}) }()
 	select {
 	case err := <-done:
-		t.Fatalf("Submit returned %v while the queue was full", err)
+		t.Fatalf("SubmitBatch returned %v while the queue was full", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
@@ -235,132 +230,6 @@ func TestExternalReattachment(t *testing.T) {
 	tot := e.Stats().Totals()
 	if tot.Terminals != 1 || tot.Handovers != 0 || tot.Errors != 0 {
 		t.Errorf("totals %+v", tot)
-	}
-}
-
-// TestTrySubmitAccountingInvariant: the submitted counter is advanced
-// before the enqueue (and rolled back on ErrBacklogged), so no snapshot —
-// however unluckily timed against a fast shard — can observe
-// processed > submitted.
-func TestTrySubmitAccountingInvariant(t *testing.T) {
-	e, err := New(Config{Shards: 2, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	var accepted atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				err := e.TrySubmit(flcMeas(TerminalID(w*64 + i%64)))
-				switch {
-				case err == nil:
-					accepted.Add(1)
-				case errors.Is(err, ErrBacklogged):
-					// expected under load: the rollback path
-				default:
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-
-	// Sample the invariant while the submitters hammer the small queues.
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		for _, s := range e.shards {
-			processed := s.processed.Load()
-			submitted := s.submitted.Load()
-			// processed is read FIRST: submitted can only have grown by the
-			// time it is read (every processed report's submitted increment
-			// happened before its enqueue and is never rolled back), so
-			// processed > submitted here proves the ordering bug, not
-			// snapshot skew.  Reading submitted first would race fresh
-			// accepted submissions into the processed read and flag phantom
-			// violations.
-			if processed > submitted {
-				close(stop)
-				t.Fatalf("shard %d: processed %d > submitted %d", s.id, processed, submitted)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Flush must terminate even though rolled-back TrySubmits briefly
-	// over-accounted, and the final ledger must balance exactly.
-	e.Flush()
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().Totals().Decisions; got != accepted.Load() {
-		t.Errorf("decisions %d ≠ accepted TrySubmits %d", got, accepted.Load())
-	}
-}
-
-// TestTrySubmitBackloggedRecyclesBuffer: the fail-fast path must return
-// its staged sub-batch buffer to the shard's free list — a TrySubmit
-// storm against a backlogged shard may not grow (or leak) the buffer
-// population.
-func TestTrySubmitBackloggedRecyclesBuffer(t *testing.T) {
-	release := make(chan struct{})
-	first := make(chan struct{})
-	var once atomic.Bool
-	e, err := New(Config{Shards: 1, QueueDepth: 2, OnDecision: func(Outcome) {
-		if once.CompareAndSwap(false, true) {
-			close(first)
-		}
-		<-release
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// One report stalls in the callback; two more fill the queue.
-	for i := 0; i < 3; i++ {
-		if err := e.Submit(gateMeas(TerminalID(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-first
-
-	s := e.shards[0]
-	// Warm: the first failure may mint a fresh buffer and recycle it.
-	if err := e.TrySubmit(gateMeas(9)); !errors.Is(err, ErrBacklogged) {
-		t.Fatalf("TrySubmit on full queue: %v", err)
-	}
-	freeBefore := len(s.free)
-	for i := 0; i < 100; i++ {
-		if err := e.TrySubmit(gateMeas(9)); !errors.Is(err, ErrBacklogged) {
-			t.Fatalf("TrySubmit %d on full queue: %v", i, err)
-		}
-	}
-	if got := len(s.free); got != freeBefore {
-		t.Errorf("free list went %d → %d across 100 backlogged TrySubmits; buffers leaked or hoarded", freeBefore, got)
-	}
-
-	close(release)
-	e.Flush()
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().Totals().Decisions; got != 3 {
-		t.Errorf("decisions = %d, want 3 (every backlogged TrySubmit rolled back)", got)
 	}
 }
 
@@ -559,13 +428,14 @@ func TestScoreFrameErrorCommitsEveryReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Cycling terminals repeat inside sub-batches (several stateful
-			// runs per sub-batch); the trailing Submits are 1-row sub-batches.
+			// runs per sub-batch); the trailing one-report batches are 1-row
+			// sub-batches.
 			batch := steadyBatch(48, terminals)
 			if err := e.SubmitBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range batch[:terminals] {
-				if err := e.Submit(r); err != nil {
+				if err := e.SubmitBatch([]Report{r}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -63,7 +63,7 @@ type hoEvent struct {
 // single-threaded sim path keeps in its Measurer/algorithm/detector,
 // reduced to what streamed reports cannot carry themselves.  It holds no
 // pointer, so the store's slabs are noscan: the garbage collector never
-// walks terminal state.  Field order packs it into 272 B (pinned by
+// walks terminal state.  Field order packs it into 264 B (pinned by
 // TestTerminalLayout).
 type terminal struct {
 	// seq counts reports served for this terminal.
@@ -79,9 +79,6 @@ type terminal struct {
 	// terminal holds (updated on executed handovers, corrected from
 	// reports).
 	serving cell32
-	// algo indexes the shard's algos: 0 is the shared scorer, and a
-	// PerTerminalAlgorithms terminal holds its own instance's index.
-	algo uint32
 	// total counts events ever recorded (restore bounds it to 2^31−1);
 	// next indexes the ring slot the next event overwrites.
 	total       uint32
@@ -197,19 +194,12 @@ type shard struct {
 	// over dense slabs (see terminalStore) whose pointers stay stable
 	// across growth.
 	store *terminalStore
-	// scorer is the shared per-shard instance (handover.AsBatchScorer
-	// of the configured algorithm): it scores every frame, and decides
-	// every report unless newAlgo, when non-nil, built the terminal its
-	// own instance.  algos[0] is scorer; algos[k] for k ≥ 1 is the
-	// instance of the terminal whose algo field is k.  Append-only:
-	// per-terminal engines refuse every path that removes a terminal
-	// (ErrStatefulAlgorithms).  stateful mirrors
-	// scorer.Schema().Stateful() — the gather advances per-terminal
-	// derived state, so repeated terminals split the sub-batch into runs
-	// (see processBatch).
+	// scorer is the shard's one algorithm instance (handover.AsBatchScorer
+	// of the configured algorithm): it scores every frame and decides
+	// every report.  stateful mirrors scorer.Schema().Stateful() — the
+	// gather advances per-terminal derived state, so repeated terminals
+	// split the sub-batch into runs (see processBatch).
 	scorer   handover.BatchScorer
-	newAlgo  func() handover.Algorithm
-	algos    []handover.BatchScorer
 	stateful bool
 	cols     *batchCols
 	window   float64
@@ -358,18 +348,17 @@ func (s *shard) decideRun(run []Report, off int) {
 		t := slots[i]
 		if !measFits(&r.Meas) {
 			s.errors.Add(1)
-			s.deliver(r, t, s.scorer, handover.Decision{}, ErrCellOutOfRange, false, false)
+			s.deliver(r, t, handover.Decision{}, ErrCellOutOfRange, false, false)
 			continue
 		}
 		if !s.stateful {
 			s.observe(r, t)
 		}
-		algo := s.algos[t.algo]
 		dec, derr := handover.Decision{}, err
 		if err == nil {
-			dec, derr = algo.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
+			dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
 		}
-		s.commit(r, t, algo, dec, derr)
+		s.commit(r, t, dec, derr)
 	}
 }
 
@@ -416,24 +405,12 @@ func (s *shard) routeBatch(batch []Report) {
 		}
 		t, created := s.store.acquire(id, h)
 		if created {
-			//fuzzyho:allow creation path: runs once per terminal lifetime (and may build a per-terminal algorithm); steady state resolves existing slots only
-			s.initTerminal(t)
+			s.nTerminals.Add(1)
 		}
 		c.slots[i] = t
 		c.next[i] = c.head[b]
 		c.head[b] = int8(i)
 	}
-}
-
-// initTerminal completes a freshly created (zero-valued) terminal slot.
-func (s *shard) initTerminal(t *terminal) {
-	if s.newAlgo != nil {
-		a := handover.AsBatchScorer(s.newAlgo())
-		a.Reset()
-		t.algo = uint32(len(s.algos))
-		s.algos = append(s.algos, a)
-	}
-	s.nTerminals.Add(1)
 }
 
 // observe applies the external-reattachment correction and records the
@@ -449,7 +426,6 @@ func (s *shard) observe(r *Report, t *terminal) {
 		// does after an engine-decided handover.
 		t.havePrev = false
 		t.derived.Reset()
-		s.algos[t.algo].Reset()
 	}
 	t.serving, t.haveServing = serving, true
 }
@@ -458,7 +434,7 @@ func (s *shard) observe(r *Report, t *terminal) {
 // and delivers the outcome.  Both of the report's cells fit (measFits).
 //
 //fuzzyho:hotpath
-func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec handover.Decision, err error) {
+func (s *shard) commit(r *Report, t *terminal, dec handover.Decision, err error) {
 	m := &r.Meas
 	executed := false
 	pingPong := false
@@ -481,7 +457,6 @@ func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec ha
 		t.serving = narrowCell(m.Neighbor)
 		t.havePrev = false
 		t.derived.Reset()
-		algo.Reset()
 	}
 	if !executed {
 		// No-handover epochs — including algorithm errors, which are
@@ -490,14 +465,14 @@ func (s *shard) commit(r *Report, t *terminal, algo handover.BatchScorer, dec ha
 		t.prevDB = m.ServingDB
 		t.havePrev = true
 	}
-	s.deliver(r, t, algo, dec, err, executed, pingPong)
+	s.deliver(r, t, dec, err, executed, pingPong)
 }
 
 // deliver advances the terminal's sequence number, samples the decision
 // into telemetry and hands the outcome to the delivery hook.
 //
 //fuzzyho:hotpath
-func (s *shard) deliver(r *Report, t *terminal, algo handover.BatchScorer, dec handover.Decision, err error, executed, pingPong bool) {
+func (s *shard) deliver(r *Report, t *terminal, dec handover.Decision, err error, executed, pingPong bool) {
 	if s.metrics != nil {
 		s.classifyVerdict(&dec, err, executed)
 	}
@@ -508,7 +483,7 @@ func (s *shard) deliver(r *Report, t *terminal, algo handover.BatchScorer, dec h
 		if s.traceSkip >= s.traceEvery {
 			s.traceSkip = 0
 			//fuzzyho:allow sampled tracing: reached once per traceEvery decisions by construction of the countdown above, and the ring slot is preallocated
-			s.captureTrace(r, algo, &dec, err, executed, pingPong, seq)
+			s.captureTrace(r, &dec, err, executed, pingPong, seq)
 		}
 	}
 	if s.onDecision != nil {

@@ -347,15 +347,6 @@ func ReadSnapshots(r io.Reader) ([]TerminalSnapshot, error) {
 	return snaps, nil
 }
 
-// Snapshot/restore errors.
-var (
-	// ErrStatefulAlgorithms is returned by the snapshot APIs when the
-	// engine runs PerTerminalAlgorithms: algorithm-internal state (e.g. a
-	// hysteresis streak counter) is not capturable, so migrating such a
-	// terminal would silently fork its decision stream.
-	ErrStatefulAlgorithms = errors.New("serve: per-terminal algorithm state cannot be snapshotted; migration requires shard-shared (epoch-stateless) algorithms")
-)
-
 // TerminalExistsError reports a restore of a terminal the engine already
 // serves — restoring over live state would discard decided history.
 type TerminalExistsError struct{ Terminal TerminalID }
@@ -419,7 +410,7 @@ func (s *shard) handleCtl(c *shardCtl) {
 			}
 			continue
 		}
-		s.initTerminal(t)
+		s.nTerminals.Add(1)
 		t.restoreFrom(snap)
 		c.count++
 	}
@@ -455,9 +446,6 @@ func (e *Engine) runCtls(ctls []*shardCtl) ([]TerminalSnapshot, error) {
 // snapshotWhere snapshots (and optionally removes) every terminal
 // matching pred, across all shards.
 func (e *Engine) snapshotWhere(pred func(TerminalID) bool, remove bool) ([]TerminalSnapshot, error) {
-	if e.perTerminal {
-		return nil, ErrStatefulAlgorithms
-	}
 	start := time.Now()
 	ctls := make([]*shardCtl, len(e.shards))
 	for i := range ctls {
@@ -510,9 +498,6 @@ func (e *Engine) DiscardTerminals(pred func(TerminalID) bool) (int, error) {
 	if pred == nil {
 		return 0, fmt.Errorf("serve: DiscardTerminals requires a predicate")
 	}
-	if e.perTerminal {
-		return 0, ErrStatefulAlgorithms
-	}
 	ctls := make([]*shardCtl, len(e.shards))
 	for i := range ctls {
 		ctls[i] = &shardCtl{pred: pred, remove: true, discard: true}
@@ -544,9 +529,6 @@ func (e *Engine) RestoreSnapshotsSkipLive(snaps []TerminalSnapshot) (int, error)
 }
 
 func (e *Engine) restoreSnaps(snaps []TerminalSnapshot, skipLive bool) (int, error) {
-	if e.perTerminal {
-		return 0, ErrStatefulAlgorithms
-	}
 	if len(snaps) == 0 {
 		return 0, nil
 	}

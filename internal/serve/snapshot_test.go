@@ -257,8 +257,7 @@ func TestSnapshotMigrationPreservesSequences(t *testing.T) {
 }
 
 // TestSnapshotAPISemantics pins the non-migration contracts: whole-node
-// snapshots do not disturb state, restores refuse live terminals, and
-// per-terminal-algorithm engines refuse the API entirely.
+// snapshots do not disturb state, and restores refuse live terminals.
 func TestSnapshotAPISemantics(t *testing.T) {
 	e, err := New(Config{Shards: 2})
 	if err != nil {
@@ -297,20 +296,6 @@ func TestSnapshotAPISemantics(t *testing.T) {
 	}
 	if err := e.RestoreSnapshots(ext); err != nil {
 		t.Fatalf("restore after extract: %v", err)
-	}
-
-	pt, err := New(Config{Shards: 1, PerTerminalAlgorithms: true,
-		AlgorithmFactory: func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt.Start()
-	defer pt.Stop()
-	if _, err := pt.SnapshotTerminals(); !errors.Is(err, ErrStatefulAlgorithms) {
-		t.Errorf("SnapshotTerminals on per-terminal engine: %v", err)
-	}
-	if err := pt.RestoreSnapshots(snaps[:1]); !errors.Is(err, ErrStatefulAlgorithms) {
-		t.Errorf("RestoreSnapshots on per-terminal engine: %v", err)
 	}
 }
 

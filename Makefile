@@ -191,9 +191,11 @@ obs-smoke:
 		curl -fsS http://127.0.0.1:9193/statusz | grep -q "\"Decisions\""; \
 		curl -fsS http://127.0.0.1:9193/tracez | grep -q "\"sampled\""'
 
-# Native Go fuzzing of the wire, snapshot and control-plane codecs,
-# briefly; CI's fuzz step runs this target.  FuzzParseBatchLine and
-# FuzzParseOutcomeLine are differential against the encoding/json oracle.
+# Native Go fuzzing of the wire, snapshot and control-plane codecs and of
+# the compiled kernel, briefly; CI's fuzz step runs this target.
+# FuzzParseBatchLine and FuzzParseOutcomeLine are differential against the
+# encoding/json oracle, FuzzCompiledKernel against the per-combo oracle
+# and the exact inference path.
 # The coordinator minimizes every new-coverage input for up to
 # -fuzzminimizetime (60s by default), which could spend a target's whole
 # 20s on one input; FUZZ_FLAGS bounds it.  A crasher still fails the run,
@@ -205,5 +207,6 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzOutcomeRoundTrip $(FUZZ_FLAGS)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip $(FUZZ_FLAGS)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine $(FUZZ_FLAGS)
+	$(GO) test ./internal/fuzzy -run '^$$' -fuzz FuzzCompiledKernel $(FUZZ_FLAGS)
 
 ci: vet fmt-check lint escape-check build bench-build test microbench-smoke race load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

@@ -24,6 +24,8 @@ import (
 //   - interface boxing at call arguments, returns and assignments for
 //     non-pointer-shaped operands;
 //   - calls to fmt, errors, log and other allocating stdlib surface;
+//   - calls to math.Min and math.Max, which on amd64 are assembly the
+//     compiler cannot inline (the builtin min and max are not);
 //   - calls to any function that is neither whitelisted (math,
 //     sync/atomic, strconv.Append*, ...) nor itself annotated
 //     //fuzzyho:hotpath — the transitive audit flows through object
@@ -72,6 +74,13 @@ var hotpathAllowedFuncs = map[string]bool{
 	"strconv.ParseInt":   true,
 	"strconv.ParseUint":  true,
 	"strings.EqualFold":  true,
+}
+
+// hotpathDeniedFuncs are functions of otherwise allowed packages that the
+// hot path must not call, each with the reason the diagnostic gives.
+var hotpathDeniedFuncs = map[string]string{
+	"math.Min": "on amd64 it calls assembly the compiler cannot inline; the builtin min gives the same NaN, ±0 and ±Inf results",
+	"math.Max": "on amd64 it calls assembly the compiler cannot inline; the builtin max gives the same NaN, ±0 and ±Inf results",
 }
 
 // hotpathDeniedPkgs name the usual allocation suspects explicitly so the
@@ -172,6 +181,10 @@ func checkHotpathCall(pass *Pass, name string, call *ast.CallExpr, isHot func(*t
 		fn := obj.(*types.Func)
 		checkHotpathBoxingArgs(pass, name, call, fn)
 		if isHot(fn) {
+			return
+		}
+		if why, ok := hotpathDeniedFuncs[fn.FullName()]; ok {
+			pass.Reportf(call.Pos(), "call to %s in hotpath function %s: %s", funcDisplayName(fn), name, why)
 			return
 		}
 		fnPkg := fn.Pkg()

@@ -6,6 +6,7 @@ package hot
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Cold is deliberately unannotated: hotpath callers (here and in the
@@ -52,6 +53,9 @@ func Bad(m map[int]int, f func() int, b []byte) int {
 	_ = err
 	err2 := fmt.Errorf("boom") // want:hotpath
 	_ = err2
+	s += int(math.Max(float64(s), 1)) // want:hotpath
+	s += int(math.Abs(float64(s)))    // the rest of math stays allowed
+	s += int(max(float64(s), 1))
 	return s
 }
 

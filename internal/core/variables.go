@@ -120,16 +120,20 @@ func NewHD() *fuzzy.Variable {
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func ClampInputs(cssp, ssn, dmb float64) (float64, float64, float64) {
-	return clamp(cssp, CsspMin, CsspMax), clamp(ssn, SsnMin, SsnMax), clamp(dmb, DmbMin, DmbMax)
+	return Clamp(cssp, CsspMin, CsspMax), Clamp(ssn, SsnMin, SsnMax), Clamp(dmb, DmbMin, DmbMax)
 }
 
-// clamp bounds x to [lo, hi], mapping NaN to lo.
+// Clamp bounds x to [lo, hi], mapping NaN to lo: the saturation every
+// decision-path input gets before the FLC or the compiled surface sees it
+// (the SSN-trend antecedent included).  The builtin min and max give the
+// NaN, ±0 and ±Inf results of math.Min and math.Max and inline; on amd64
+// math's versions call assembly the compiler cannot inline.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
-func clamp(x, lo, hi float64) float64 {
+func Clamp(x, lo, hi float64) float64 {
 	if math.IsNaN(x) {
 		return lo
 	}
-	return math.Min(math.Max(x, lo), hi)
+	return min(max(x, lo), hi)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ import (
 // paper's FLC shape (Ruspini-style triangular/trapezoidal partitions, full
 // AND rulebase) with configurable operators — the exact-kernel eligibility
 // case.
-func paperShapedSystem(t *testing.T, opts Options) *System {
+func paperShapedSystem(t testing.TB, opts Options) *System {
 	t.Helper()
 	a := MustVariable("a", -10, 10,
 		Term{"sm", ShoulderLeft(-10, -5)},
@@ -67,7 +68,7 @@ func paperShapedSystem(t *testing.T, opts Options) *System {
 // two-term overlaps both occur.  The full AND rulebase maps combo i to one
 // of four output terms; edit may reweight a rule, or drop it by returning
 // false.
-func axesSystem(t *testing.T, d, terms int, edit func(i int, r *Rule) bool) *System {
+func axesSystem(t testing.TB, d, terms int, edit func(i int, r *Rule) bool) *System {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(100*d + terms)))
 	inputs := make([]*Variable, d)
@@ -122,9 +123,13 @@ func axesSystem(t *testing.T, d, terms int, edit func(i int, r *Rule) bool) *Sys
 
 // evalN is the reference the kernel's doubling walk must match bit for
 // bit: for each of the 2^d segment-term combos it computes the d-way min
-// from the neutral 1.0 on its own, then folds it into the dense rule
-// table.
-func (k *surfaceKernel) evalN(xs []float64) (float64, error) {
+// from the neutral 1.0 on its own, then folds it with compare-and-branch
+// into the System's dense rule grid (outTerm, weight), not the kernel's
+// rule table, so a wrong rewrite of that table cannot pass it.  Only the
+// segment tables come from the kernel; compileSegment validates those
+// against the membership functions.
+func evalN(cs *CompiledSurface, xs []float64) (float64, error) {
+	k, grid := cs.kern, cs.sys.grid
 	d := k.dims
 	var g [kernelMaxAxes][2]float64
 	var b [kernelMaxAxes][2]int32
@@ -146,20 +151,14 @@ func (k *surfaceKernel) evalN(xs []float64) (float64, error) {
 			}
 			idx += b[a][s]
 		}
-		if k.complete {
-			if ot := k.outs[idx]; m > act[ot] {
+		if ot := grid.outTerm[idx]; ot >= 0 {
+			if m *= grid.weight[idx]; m > act[ot] {
 				act[ot] = m
-			}
-			continue
-		}
-		if r := k.rules[idx]; r.out >= 0 {
-			if m *= r.w; m > act[r.out] {
-				act[r.out] = m
 			}
 		}
 	}
 	var num, den float64
-	for i, m := range k.mid {
+	for i, m := range cs.sys.outMid {
 		if a := act[i]; a > 0 {
 			num += a * m
 			den += a
@@ -169,6 +168,58 @@ func (k *surfaceKernel) evalN(xs []float64) (float64, error) {
 		return 0, ErrNoActivation
 	}
 	return num / den, nil
+}
+
+// kernelRowMismatch checks one NaN-free row: Evaluate and the batch
+// answer for the row must equal evalN bit for bit and stay within 1e-9
+// of the exact path, or all four must agree that no rule fires (the
+// batch marking the row NaN).  It returns what differs ("" when nothing
+// does) and whether no rule fired.
+func kernelRowMismatch(cs *CompiledSurface, sc *Scratch, row []float64, batch float64) (string, bool) {
+	want, wantErr := evalN(cs, row)
+	got, err := cs.Evaluate(row)
+	copy(sc.Xs(), row)
+	exact, exactErr := cs.sys.EvaluateInto(sc, sc.Xs())
+	if wantErr != nil {
+		if !errors.Is(wantErr, ErrNoActivation) || !errors.Is(err, ErrNoActivation) ||
+			!errors.Is(exactErr, ErrNoActivation) || !math.IsNaN(batch) {
+			return fmt.Sprintf("oracle err %v, walk err %v, exact err %v, batch %g",
+				wantErr, err, exactErr, batch), true
+		}
+		return "", true
+	}
+	if err != nil || exactErr != nil {
+		return fmt.Sprintf("walk err %v, exact err %v, oracle fired", err, exactErr), false
+	}
+	if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(batch) != math.Float64bits(want) {
+		return fmt.Sprintf("walk %v, batch %v, oracle %v", got, batch, want), false
+	}
+	if e := math.Abs(exact - got); !(e <= 1e-9) {
+		return fmt.Sprintf("walk %g vs exact %g (|Δ| %g)", got, exact, e), false
+	}
+	return "", false
+}
+
+// axisSpecials lists the inputs of one axis where flank grades are
+// exactly 0 or 1: the universe ends, every finite membership breakpoint,
+// and ±0.
+func axisSpecials(v *Variable) []float64 {
+	out := []float64{v.Min, v.Max, 0, math.Copysign(0, -1)}
+	for _, t := range v.Terms {
+		var pts []float64
+		switch m := t.MF.(type) {
+		case Triangular:
+			pts = []float64{m.A, m.B, m.C}
+		case Trapezoidal:
+			pts = []float64{m.A, m.B, m.C, m.D}
+		}
+		for _, p := range pts {
+			if !math.IsInf(p, 0) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // randomInputs fills xs with uniform samples over (and slightly beyond)
@@ -486,24 +537,35 @@ func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cs.kern.complete != (tc.table == "complete") {
-				t.Fatalf("kernel complete = %v for the %s table", cs.kern.complete, tc.table)
-			}
 			const n = 4096
 			rng := rand.New(rand.NewSource(int64(d)))
 			cols := make([][]float64, d)
 			for a := range cols {
 				cols[a] = make([]float64, n)
 			}
+			// Rows 2… sit on the axis breakpoints and at ±0, where flank
+			// grades are exactly zero: the first pass puts axis a on its
+			// ((k + a) mod len)-th value, so every value of every axis
+			// appears; the next three passes mix them at random.
+			specials := make([][]float64, d)
+			most := 0
+			for a, v := range sys.Inputs() {
+				specials[a] = axisSpecials(v)
+				most = max(most, len(specials[a]))
+			}
 			row := make([]float64, d)
 			for i := 0; i < n; i++ {
 				randomInputs(sys, rng, row)
 				for a, v := range sys.Inputs() {
-					switch i {
-					case 0: // far below every universe: the all-first-terms corner
+					switch k, sp := i-2, specials[a]; {
+					case i == 0: // far below every universe: the all-first-terms corner
 						row[a] = v.Min - 3*(v.Max-v.Min)
-					case 1:
+					case i == 1:
 						row[a] = v.Max + 3*(v.Max-v.Min)
+					case k < most:
+						row[a] = sp[(k+a)%len(sp)]
+					case k < 4*most:
+						row[a] = sp[rng.Intn(len(sp))]
 					}
 					cols[a][i] = row[a]
 				}
@@ -518,28 +580,12 @@ func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
 				for a := range row {
 					row[a] = cols[a][i]
 				}
-				want, wantErr := cs.kern.evalN(row)
-				got, err := cs.Evaluate(row)
-				copy(sc.Xs(), row)
-				exact, exactErr := sys.EvaluateInto(sc, sc.Xs())
-				if wantErr != nil {
-					if !errors.Is(wantErr, ErrNoActivation) || !errors.Is(err, ErrNoActivation) ||
-						!errors.Is(exactErr, ErrNoActivation) || !math.IsNaN(dst[i]) {
-						t.Fatalf("row %d %v: oracle err %v, walk err %v, exact err %v, batch %g",
-							i, row, wantErr, err, exactErr, dst[i])
-					}
+				msg, none := kernelRowMismatch(cs, sc, row, dst[i])
+				if msg != "" {
+					t.Fatalf("row %d %v: %s", i, row, msg)
+				}
+				if none {
 					noRule++
-					continue
-				}
-				if err != nil || exactErr != nil {
-					t.Fatalf("row %d %v: walk err %v, exact err %v, oracle fired", i, row, err, exactErr)
-				}
-				if math.Float64bits(got) != math.Float64bits(want) ||
-					math.Float64bits(dst[i]) != math.Float64bits(want) {
-					t.Fatalf("row %d %v: walk %v, batch %v, oracle %v", i, row, got, dst[i], want)
-				}
-				if e := math.Abs(exact - got); e > 1e-9 {
-					t.Fatalf("row %d %v: walk %g vs exact %g (|Δ| %g)", i, row, got, exact, e)
 				}
 			}
 			if (noRule > 0) != (tc.table == "hole") {
@@ -547,6 +593,58 @@ func TestCompiledKernelWalkMatchesOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCompiledKernel drives the kernel with arbitrary rows on the
+// paper-shaped system and on 4-axis complete, holed and weighted tables
+// (sel picks one; a 3-axis system ignores x3).  A row with a NaN must be
+// rejected: Evaluate errs and the batch marks it NaN.  Every other row —
+// ±Inf and out-of-universe values clamp — must pass kernelRowMismatch:
+// scalar and batch bit-identical to evalN, within 1e-9 of the exact path,
+// and the same ErrNoActivation verdict on all of them.
+func FuzzCompiledKernel(f *testing.F) {
+	var surfaces []*CompiledSurface
+	for _, sys := range []*System{
+		paperShapedSystem(f, Options{}),
+		axesSystem(f, 4, 3, func(int, *Rule) bool { return true }),
+		axesSystem(f, 4, 3, func(i int, _ *Rule) bool { return i != 0 }),
+		axesSystem(f, 4, 3, func(i int, r *Rule) bool { r.Weight = float64(i%4+1) / 4; return true }),
+	} {
+		cs, err := CompileSurface(sys)
+		if err != nil {
+			f.Fatal(err)
+		}
+		surfaces = append(surfaces, cs)
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(uint8(0), -3.5, -93.7, 1.2, 0.0)
+	f.Add(uint8(0), 0.0, -106.0, 0.75, 0.0)
+	f.Add(uint8(1), negZero, 0.0, negZero, 1.0)
+	f.Add(uint8(2), -1e300, math.Inf(-1), -50.0, -2.0) // the hole: no rule fires
+	f.Add(uint8(2), 1e300, math.Inf(1), 50.0, 2.0)
+	f.Add(uint8(3), 0.25, -0.5, 0.75, negZero)
+	f.Add(uint8(3), 0.0, math.NaN(), 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, sel uint8, x0, x1, x2, x3 float64) {
+		cs := surfaces[int(sel)%len(surfaces)]
+		row := []float64{x0, x1, x2, x3}[:cs.NumInputs()]
+		cols := make([][]float64, len(row))
+		for a, x := range row {
+			cols[a] = []float64{x}
+		}
+		dst := []float64{0}
+		if err := cs.EvaluateBatch(dst, cols); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(row, math.IsNaN) {
+			if _, err := cs.Evaluate(row); err == nil || !math.IsNaN(dst[0]) {
+				t.Fatalf("%v: NaN row accepted: err %v, batch %g", row, err, dst[0])
+			}
+			return
+		}
+		if msg, _ := kernelRowMismatch(cs, cs.sys.NewScratch(), row, dst[0]); msg != "" {
+			t.Fatalf("%v: %s", row, msg)
+		}
+	})
 }
 
 func TestCompiledIncompleteGridStillServes(t *testing.T) {

@@ -133,7 +133,7 @@ func (a *AdaptiveFuzzy) Reset() {}
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func (a *AdaptiveFuzzy) Threshold(speedKmh float64) float64 {
-	return math.Max(a.MinThreshold, a.BaseThreshold-a.SlopePerKmh*math.Abs(speedKmh))
+	return max(a.MinThreshold, a.BaseThreshold-a.SlopePerKmh*math.Abs(speedKmh))
 }
 
 // Decide implements Algorithm with the same POTLC → FLC → PRTLC pipeline as

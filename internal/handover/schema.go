@@ -262,22 +262,3 @@ func frameSchemaErr(name string, want *FeatureSchema, f *FeatureFrame) error {
 // SchemaHashOf returns the feature-schema hash algorithm a serves: its
 // AsBatchScorer view's schema.
 func SchemaHashOf(a Algorithm) uint64 { return AsBatchScorer(a).Schema().Hash() }
-
-// ClampToUniverse clamps x into [lo, hi], mapping NaN to lo — the same
-// saturation core.ClampInputs applies to the paper inputs, applied to
-// the SSN-trend antecedent.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func ClampToUniverse(x, lo, hi float64) float64 {
-	if x != x {
-		return lo
-	}
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

@@ -238,7 +238,7 @@ func (t *TrendFuzzy) Decide(m cell.Measurement, prevServingDB float64, havePrev 
 //fuzzyho:hotpath
 func (t *TrendFuzzy) eval(cssp, ssn, dmb, trend float64) (float64, error) {
 	cssp, ssn, dmb = core.ClampInputs(cssp, ssn, dmb)
-	trend = ClampToUniverse(trend, TrendMin, TrendMax)
+	trend = core.Clamp(trend, TrendMin, TrendMax)
 	if t.surface != nil {
 		t.xs[0], t.xs[1], t.xs[2], t.xs[3] = cssp, ssn, dmb, trend
 		return t.surface.Evaluate(t.xs[:])
@@ -293,7 +293,7 @@ func (t *TrendFuzzy) ScoreFrame(fr *FeatureFrame) error {
 	cssp, ssn, dmb, trend := g.dense[0], g.dense[1], g.dense[2], g.dense[3]
 	for i := 0; i < n; i++ {
 		cssp[i], ssn[i], dmb[i] = core.ClampInputs(cssp[i], ssn[i], dmb[i])
-		trend[i] = ClampToUniverse(trend[i], TrendMin, TrendMax)
+		trend[i] = core.Clamp(trend[i], TrendMin, TrendMax)
 	}
 	if t.surface != nil {
 		if err := t.surface.EvaluateBatch(g.hd, g.dense); err != nil {

@@ -122,9 +122,11 @@ type NodeClient struct {
 
 	queue chan pendingLine
 
-	// mu guards the closing flag against sends.
+	// mu guards the closing flag against sends.  closed is closed with
+	// it, under mu, so the idle writer wakes on Close without polling.
 	mu      sync.RWMutex
 	closing bool
+	closed  chan struct{}
 	// connMu guards conn, the live connection, so Close can bound a
 	// blocked read or write with a deadline.
 	connMu sync.Mutex
@@ -193,10 +195,11 @@ func DialNode(addr string, cfg NodeClientConfig) (*NodeClient, error) {
 		cfg.ClientID = newClientID()
 	}
 	c := &NodeClient{
-		addr:  addr,
-		cfg:   cfg,
-		queue: make(chan pendingLine, cfg.QueueDepth),
-		down:  make(chan struct{}),
+		addr:   addr,
+		cfg:    cfg,
+		queue:  make(chan pendingLine, cfg.QueueDepth),
+		closed: make(chan struct{}),
+		down:   make(chan struct{}),
 	}
 	conn, err := c.dial()
 	if err != nil {
@@ -336,6 +339,7 @@ func (c *NodeClient) Close() error {
 		return ErrClientClosed
 	}
 	c.closing = true
+	close(c.closed)
 	c.mu.Unlock()
 	// Bound a write blocked against a stalled peer (and the read drain).
 	c.connMu.Lock()
@@ -483,8 +487,6 @@ func (c *NodeClient) writeLoop(conn net.Conn, carry pendingLine, readerDone <-ch
 			return false, unsent, err
 		}
 	}
-	idle := time.NewTimer(10 * time.Millisecond)
-	defer idle.Stop()
 	for {
 		select {
 		case p := <-c.queue:
@@ -506,15 +508,8 @@ func (c *NodeClient) writeLoop(conn net.Conn, carry pendingLine, readerDone <-ch
 					return true, unsent, nil
 				}
 			}
-			// Idle: block until work, peer death or closing (reusable
-			// timer — this arm runs for the life of the connection).
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(10 * time.Millisecond)
+			// Idle: block until work, peer death or Close, which the
+			// next pass through the default arm above sees.
 			select {
 			case p := <-c.queue:
 				if err := write(p); err != nil {
@@ -525,7 +520,7 @@ func (c *NodeClient) writeLoop(conn net.Conn, carry pendingLine, readerDone <-ch
 					return false, unsent, fmt.Errorf("read: %w", *rerr)
 				}
 				return false, unsent, errors.New("connection closed by peer")
-			case <-idle.C:
+			case <-c.closed:
 			}
 		}
 	}

@@ -40,11 +40,12 @@ escape-check:
 bench-build:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 
-# Every fast-path, serve and cluster micro-benchmark body, 100 iterations
-# each: catches a benchmark that no longer builds its fixture or fails
-# mid-loop.  It measures nothing.
+# Every fast-path, frame-scoring, serve and cluster micro-benchmark body,
+# 100 iterations each: catches a benchmark that no longer builds its
+# fixture or fails mid-loop.  It measures nothing.
 microbench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkEvaluate -benchtime=100x -benchmem .
+	$(GO) test -run='^$$' -bench=BenchmarkScoreFrame -benchtime=100x -benchmem ./internal/handover
 	$(GO) test -run='^$$' -bench=BenchmarkServe -benchtime=100x -benchmem ./internal/serve
 	$(GO) test -run='^$$' -bench=BenchmarkCluster -benchtime=100x -benchmem ./internal/cluster
 
@@ -62,8 +63,8 @@ bench-ab:
 	$(GO) run ./cmd/hobench $(BASE)
 
 # Short end-to-end load runs through the serve engine, one per decision
-# mode (exact, compiled, speed-adaptive).  The first also writes the
-# -metrics-out series and checks it holds a throughput sample.
+# mode (exact, compiled, speed-adaptive, SSN-trend).  The first also
+# writes the -metrics-out series and checks it holds a throughput sample.
 load-smoke:
 	rm -f /tmp/fuzzyho-load-series.jsonl
 	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30 \
@@ -71,6 +72,7 @@ load-smoke:
 	grep -q '"decisions_per_sec"' /tmp/fuzzyho-load-series.jsonl
 	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30 -compiled
 	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30,50 -algo adaptive -compiled
+	$(GO) run ./cmd/hoload -terminals 256 -shards 4 -duration 500ms -replicas 2 -speeds 0,30,50 -algo trendfuzzy -compiled
 
 # In-process cluster routing against a single node: the same 1 s
 # compiled hoload run through a 2-node cluster.Local and through one

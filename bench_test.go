@@ -128,18 +128,21 @@ func BenchmarkComparisonFuzzyVsBaselines(b *testing.B) {
 // BenchmarkEvaluate is the map-based inference baseline: one decision of the
 // paper's FLC through fuzzy.System.Evaluate, building the input map per call
 // the way a map-API caller must.  BenchmarkEvaluateFast measures the same
-// decision on the positional fast path; the ratio of the two is the fast
-// path's headline speedup.
+// decisions on the positional fast path; the ratio of the two is the fast
+// path's headline speedup.  Every scalar and batch body draws its rows
+// from benchPool.
 func BenchmarkEvaluate(b *testing.B) {
 	sys := NewFLC().System()
+	cols := benchPool(sys)
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		j := i % benchPoolRows
 		hd, err := sys.Evaluate(map[string]float64{
-			core.VarCSSP: -3.5,
-			core.VarSSN:  -95 + float64(i%10),
-			core.VarDMB:  1.1,
+			core.VarCSSP: cols[0][j],
+			core.VarSSN:  cols[1][j],
+			core.VarDMB:  cols[2][j],
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -156,14 +159,15 @@ func BenchmarkEvaluate(b *testing.B) {
 // Scratch buffers.  Must report 0 allocs/op.
 func BenchmarkEvaluateFast(b *testing.B) {
 	sys := NewFLC().System()
+	cols := benchPool(sys)
 	sc := sys.NewScratch()
 	xs := sc.Xs()
-	xs[0], xs[2] = -3.5, 1.1
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xs[1] = -95 + float64(i%10)
+		j := i % benchPoolRows
+		xs[0], xs[1], xs[2] = cols[0][j], cols[1][j], cols[2][j]
 		hd, err := sys.EvaluateInto(sc, xs)
 		if err != nil {
 			b.Fatal(err)
@@ -185,12 +189,14 @@ func BenchmarkEvaluateCompiled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	xs := []float64{-3.5, 0, 1.1}
+	cols := benchPool(cs.System())
+	xs := make([]float64, 3)
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xs[1] = -95 + float64(i%10)
+		j := i % benchPoolRows
+		xs[0], xs[1], xs[2] = cols[0][j], cols[1][j], cols[2][j]
 		hd, err := cs.Evaluate(xs)
 		if err != nil {
 			b.Fatal(err)
@@ -224,29 +230,38 @@ func BenchmarkEvaluateCompiledBatchTrend(b *testing.B) {
 	benchCompiledBatch(b, cs)
 }
 
-// benchCompiledBatch scores 64-row windows of a 4,096-row pool drawn
-// seeded-uniform over each input's universe plus 5% of its span beyond
-// either end, so the clamp runs too.  A short periodic column pattern
-// lets the branch predictor learn every data-dependent branch of the
-// kernel; a shard's real rows do not, and neither do these.
-func benchCompiledBatch(b *testing.B, cs *fuzzy.CompiledSurface) {
-	const n, pool = 64, 4096
+// benchPoolRows is the row count of benchPool.
+const benchPoolRows = 4096
+
+// benchPool draws benchPoolRows rows seeded-uniform over each input's
+// universe plus 5% of its span beyond either end, so the clamp runs too;
+// it returns one column per input.  A short periodic input pattern lets
+// the branch predictor learn every data-dependent branch of the
+// inference; a shard's real rows do not, and neither do these.
+func benchPool(sys *fuzzy.System) [][]float64 {
 	rng := rand.New(rand.NewSource(1))
-	inputs := cs.System().Inputs()
+	inputs := sys.Inputs()
 	cols := make([][]float64, len(inputs))
 	for a, v := range inputs {
 		span := v.Max - v.Min
-		cols[a] = make([]float64, pool)
+		cols[a] = make([]float64, benchPoolRows)
 		for i := range cols[a] {
 			cols[a][i] = v.Min - 0.05*span + rng.Float64()*1.1*span
 		}
 	}
+	return cols
+}
+
+// benchCompiledBatch scores 64-row windows of benchPool.
+func benchCompiledBatch(b *testing.B, cs *fuzzy.CompiledSurface) {
+	const n = 64
+	cols := benchPool(cs.System())
 	in := make([][]float64, len(cols))
 	var dst [n]float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off := i * n % pool
+		off := i * n % benchPoolRows
 		for a := range in {
 			in[a] = cols[a][off : off+n]
 		}

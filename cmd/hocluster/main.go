@@ -138,11 +138,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	schemaHash := handover.PaperFeatureSchema().Hash()
-	if factory != nil {
-		schemaHash = handover.SchemaHashOf(factory())
-	}
-	router, err := buildRouter(addrs, *local, *shards, *queue, *nodeQ, *vnodes, *window, factory, *compiled, schemaHash, *journal, mux, reg)
+	schemaHash := handover.SchemaHashOf(factory())
+	router, err := buildRouter(addrs, *local, *shards, *queue, *nodeQ, *vnodes, *window, factory, schemaHash, *journal, mux, reg)
 	if err != nil {
 		fatal(err)
 	}
@@ -330,7 +327,7 @@ func snapshotCluster(router cluster.Router, path string) error {
 }
 
 func buildRouter(addrs []string, local, shards, queue, nodeQ, vnodes int,
-	window float64, factory func() handover.Algorithm, compiled bool, schemaHash uint64,
+	window float64, factory func() handover.Algorithm, schemaHash uint64,
 	journal string, mux *serve.DecisionMux, reg *obs.Registry) (cluster.Router, error) {
 	if len(addrs) > 0 {
 		return cluster.DialTCP(cluster.TCPConfig{
@@ -345,16 +342,10 @@ func buildRouter(addrs []string, local, shards, queue, nodeQ, vnodes int,
 			},
 		})
 	}
-	ecfg := serve.Config{Shards: shards, QueueDepth: queue, PingPongWindowKm: window}
-	if factory != nil {
-		ecfg.AlgorithmFactory = factory
-	} else {
-		ecfg.Compiled = compiled
-	}
 	return cluster.NewLocal(cluster.LocalConfig{
 		Nodes:        local,
 		VirtualNodes: vnodes,
-		Engine:       ecfg,
+		Engine:       serve.Config{Shards: shards, QueueDepth: queue, AlgorithmFactory: factory, PingPongWindowKm: window},
 		OnDecision:   func(_ int, o serve.Outcome) { mux.Route(o) },
 		Metrics:      reg,
 	})

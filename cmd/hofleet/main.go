@@ -59,13 +59,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	factory, err := fuzzyho.ServeAlgorithmFactory("fuzzy", *compiled)
+	if err != nil {
+		fatal(err)
+	}
 
 	var cfgs []fuzzyho.SimConfig
 	var points []fuzzyho.FleetPoint
 	for _, b := range bases {
 		b.cfg.ShadowSigmaDB = *shadow
 		b.cfg.ShadowDecorrKm = *decorr
-		b.cfg.CompiledFLC = *compiled
+		b.cfg.AlgorithmFactory = factory
 		c, p := fuzzyho.SweepGrid(b.label, b.cfg, *replicas, speeds)
 		cfgs = append(cfgs, c...)
 		points = append(points, p...)

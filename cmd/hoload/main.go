@@ -373,16 +373,11 @@ func churnLoop(router *fuzzyho.LocalCluster, every time.Duration, stop <-chan st
 // cluster mode (the -churn hook).
 func buildTarget(clusterN, shards, queue int, algo string, compiled bool,
 	onDecision func(fuzzyho.ServeOutcome)) (*loadTarget, *fuzzyho.LocalCluster, error) {
-	cfg := fuzzyho.ServeConfig{Shards: shards, QueueDepth: queue}
 	factory, err := fuzzyho.ServeAlgorithmFactory(algo, compiled)
 	if err != nil {
 		return nil, nil, err
 	}
-	if factory != nil {
-		cfg.AlgorithmFactory = factory
-	} else {
-		cfg.Compiled = compiled
-	}
+	cfg := fuzzyho.ServeConfig{Shards: shards, QueueDepth: queue, AlgorithmFactory: factory}
 
 	if clusterN > 0 {
 		router, err := fuzzyho.NewLocalCluster(fuzzyho.ClusterLocalConfig{

@@ -120,25 +120,20 @@ func main() {
 	// The registry is always built — the {"ctl":"stats"} control op and
 	// the -stats loop render from it even when -admin is off.
 	reg := obs.NewRegistry()
-	cfg := serve.Config{
+	factory, err := handover.AlgorithmFactoryFor(*algo, *compiled)
+	if err != nil {
+		fatal(err)
+	}
+	engine, err := serve.New(serve.Config{
 		Shards:           *shards,
 		QueueDepth:       *queue,
+		AlgorithmFactory: factory,
 		PingPongWindowKm: *window,
 		OnDecision:       mux.Route,
 		Metrics:          reg,
 		TraceEvery:       *traceEvry,
 		TraceBuffer:      *traceBuf,
-	}
-	factory, err := handover.AlgorithmFactoryFor(*algo, *compiled)
-	if err != nil {
-		fatal(err)
-	}
-	if factory != nil {
-		cfg.AlgorithmFactory = factory
-	} else {
-		cfg.Compiled = *compiled
-	}
-	engine, err := serve.New(cfg)
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -127,8 +127,8 @@ func CompileSurface(s *InferenceSystem) (*CompiledSurface, error) {
 }
 
 // DefaultCompiledFLC returns the process-wide compiled instance of the
-// paper's controller (sim.Config.CompiledFLC and ServeConfig.Compiled use
-// it under the hood).
+// paper's controller (NewCompiledFuzzyAlgorithm and ServeConfig.Compiled
+// use it under the hood).
 func DefaultCompiledFLC() (*FLC, error) { return core.DefaultCompiledFLC() }
 
 // Membership-function constructors (re-exported).
@@ -229,8 +229,8 @@ func PaperBoundaryConfig() SimConfig { return sim.PaperBoundaryConfig() }
 func PaperCrossingConfig() SimConfig { return sim.PaperCrossingConfig() }
 
 // TrendDriftConfig is the SSN-trend scenario family: the crossing walk
-// class under correlated shadow fading, where the TrendFuzzy fourth
-// antecedent changes decisions.
+// class under correlated shadow fading, where the trend controller's
+// fourth antecedent (NewTrendFuzzy) changes decisions.
 func TrendDriftConfig() SimConfig { return sim.TrendDriftConfig() }
 
 // ResolveScenario finds the sub-stream of cfg.Seed realising the paper's
@@ -247,7 +247,9 @@ func NewDipole(powerW float64) *Dipole { return radio.NewDipole(powerW) }
 
 // Handover algorithms.
 type (
-	// FuzzyAlgorithm adapts the paper's controller to the simulator.
+	// FuzzyAlgorithm is the paper's Fig. 4 pipeline as an algorithm, in
+	// each fuzzy configuration: the paper's controller, the
+	// speed-adaptive threshold and the SSN-trend antecedent.
 	FuzzyAlgorithm = handover.Fuzzy
 	// AbsoluteThreshold is the naive RSS baseline.
 	AbsoluteThreshold = handover.AbsoluteThreshold
@@ -261,10 +263,6 @@ type (
 	Passive = handover.Passive
 	// SIRThreshold is the dominant-interferer-ratio baseline.
 	SIRThreshold = handover.SIRThreshold
-	// AdaptiveFuzzy is the speed-adaptive extension of the paper controller.
-	AdaptiveFuzzy = handover.AdaptiveFuzzy
-	// TrendFuzzy is the 4-input FLC variant with the SSN-trend antecedent.
-	TrendFuzzy = handover.TrendFuzzy
 	// BatchScorer is the optional Algorithm extension behind the serve
 	// layer's columnar pipeline: it declares a FeatureSchema and scores
 	// whole FeatureFrame columns at once.
@@ -284,10 +282,9 @@ type (
 
 // ScoreFrame row statuses (re-exported).
 const (
-	ScoreGated          = handover.ScoreGated
-	ScoreEvaluated      = handover.ScoreEvaluated
-	ScoreError          = handover.ScoreError
-	ScoreBelowThreshold = handover.ScoreBelowThreshold
+	ScoreGated     = handover.ScoreGated
+	ScoreEvaluated = handover.ScoreEvaluated
+	ScoreError     = handover.ScoreError
 )
 
 // NewCompiledFuzzyAlgorithm returns the paper's controller on the shared
@@ -305,30 +302,32 @@ func NewHysteresisTTT(marginDB float64, epochs int) *HysteresisTTT {
 	return handover.NewHysteresisTTT(marginDB, epochs)
 }
 
-// NewAdaptiveFuzzy returns the speed-adaptive fuzzy controller extension.
-func NewAdaptiveFuzzy() *AdaptiveFuzzy { return handover.NewAdaptiveFuzzy() }
+// NewAdaptiveFuzzy returns the speed-adaptive fuzzy controller extension:
+// the paper's controller with a threshold that falls with terminal speed.
+func NewAdaptiveFuzzy() *FuzzyAlgorithm { return handover.NewAdaptiveFuzzy() }
 
 // NewCompiledAdaptiveFuzzy returns the speed-adaptive extension on the
 // process-wide compiled control surface — serve engines built with an
 // AlgorithmFactory returning it decide through the columnar pipeline at
 // compiled-kernel speed.
-func NewCompiledAdaptiveFuzzy() (*AdaptiveFuzzy, error) { return handover.NewCompiledAdaptiveFuzzy() }
+func NewCompiledAdaptiveFuzzy() (*FuzzyAlgorithm, error) { return handover.NewCompiledAdaptiveFuzzy() }
 
 // NewTrendFuzzy returns the 4-input trend controller (CSSP, SSN, DMB plus
 // the per-terminal SSN-trend antecedent) on per-decision Mamdani
 // inference.
-func NewTrendFuzzy() (*TrendFuzzy, error) { return handover.NewTrendFuzzy() }
+func NewTrendFuzzy() (*FuzzyAlgorithm, error) { return handover.NewTrendFuzzy() }
 
 // NewCompiledTrendFuzzy returns the trend controller on its process-wide
 // compiled 4-axis control surface.
-func NewCompiledTrendFuzzy() (*TrendFuzzy, error) { return handover.NewCompiledTrendFuzzy() }
+func NewCompiledTrendFuzzy() (*FuzzyAlgorithm, error) { return handover.NewCompiledTrendFuzzy() }
 
 // PaperFeatureSchema returns the paper's 3-feature schema
 // (cssp, ssn, dmb) — what every fixed-pipeline algorithm consumes.
 func PaperFeatureSchema() *FeatureSchema { return handover.PaperFeatureSchema() }
 
 // TrendFeatureSchema returns the 4-feature schema (cssp, ssn, dmb,
-// ssn_trend) consumed by TrendFuzzy; its ssn_trend feature is stateful.
+// ssn_trend) the trend controller consumes; its ssn_trend feature is
+// stateful.
 func TrendFeatureSchema() *FeatureSchema { return handover.TrendFeatureSchema() }
 
 // SchemaHashOf returns the feature-schema hash an algorithm serves: the
@@ -338,9 +337,9 @@ func TrendFeatureSchema() *FeatureSchema { return handover.TrendFeatureSchema() 
 func SchemaHashOf(a Algorithm) uint64 { return handover.SchemaHashOf(a) }
 
 // ServeAlgorithmFactory resolves an algorithm selector ("fuzzy",
-// "adaptive", "trendfuzzy") into a ServeConfig.AlgorithmFactory; a nil
-// factory with nil error means the engine's default algorithm should be
-// used, honoring ServeConfig.Compiled.  See handover.AlgorithmFactoryFor.
+// "adaptive", "trendfuzzy") into a ServeConfig.AlgorithmFactory or
+// SimConfig.AlgorithmFactory, on the shared compiled kernels when
+// compiled is set.  See handover.AlgorithmFactoryFor.
 func ServeAlgorithmFactory(name string, compiled bool) (func() Algorithm, error) {
 	return handover.AlgorithmFactoryFor(name, compiled)
 }

@@ -161,6 +161,10 @@ func (c *Controller) FLC() *FLC { return c.flc }
 // Threshold returns the HD handover threshold.
 func (c *Controller) Threshold() float64 { return c.threshold }
 
+// ConfirmPRTLC reports whether the PRTLC confirmation runs (false in the
+// DisablePRTLC ablation).
+func (c *Controller) ConfirmPRTLC() bool { return c.confirmPRTLC }
+
 // QualityGateDB returns the POTLC gate level.
 //
 //fuzzyho:hotpath
@@ -207,10 +211,10 @@ func (c *Controller) DecideInto(sc *fuzzy.Scratch, r Report) (Decision, error) {
 }
 
 // DecideFromHD completes the Fig. 4 pipeline for a report whose FLC output
-// was already computed — the batch decision path scores whole report
-// columns through FLC.EvaluateBatch and finishes each decision here.  The
-// POTLC gate must have been applied by the caller (a report that passes
-// the gate never reaches the FLC).
+// was already computed: the threshold, then the PRTLC confirmation.
+// DecideInto finishes every decision here.  The POTLC gate must have been
+// applied by the caller (a report that passes the gate never reaches the
+// FLC).
 //
 //fuzzyho:hotpath
 func (c *Controller) DecideFromHD(r Report, hd float64) Decision {

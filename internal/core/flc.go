@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -13,11 +14,20 @@ import (
 // defuzzification ("triangular and trapezoidal membership functions …
 // suitable for real-time operation", §4).  An FLC is immutable and safe for
 // concurrent use.
+//
+// The system's first three inputs are CSSP, SSN and DMB; a variant may
+// add antecedents after them (the SSN-trend controller adds a fourth).
+// Evaluate, EvaluateInto and EvaluateBatch answer the paper's 3-input
+// form; EvaluateRow and EvaluateCols answer any number of inputs.
 type FLC struct {
 	sys *fuzzy.System
-	// surface, when non-nil, is the compiled control surface: Evaluate,
-	// EvaluateInto and EvaluateBatch answer from it instead of running
-	// Mamdani inference per decision.  Set once by Compile before the FLC
+	// bounds is the universe of every input past the third, in input
+	// order: the first three clamp to the Fig. 5 universes (ClampInputs),
+	// the rest to their own.
+	bounds [][2]float64
+	// surface, when non-nil, is the compiled control surface: every
+	// Evaluate* query answers from it instead of running Mamdani
+	// inference per decision.  Set once by Compile before the FLC
 	// is shared; immutable afterwards.
 	surface *fuzzy.CompiledSurface
 	// scratches recycles inference buffers for callers that use the
@@ -65,13 +75,6 @@ func NewFLCWithOptions(opts FLCOptions) (*FLC, error) {
 	if hd == nil {
 		hd = NewHD()
 	}
-	for _, check := range []struct{ got, want string }{
-		{cssp.Name, VarCSSP}, {ssn.Name, VarSSN}, {dmb.Name, VarDMB}, {hd.Name, VarHD},
-	} {
-		if check.got != check.want {
-			return nil, fmt.Errorf("core: variable named %q, want %q", check.got, check.want)
-		}
-	}
 	rules := NewFRB()
 	if opts.Rules != nil {
 		rules = *opts.Rules
@@ -80,11 +83,33 @@ func NewFLCWithOptions(opts FLCOptions) (*FLC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &FLC{sys: sys}, nil
+	return NewFLCFromSystem(sys)
+}
+
+// NewFLCFromSystem wraps a built system whose inputs start with CSSP, SSN
+// and DMB and whose output is HD; variants add their antecedents after
+// the paper's three.
+func NewFLCFromSystem(sys *fuzzy.System) (*FLC, error) {
+	in := sys.Inputs()
+	if len(in) < 3 {
+		return nil, fmt.Errorf("core: %d inputs, want CSSP, SSN and DMB first", len(in))
+	}
+	for _, check := range []struct{ got, want string }{
+		{in[0].Name, VarCSSP}, {in[1].Name, VarSSN}, {in[2].Name, VarDMB}, {sys.Output().Name, VarHD},
+	} {
+		if check.got != check.want {
+			return nil, fmt.Errorf("core: variable named %q, want %q", check.got, check.want)
+		}
+	}
+	f := &FLC{sys: sys}
+	for _, v := range in[3:] {
+		f.bounds = append(f.bounds, [2]float64{v.Min, v.Max})
+	}
+	return f, nil
 }
 
 // Compile builds the compiled control surface and routes every subsequent
-// Evaluate/EvaluateInto/EvaluateBatch through it.  The paper's
+// Evaluate* query through it.  The paper's
 // configuration compiles into the exact segment-table kernel
 // (bit-equivalent).  Call before the FLC is shared across goroutines.
 // Operator ablations outside the kernel's shape (non-min/max norms,
@@ -176,18 +201,50 @@ func (f *FLC) Evaluate(csspDB, ssnDB, dmbNorm float64) (float64, error) {
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func (f *FLC) EvaluateInto(sc *fuzzy.Scratch, csspDB, ssnDB, dmbNorm float64) (float64, error) {
-	cssp, ssn, dmb := ClampInputs(csspDB, ssnDB, dmbNorm)
 	// Positional order matches NewFLCWithOptions: CSSP, SSN, DMB.
-	xs := [3]float64{cssp, ssn, dmb}
-	if f.surface != nil {
-		return f.surface.Evaluate(xs[:])
+	xs := [3]float64{csspDB, ssnDB, dmbNorm}
+	return f.EvaluateRow(sc, xs[:])
+}
+
+// errInputCount rejects a row whose length is not the system's input
+// count.
+var errInputCount = errors.New("core: input count differs from the system's")
+
+// EvaluateRow is EvaluateInto for any number of inputs: xs holds one raw
+// value per system input, in input order, and is clamped in place — the
+// first three to the Fig. 5 universes (ClampInputs), the rest to their
+// own universes, NaN to the floor.
+//
+//fuzzyho:hotpath
+//fuzzyho:deterministic
+func (f *FLC) EvaluateRow(sc *fuzzy.Scratch, xs []float64) (float64, error) {
+	if len(xs) != 3+len(f.bounds) {
+		return 0, errInputCount
 	}
-	return f.sys.EvaluateInto(sc, xs[:])
+	xs[0], xs[1], xs[2] = ClampInputs(xs[0], xs[1], xs[2])
+	for k, b := range f.bounds {
+		xs[3+k] = Clamp(xs[3+k], b[0], b[1])
+	}
+	if f.surface != nil {
+		return f.surface.Evaluate(xs)
+	}
+	return f.sys.EvaluateInto(sc, xs)
 }
 
 // EvaluateBatch computes HD for whole input columns: dst[i] is the output
-// for (cssp[i], ssn[i], dmb[i]).  The input columns are clamped to the
-// Fig. 5 universes in place, exactly as Evaluate clamps scalars.  Rows the
+// for (cssp[i], ssn[i], dmb[i]).  It is EvaluateCols on the paper's three
+// columns.
+//
+//fuzzyho:hotpath
+//fuzzyho:deterministic
+func (f *FLC) EvaluateBatch(dst, cssp, ssn, dmb []float64) error {
+	cols := [3][]float64{cssp, ssn, dmb}
+	return f.EvaluateCols(dst, cols[:])
+}
+
+// EvaluateCols computes HD for whole input columns, one per system input:
+// dst[i] is the output for row (cols[0][i], cols[1][i], …).  The columns
+// are clamped in place, exactly as EvaluateRow clamps a row.  Rows the
 // engine cannot score (no rule fired on an ablated rulebase) get
 // dst[i] = NaN; the error return covers shape mismatches only.  A
 // compiled FLC hands the columns to CompiledSurface.EvaluateBatch;
@@ -196,23 +253,37 @@ func (f *FLC) EvaluateInto(sc *fuzzy.Scratch, csspDB, ssnDB, dmbNorm float64) (f
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
-func (f *FLC) EvaluateBatch(dst, cssp, ssn, dmb []float64) error {
-	if len(cssp) != len(dst) || len(ssn) != len(dst) || len(dmb) != len(dst) {
-		//fuzzyho:allow shape guard: shard-owned columns always share one length, so this formats only on a caller contract violation
-		return fmt.Errorf("core: column lengths %d/%d/%d ≠ batch length %d", len(cssp), len(ssn), len(dmb), len(dst))
+func (f *FLC) EvaluateCols(dst []float64, cols [][]float64) error {
+	if len(cols) != 3+len(f.bounds) {
+		//fuzzyho:allow shape guard: scorers pass columns gathered for their own schema, so this formats only on a caller contract violation
+		return fmt.Errorf("core: %d columns for %d inputs", len(cols), 3+len(f.bounds))
 	}
+	for _, c := range cols {
+		if len(c) != len(dst) {
+			//fuzzyho:allow shape guard: shard-owned columns always share one length, so this formats only on a caller contract violation
+			return fmt.Errorf("core: column length %d ≠ batch length %d", len(c), len(dst))
+		}
+	}
+	cssp, ssn, dmb := cols[0], cols[1], cols[2]
 	for i := range dst {
 		cssp[i], ssn[i], dmb[i] = ClampInputs(cssp[i], ssn[i], dmb[i])
 	}
+	for k, b := range f.bounds {
+		col := cols[3+k]
+		for i := range col {
+			col[i] = Clamp(col[i], b[0], b[1])
+		}
+	}
 	if f.surface != nil {
-		cols := [3][]float64{cssp, ssn, dmb}
-		return f.surface.EvaluateBatch(dst, cols[:])
+		return f.surface.EvaluateBatch(dst, cols)
 	}
 	sc := f.getScratch()
-	var xs [3]float64
+	xs := sc.Xs()
 	for i := range dst {
-		xs[0], xs[1], xs[2] = cssp[i], ssn[i], dmb[i]
-		hd, err := f.sys.EvaluateInto(sc, xs[:])
+		for k, col := range cols {
+			xs[k] = col[i]
+		}
+		hd, err := f.sys.EvaluateInto(sc, xs)
 		if err != nil {
 			hd = math.NaN() // mark the row, keep the batch going
 		}

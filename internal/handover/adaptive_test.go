@@ -17,9 +17,8 @@ func TestAdaptiveThresholdSchedule(t *testing.T) {
 	if a.Threshold(-50) != a.Threshold(50) {
 		t.Error("threshold not symmetric in speed")
 	}
-	a.SlopePerKmh = 0.1
-	if got := a.Threshold(50); got != a.MinThreshold {
-		t.Errorf("floored threshold = %g, want %g", got, a.MinThreshold)
+	if got := a.Threshold(100); got != MinThreshold {
+		t.Errorf("floored threshold = %g, want %g", got, MinThreshold)
 	}
 }
 
@@ -109,16 +108,18 @@ func TestAdaptiveQualityGate(t *testing.T) {
 }
 
 func TestAlgorithmFactoryFor(t *testing.T) {
-	if f, err := AlgorithmFactoryFor("fuzzy", true); err != nil || f != nil {
-		t.Errorf("fuzzy: (non-nil=%v, %v), want nil factory (engine default)", f != nil, err)
-	}
-	for _, compiled := range []bool{false, true} {
-		f, err := AlgorithmFactoryFor("adaptive", compiled)
-		if err != nil || f == nil {
-			t.Fatalf("adaptive compiled=%v: (non-nil=%v, %v)", compiled, f != nil, err)
-		}
-		if _, ok := f().(*AdaptiveFuzzy); !ok {
-			t.Errorf("adaptive compiled=%v: factory built %T", compiled, f())
+	for _, tc := range []struct{ selector, name string }{
+		{"fuzzy", "fuzzy"}, {"", "fuzzy"}, {"adaptive", "fuzzy-adaptive"}, {"trendfuzzy", "trendfuzzy"},
+	} {
+		for _, compiled := range []bool{false, true} {
+			f, err := AlgorithmFactoryFor(tc.selector, compiled)
+			if err != nil || f == nil {
+				t.Fatalf("%q compiled=%v: (non-nil=%v, %v)", tc.selector, compiled, f != nil, err)
+			}
+			a, ok := f().(*Fuzzy)
+			if !ok || a.Name() != tc.name || a.Controller().FLC().Compiled() != compiled {
+				t.Errorf("%q compiled=%v: factory built %T %q", tc.selector, compiled, f(), f().Name())
+			}
 		}
 	}
 	if _, err := AlgorithmFactoryFor("bogus", false); err == nil {

@@ -1,12 +1,14 @@
 // Package handover defines the common decision interface the simulator
-// drives, the adapter for the paper's fuzzy controller, and the classic
-// non-fuzzy baselines the paper names as future-work comparisons (§6):
-// absolute RSS threshold, RSS hysteresis, hysteresis + time-to-trigger, and
-// distance-based handover.
+// and the serve engine drive, the one fuzzy scorer (Fuzzy: the paper's
+// POTLC → FLC → threshold → PRTLC pipeline, in its paper, speed-adaptive
+// and SSN-trend configurations), and the classic non-fuzzy baselines the
+// paper names as future-work comparisons (§6): absolute RSS threshold, RSS
+// hysteresis, hysteresis + time-to-trigger, and distance-based handover.
 package handover
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cell"
 	"repro/internal/core"
@@ -70,13 +72,6 @@ const (
 	// ScoreError: the FLC could not score the report (no rule fired on an
 	// ablated rulebase); DecideScored reproduces the per-report error.
 	ScoreError
-	// ScoreBelowThreshold: the FLC scored the report and the scorer's
-	// threshold stage — which may depend on the row's speed column —
-	// already settled it as no-handover; hd carries the score.  Emitted
-	// by scorers whose threshold is row-stateless (AdaptiveFuzzy); the
-	// paper's fixed-threshold controller folds the comparison into
-	// DecideScored instead.
-	ScoreBelowThreshold
 )
 
 // BatchScorer is the optional Algorithm extension behind the columnar
@@ -104,9 +99,8 @@ type BatchScorer interface {
 	Schema() *FeatureSchema
 	// ScoreFrame scores a gathered frame: for every row i, either
 	// f.Status[i] = ScoreGated (gate settled it), or ScoreEvaluated with
-	// f.HD[i] the FLC output, or ScoreBelowThreshold with f.HD[i] the
-	// score a row-stateless threshold stage already rejected, or
-	// ScoreError.  Steady state performs no heap allocations.
+	// f.HD[i] the FLC output, or ScoreError.  Steady state performs no
+	// heap allocations.
 	//
 	//fuzzyho:hotpath
 	ScoreFrame(f *FeatureFrame) error
@@ -146,33 +140,81 @@ func (d *decideScorer) DecideScored(m *cell.Measurement, prevServingDB float64, 
 	return d.Algorithm.Decide(*m, prevServingDB, havePrev)
 }
 
-// Fuzzy adapts the paper's core.Controller to the Algorithm interface.
-// Decisions run on the controller's allocation-free fast path with a
-// per-instance scratch, so — like every stateful Algorithm — one Fuzzy
-// instance must not be driven from multiple goroutines at once (RunFleet
-// configs each get their own instance when Config.Algorithm is nil).
+// The reasons every fuzzy configuration shares: core.Stage's strings for
+// the gate, PRTLC and execute stages.  The below-threshold reason is the
+// configuration's own (Fuzzy.below).
+const (
+	reasonGate    = "POTLC-quality-gate"
+	reasonPRTLC   = "PRTLC-confirmation"
+	reasonExecute = "execute-handover"
+)
+
+// Fuzzy is the paper's Fig. 4 pipeline as an Algorithm and a BatchScorer:
+// the POTLC gate, the FLC score, the threshold and the PRTLC
+// confirmation.  One type serves every fuzzy configuration: the paper's
+// controller (NewFuzzy), the speed-adaptive threshold (NewAdaptiveFuzzy)
+// and the SSN-trend antecedent (NewTrendFuzzy), each exact or compiled.
+// A configuration fixes the feature schema the FLC reads, how the
+// threshold falls with speed (not at all for a fixed threshold) and the
+// reason a below-threshold decision carries.
 //
-// Fuzzy also implements BatchScorer: the POTLC gate and FLC evaluation
-// depend only on the measurement, so whole report columns are scored in
-// one pass (through the compiled control surface when the controller's
-// FLC is compiled) and each decision completes against the terminal's
-// history afterwards.
+// The gate and the FLC score depend only on the gathered feature row, so
+// ScoreFrame scores whole frames (through the compiled control surface
+// when the FLC is compiled) and DecideScored completes each report
+// against the terminal's history.  Decisions run allocation-free on a
+// per-instance scratch, so — like every stateful Algorithm — one
+// instance must not be driven from multiple goroutines at once.
 type Fuzzy struct {
-	ctrl    *core.Controller
+	ctrl *core.Controller
+	// flc, gateDB, base and prtlc are read from ctrl once, at
+	// construction.
+	flc    *core.FLC
+	gateDB float64
+	base   float64 // the threshold at 0 km/h
+	prtlc  bool
+	// slope is the threshold's fall per km/h of terminal speed (0: a
+	// fixed threshold).
+	slope  float64
+	schema *FeatureSchema
+	name   string
+	below  string
+	// scratch holds the scalar path's inference buffers and input row;
+	// gather the batch path's dense buffers.  Both are pure per-call
+	// scratch (fully rewritten by each evaluation), so Reset keeps them.
 	scratch *fuzzy.Scratch
-	// gather holds the dense batch-path buffers.  Pure per-call scratch
-	// (fully rewritten by each ScoreFrame), so Reset keeps it.
-	gather batchGather
+	gather  batchGather
+	// state backs a stateful schema's derivation on the scalar Decide
+	// path (sim drives one terminal per instance); the columnar path
+	// reads columns the caller gathered against each terminal's own
+	// DerivedState.
+	state DerivedState
 }
 
-// batchGather is the shared column-scoring stage of the BatchScorer
-// implementations: the POTLC gate settles what it can, the surviving rows'
-// feature columns are made dense (gate), evaluated by the owning scorer
-// through dense, and the scores scattered back to the frame (scatter).
-// When no row gates out — the common steady-state shape — dense borrows
-// the frame's own columns and no packing copy runs at all; otherwise the
-// survivors are packed into the gather's own buffers.  Scorers may
-// saturate (clamp) dense columns in place either way: frame feature
+// newFuzzy builds a configuration over ctrl (nil: the paper's).
+func newFuzzy(ctrl *core.Controller, schema *FeatureSchema, slope float64, name, below string) *Fuzzy {
+	if ctrl == nil {
+		ctrl = core.NewController()
+	}
+	return &Fuzzy{
+		ctrl:   ctrl,
+		flc:    ctrl.FLC(),
+		gateDB: ctrl.QualityGateDB(),
+		base:   ctrl.Threshold(),
+		prtlc:  ctrl.ConfirmPRTLC(),
+		slope:  slope,
+		schema: schema,
+		name:   name,
+		below:  below,
+	}
+}
+
+// batchGather is Fuzzy's column-scoring stage: the POTLC gate settles
+// what it can, the surviving rows' feature columns are made dense (gate),
+// evaluated by the FLC through dense, and the scores scattered back to
+// the frame (scatter).  When no row gates out — the common steady-state
+// shape — dense borrows the frame's own columns and no packing copy runs
+// at all; otherwise the survivors are packed into the gather's own
+// buffers.  The FLC saturates (clamps) dense columns in place either way: frame feature
 // columns are per-batch scratch with no post-score readers, and the
 // saturated values are exactly what the FLC consumed.  The buffers are
 // pure per-call scratch — fully rewritten by each score — so keeping them
@@ -260,10 +302,7 @@ func (g *batchGather) scatter(f *FeatureFrame) {
 
 // NewFuzzy wraps the given controller; nil uses the paper's defaults.
 func NewFuzzy(ctrl *core.Controller) *Fuzzy {
-	if ctrl == nil {
-		ctrl = core.NewController()
-	}
-	return &Fuzzy{ctrl: ctrl}
+	return newFuzzy(ctrl, paperSchema, 0, "fuzzy", core.StageFLC.String())
 }
 
 // NewCompiledFuzzy returns the paper's controller on the process-wide
@@ -281,16 +320,29 @@ func NewCompiledFuzzy() (*Fuzzy, error) {
 func (f *Fuzzy) Controller() *core.Controller { return f.ctrl }
 
 // Name implements Algorithm.
-func (f *Fuzzy) Name() string { return "fuzzy" }
+func (f *Fuzzy) Name() string { return f.name }
 
-// Reset implements Algorithm.  The paper's controller keeps no cross-epoch
-// decision state (all history arrives in the Report), so there is nothing
-// to clear; the lazily built scratch is a pure inference buffer whose
-// contents are fully overwritten by every evaluation, and keeping it is
+// Reset implements Algorithm: it clears a stateful schema's derivation.
+// The controller itself keeps no cross-epoch decision state (all history
+// arrives with the report), and the scratch buffers are kept: that is
 // what makes pooled reuse (sim fleets, serve shards) allocation-free.
 //
 //fuzzyho:hotpath
-func (f *Fuzzy) Reset() {}
+func (f *Fuzzy) Reset() { f.state.Reset() }
+
+// Threshold returns the HD threshold at the given terminal speed: the
+// controller's fixed threshold, or — for the speed-adaptive
+// configuration — one that falls by the slope per km/h down to
+// MinThreshold.
+//
+//fuzzyho:hotpath
+//fuzzyho:deterministic
+func (f *Fuzzy) Threshold(speedKmh float64) float64 {
+	if f.slope == 0 {
+		return f.base
+	}
+	return max(MinThreshold, f.base-f.slope*math.Abs(speedKmh))
+}
 
 // Decide implements Algorithm.
 //
@@ -298,80 +350,82 @@ func (f *Fuzzy) Reset() {}
 func (f *Fuzzy) Decide(m cell.Measurement, prevServingDB float64, havePrev bool) (Decision, error) {
 	if f.scratch == nil {
 		//fuzzyho:allow one-time lazy scratch construction on the instance's first decision; every later call reuses it
-		f.scratch = f.ctrl.FLC().NewScratch()
+		f.scratch = f.flc.NewScratch()
 	}
-	d, err := f.ctrl.DecideInto(f.scratch, core.Report{
-		ServingDB:     m.ServingDB,
-		PrevServingDB: prevServingDB,
-		HavePrev:      havePrev,
-		CSSPdB:        m.CSSPdB,
-		SSNdB:         m.NeighborDB,
-		DMBNorm:       m.DMBNorm,
-	})
+	xs := f.scratch.Xs()
+	if f.schema.Stateful() {
+		// The derivation observes every report — before the POTLC gate,
+		// exactly as the columnar path gathers the feature for every row
+		// before gating — so both paths advance it identically.
+		xs[3] = f.state.Trend.Observe(m.NeighborDB)
+	}
+	if m.ServingDB >= f.gateDB {
+		return Decision{Reason: reasonGate}, nil
+	}
+	xs[0], xs[1], xs[2] = m.CSSPdB, m.NeighborDB, m.DMBNorm
+	hd, err := f.flc.EvaluateRow(f.scratch, xs)
 	if err != nil {
-		return Decision{}, err
+		//fuzzyho:allow error path: only a no-rule-fired ablation reaches this wrap, never a steady-state decision
+		return Decision{}, fmt.Errorf("core: FLC evaluation: %w", err)
 	}
-	return Decision{
-		Handover: d.Handover,
-		Score:    d.HD,
-		Scored:   d.Evaluated,
-		Reason:   d.Stage.String(),
-	}, nil
+	return f.DecideScored(&m, prevServingDB, havePrev, hd, ScoreEvaluated)
 }
 
-// Schema implements BatchScorer: the paper's three antecedents.
-func (f *Fuzzy) Schema() *FeatureSchema { return paperSchema }
+// Schema implements BatchScorer.
+func (f *Fuzzy) Schema() *FeatureSchema { return f.schema }
 
 // ScoreFrame implements BatchScorer: the POTLC gate settles what it can,
-// everything else is packed into dense columns and scored through
-// FLC.EvaluateBatch in one call.  The paper's threshold is
-// speed-independent, so the frame's speed column is not read.
+// and the surviving rows' feature columns are scored through
+// FLC.EvaluateCols in one call.  A stateful schema's columns were
+// gathered against each terminal's DerivedState, so scoring itself is
+// row-stateless.
 //
 //fuzzyho:hotpath
 func (f *Fuzzy) ScoreFrame(fr *FeatureFrame) error {
 	//fuzzyho:allow schema guard: formats an error only when the caller scores a frame built for a different schema; shard-owned frames never do
-	if err := frameSchemaErr("fuzzy", paperSchema, fr); err != nil {
+	if err := frameSchemaErr(f.name, f.schema, fr); err != nil {
 		return err
 	}
 	g := &f.gather
-	if g.gate(f.ctrl.QualityGateDB(), fr) == 0 {
+	if g.gate(f.gateDB, fr) == 0 {
 		return nil
 	}
-	if err := f.ctrl.FLC().EvaluateBatch(g.hd, g.dense[0], g.dense[1], g.dense[2]); err != nil {
+	if err := f.flc.EvaluateCols(g.hd, g.dense); err != nil {
 		return err
 	}
 	g.scatter(fr)
 	return nil
 }
 
-// DecideScored implements BatchScorer: it completes the Fig. 4 pipeline
-// for one report from its precomputed FLC score, producing exactly the
-// decision Decide would.
+// DecideScored implements BatchScorer: it completes the pipeline for one
+// report from its precomputed FLC score, producing exactly the decision
+// Decide would: the threshold at the report's speed, then the PRTLC
+// confirmation ("when the present signal strength is lower than the
+// strength of the previous signal, the handover procedure is carried
+// out").  Each verdict returns its Decision directly: a shared completion
+// helper, once inlined, builds a temporary whose copy-out costs a
+// store-forwarding stall per report.
 //
 //fuzzyho:hotpath
 func (f *Fuzzy) DecideScored(m *cell.Measurement, prevServingDB float64, havePrev bool, hd float64, st ScoreStatus) (Decision, error) {
 	switch st {
 	case ScoreGated:
-		return Decision{Reason: core.StageQualityGate.String()}, nil
+		return Decision{Reason: reasonGate}, nil
 	case ScoreError:
-		// A scoring failure means no rule fired for the row (NaN inputs are
-		// clamped before evaluation, so nothing else NaNs a score); wrap the
-		// sentinel exactly like DecideInto so errors.Is behaves identically
-		// on the batch and per-report paths.
+		// A scoring failure means no rule fired for the row (inputs are
+		// clamped before evaluation, so nothing else NaNs a score); wrap
+		// the sentinel exactly like Decide so errors.Is behaves
+		// identically on the batch and per-report paths.
 		//fuzzyho:allow error path: only a no-rule-fired ablation reaches this wrap, never a steady-state decision
 		return Decision{}, fmt.Errorf("core: FLC evaluation: %w", fuzzy.ErrNoActivation)
 	}
-	d := f.ctrl.DecideFromHD(core.Report{
-		ServingDB:     m.ServingDB,
-		PrevServingDB: prevServingDB,
-		HavePrev:      havePrev,
-	}, hd)
-	return Decision{
-		Handover: d.Handover,
-		Score:    d.HD,
-		Scored:   d.Evaluated,
-		Reason:   d.Stage.String(),
-	}, nil
+	if hd <= f.Threshold(m.SpeedKmh) {
+		return Decision{Score: hd, Scored: true, Reason: f.below}, nil
+	}
+	if f.prtlc && (!havePrev || m.ServingDB >= prevServingDB) {
+		return Decision{Score: hd, Scored: true, Reason: reasonPRTLC}, nil
+	}
+	return Decision{Handover: true, Score: hd, Scored: true, Reason: reasonExecute}, nil
 }
 
 // Passive never hands over: the measurement-only control used by the

@@ -1,11 +1,13 @@
 package handover
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/core"
+	"repro/internal/fuzzy"
 	"repro/internal/hexgrid"
 )
 
@@ -51,6 +53,50 @@ func TestFuzzyAdapterMatchesController(t *testing.T) {
 		t.Errorf("boundary decision = %+v, want stay", d)
 	}
 	f.Reset() // must be a no-op
+}
+
+// TestNoRuleFiredWrapsSentinel pins the one error wrap of the fuzzy
+// scorer: on a rule base whose holes leave some rows unfired, the scalar
+// Decide and the columnar ScoreFrame → DecideScored paths fail the same
+// rows with the same text, and errors.Is finds fuzzy.ErrNoActivation on
+// both.
+func TestNoRuleFiredWrapsSentinel(t *testing.T) {
+	var rules fuzzy.RuleBase
+	for _, r := range core.NewFRB().Rules {
+		if r.If[0].Term != core.CsspBG { // a CSSP at or past 10 dB fires nothing
+			rules.Add(r)
+		}
+	}
+	flc, err := core.NewFLCWithOptions(core.FLCOptions{Rules: &rules})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFuzzy(core.NewControllerWithConfig(core.ControllerConfig{FLC: flc}))
+	ms := []cell.Measurement{meas(-98, -93.7, 1.2, 12), meas(-98, -93.7, 1.2, -3.5)}
+	fr := NewFeatureFrame(f.Schema(), len(ms))
+	fr.Reset(len(ms))
+	for i := range ms {
+		fr.Gather(i, &ms[i], nil)
+	}
+	if err := f.ScoreFrame(fr); err != nil {
+		t.Fatal(err)
+	}
+	for i, wantErr := range []bool{true, false} {
+		_, scalar := f.Decide(ms[i], -96.5, true)
+		_, batch := f.DecideScored(&ms[i], -96.5, true, fr.HD[i], fr.Status[i])
+		if (scalar != nil) != wantErr || (batch != nil) != wantErr {
+			t.Fatalf("row %d: scalar err %v, batch err %v, want error %v", i, scalar, batch, wantErr)
+		}
+		if !wantErr {
+			continue
+		}
+		if !errors.Is(scalar, fuzzy.ErrNoActivation) || !errors.Is(batch, fuzzy.ErrNoActivation) {
+			t.Fatalf("row %d: errors %v / %v do not wrap fuzzy.ErrNoActivation", i, scalar, batch)
+		}
+		if scalar.Error() != batch.Error() || !strings.HasPrefix(scalar.Error(), "core: FLC evaluation: ") {
+			t.Fatalf("row %d: scalar error %q, batch error %q", i, scalar, batch)
+		}
+	}
 }
 
 func TestAbsoluteThreshold(t *testing.T) {

@@ -143,10 +143,10 @@ func checkScoredWalk(t *testing.T, seq Algorithm, bat BatchScorer, ms []cell.Mea
 }
 
 // TestAdaptiveScoreFrameMatchesDecide is the adaptive controller's batch
-// equivalence pin: the frame's speed column must reproduce the per-report
+// equivalence pin: the columnar path must reproduce the per-report
 // threshold schedule exactly, on both the exact and compiled FLC.
 func TestAdaptiveScoreFrameMatchesDecide(t *testing.T) {
-	mkCompiled := func(t *testing.T) *AdaptiveFuzzy {
+	mkCompiled := func(t *testing.T) *Fuzzy {
 		a, err := NewCompiledAdaptiveFuzzy()
 		if err != nil {
 			t.Fatal(err)
@@ -155,9 +155,9 @@ func TestAdaptiveScoreFrameMatchesDecide(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		mk   func(t *testing.T) *AdaptiveFuzzy
+		mk   func(t *testing.T) *Fuzzy
 	}{
-		{"exact", func(*testing.T) *AdaptiveFuzzy { return NewAdaptiveFuzzy() }},
+		{"exact", func(*testing.T) *Fuzzy { return NewAdaptiveFuzzy() }},
 		{"compiled", mkCompiled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,19 +165,25 @@ func TestAdaptiveScoreFrameMatchesDecide(t *testing.T) {
 			checkScoredWalk(t, tc.mk(t), tc.mk(t), ms)
 
 			// The schedule must actually engage somewhere in the stream:
-			// at least one row settles as below-threshold at speed, and at
-			// least one survives to PRTLC.
+			// at least one scored row is below the threshold at its speed,
+			// and at least one survives to PRTLC.
 			bat := tc.mk(t)
 			f := gatherFrame(bat, ms, nil)
 			if err := bat.ScoreFrame(f); err != nil {
 				t.Fatal(err)
 			}
 			var below, evaluated int
-			for _, st := range f.Status {
-				switch st {
-				case ScoreBelowThreshold:
+			for i, st := range f.Status {
+				if st != ScoreEvaluated {
+					continue
+				}
+				d, err := bat.DecideScored(&ms[i], 0, false, f.HD[i], st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Reason == "below-adaptive-threshold" {
 					below++
-				case ScoreEvaluated:
+				} else {
 					evaluated++
 				}
 			}
@@ -197,16 +203,16 @@ func TestAdaptiveScoreFrameMatchesDecide(t *testing.T) {
 func TestTrendScoreFrameMatchesDecide(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mk   func(t *testing.T) *TrendFuzzy
+		mk   func(t *testing.T) *Fuzzy
 	}{
-		{"exact", func(t *testing.T) *TrendFuzzy {
+		{"exact", func(t *testing.T) *Fuzzy {
 			a, err := NewTrendFuzzy()
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
 		}},
-		{"compiled", func(t *testing.T) *TrendFuzzy {
+		{"compiled", func(t *testing.T) *Fuzzy {
 			a, err := NewCompiledTrendFuzzy()
 			if err != nil {
 				t.Fatal(err)
@@ -218,6 +224,12 @@ func TestTrendScoreFrameMatchesDecide(t *testing.T) {
 			checkScoredWalk(t, tc.mk(t), tc.mk(t), randomMeasurements(512, 44))
 		})
 	}
+}
+
+// evalRow scores one raw input row on a's FLC through EvaluateRow.
+func evalRow(a *Fuzzy, xs ...float64) (float64, error) {
+	flc := a.Controller().FLC()
+	return flc.EvaluateRow(flc.NewScratch(), xs)
 }
 
 // TestTrendCompiledMatchesExact pins the 4-axis compiled kernel against
@@ -235,8 +247,8 @@ func TestTrendCompiledMatchesExact(t *testing.T) {
 		for ssn := core.SsnMin; ssn <= core.SsnMax; ssn += 3.7 {
 			for dmb := core.DmbMin; dmb <= core.DmbMax; dmb += 0.17 {
 				for trend := TrendMin; trend <= TrendMax; trend += 0.83 {
-					want, err1 := exact.eval(cssp, ssn, dmb, trend)
-					got, err2 := compiled.eval(cssp, ssn, dmb, trend)
+					want, err1 := evalRow(exact, cssp, ssn, dmb, trend)
+					got, err2 := evalRow(compiled, cssp, ssn, dmb, trend)
 					if (err1 == nil) != (err2 == nil) {
 						t.Fatalf("(%g,%g,%g,%g): exact err %v, compiled err %v", cssp, ssn, dmb, trend, err1, err2)
 					}
@@ -293,11 +305,11 @@ func TestTrendShiftsDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rising, err := a.eval(-3, -97, 0.9, 2.5)
+	rising, err := evalRow(a, -3, -97, 0.9, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	falling, err := a.eval(-3, -97, 0.9, -2.5)
+	falling, err := evalRow(a, -3, -97, 0.9, -2.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,14 @@ type Explainer interface {
 	Explain(m cell.Measurement) (string, bool)
 }
 
-// Explain implements Explainer for the paper's controller.
+// Explain implements Explainer; the rendered threshold is the one at the
+// measurement's speed.  A stateful schema has no explanation: its trend
+// antecedent is terminal history a measurement alone does not carry.
 func (f *Fuzzy) Explain(m cell.Measurement) (string, bool) {
-	return explainFLC(f.ctrl.FLC(), f.ctrl.QualityGateDB(), f.ctrl.Threshold(), m)
-}
-
-// Explain implements Explainer for the speed-adaptive controller; the
-// rendered threshold is the effective one at the measurement's speed.
-func (a *AdaptiveFuzzy) Explain(m cell.Measurement) (string, bool) {
-	return explainFLC(a.flc, a.qualityGateDB, a.Threshold(m.SpeedKmh), m)
+	if f.schema.Stateful() {
+		return "", false
+	}
+	return explainFLC(f.flc, f.gateDB, f.Threshold(m.SpeedKmh), m)
 }
 
 func explainFLC(flc *core.FLC, gateDB, threshold float64, m cell.Measurement) (string, bool) {

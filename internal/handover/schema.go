@@ -12,10 +12,10 @@ import (
 // gathers by that schema and a BatchScorer scores against.  There are two
 // built-in schemas: the paper's (CSSP, SSN, DMB — the three antecedents
 // the measurement carries) and the trend schema, which adds the
-// per-terminal SSN slope TrendFuzzy reads.  Adding an antecedent means a
-// new Gather column and a BatchScorer that reads it; a derived feature
-// also needs its state in DerivedState and in the snapshot codec, so it
-// migrates with the terminal.
+// per-terminal SSN slope the trend controller reads.  Adding an
+// antecedent means a new Gather column and a BatchScorer that reads it; a
+// derived feature also needs its state in DerivedState and in the
+// snapshot codec, so it migrates with the terminal.
 
 // TrendState is the per-terminal derived state behind the SSN-trend
 // feature: an exponentially weighted moving average of the epoch-to-epoch
@@ -130,11 +130,11 @@ var (
 )
 
 // PaperFeatureSchema is the paper's 3-antecedent schema (CSSP, SSN, DMB)
-// that Fuzzy and AdaptiveFuzzy score against.
+// that the paper's and the speed-adaptive controllers score against.
 func PaperFeatureSchema() *FeatureSchema { return paperSchema }
 
 // TrendFeatureSchema is the paper schema extended with the per-terminal
-// SSN-trend antecedent — TrendFuzzy's 4-input shape.
+// SSN-trend antecedent — the trend controller's 4-input shape.
 func TrendFeatureSchema() *FeatureSchema { return trendSchema }
 
 // Len returns the feature count.
@@ -143,6 +143,8 @@ func (s *FeatureSchema) Len() int { return len(s.names) }
 // Stateful reports whether a feature reads per-terminal derived state
 // (the trend schema's SSN slope); such frames must be gathered in each
 // terminal's report order.
+//
+//fuzzyho:hotpath
 func (s *FeatureSchema) Stateful() bool { return s.stateful }
 
 // Hash is the order-sensitive FNV-1a hash of the feature names — the
@@ -153,17 +155,13 @@ func (s *FeatureSchema) Hash() uint64 { return s.hash }
 func (s *FeatureSchema) Names() []string { return append([]string(nil), s.names...) }
 
 // FeatureFrame is the reusable struct-of-arrays container of one scored
-// sub-batch: the schema's feature columns plus the serving/speed columns
-// every scorer's gate and threshold stages read, and the hd/status columns
-// scoring fills.  Frames are gathered row by row (Gather), scored whole
+// sub-batch: the schema's feature columns plus the serving column every
+// scorer's gate reads, and the hd/status columns scoring fills.  Frames are gathered row by row (Gather), scored whole
 // (BatchScorer.ScoreFrame), and reused — steady state allocates nothing.
 type FeatureFrame struct {
 	// Serving is the serving signal strength column in dB (the POTLC
 	// gate's input).
 	Serving []float64
-	// Speed is the terminal speed column in km/h (speed-adaptive
-	// threshold schedules read it).
-	Speed []float64
 	// HD is the score column ScoreFrame fills for evaluated rows.
 	HD []float64
 	// Status classifies every row after scoring.
@@ -182,7 +180,6 @@ func NewFeatureFrame(schema *FeatureSchema, capacity int) *FeatureFrame {
 	}
 	f := &FeatureFrame{
 		Serving: make([]float64, 0, capacity),
-		Speed:   make([]float64, 0, capacity),
 		HD:      make([]float64, 0, capacity),
 		Status:  make([]ScoreStatus, 0, capacity),
 		schema:  schema,
@@ -212,7 +209,6 @@ func (f *FeatureFrame) Reset(n int) {
 		f.grow(n)
 	}
 	f.Serving = f.Serving[:n]
-	f.Speed = f.Speed[:n]
 	f.HD = f.HD[:n]
 	f.Status = f.Status[:n]
 	for k := range f.cols {
@@ -220,9 +216,13 @@ func (f *FeatureFrame) Reset(n int) {
 	}
 }
 
+// grow extends every column to n rows.  It stays out of line: it runs at
+// most once per frame size, and inlined its allocations would count as
+// Reset's, a hot-path function.
+//
+//go:noinline
 func (f *FeatureFrame) grow(n int) {
 	f.Serving = append(f.Serving[:f.cap], make([]float64, n-f.cap)...)
-	f.Speed = append(f.Speed[:f.cap], make([]float64, n-f.cap)...)
 	f.HD = append(f.HD[:f.cap], make([]float64, n-f.cap)...)
 	f.Status = append(f.Status[:f.cap], make([]ScoreStatus, n-f.cap)...)
 	for k := range f.cols {
@@ -231,8 +231,8 @@ func (f *FeatureFrame) grow(n int) {
 	f.cap = n
 }
 
-// Gather fills row i from one report: the serving/speed columns, the
-// paper's three feature columns and, for the trend schema, the SSN slope.
+// Gather fills row i from one report: the serving column, the paper's
+// three feature columns and, for the trend schema, the SSN slope.
 // For the trend schema d must be the terminal's derived state and rows
 // must be gathered in that terminal's report order (the slope advances
 // d); the paper schema may pass d = nil.
@@ -240,7 +240,6 @@ func (f *FeatureFrame) grow(n int) {
 //fuzzyho:hotpath
 func (f *FeatureFrame) Gather(i int, m *cell.Measurement, d *DerivedState) {
 	f.Serving[i] = m.ServingDB
-	f.Speed[i] = m.SpeedKmh
 	f.cols[0][i] = m.CSSPdB
 	f.cols[1][i] = m.NeighborDB
 	f.cols[2][i] = m.DMBNorm

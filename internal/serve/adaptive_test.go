@@ -12,7 +12,7 @@ import (
 // adaptiveFleetConfigs expands both paper scenarios across replicas and a
 // speed axis that exercises the adaptive threshold (50 km/h is where the
 // fixed-threshold controller stalls and the adaptive one fires), with
-// every run decided by AdaptiveFuzzy on the per-report path.
+// every run decided by the adaptive controller on the per-report path.
 func adaptiveFleetConfigs(factory func() handover.Algorithm) []sim.Config {
 	var cfgs []sim.Config
 	for _, base := range []sim.Config{sim.PaperBoundaryConfig(), sim.PaperCrossingConfig()} {
@@ -26,8 +26,9 @@ func adaptiveFleetConfigs(factory func() handover.Algorithm) []sim.Config {
 }
 
 // TestAdaptiveColumnarMatchesPerReport is the serve-level acceptance pin
-// for AdaptiveFuzzy as a BatchScorer: replaying the paper's scenario grid
-// through an engine whose shards share one AdaptiveFuzzy instance — which
+// for the speed-adaptive controller as a BatchScorer: replaying the
+// paper's scenario grid through an engine whose shards share one adaptive
+// instance — which
 // routes every multi-report sub-batch through the columnar pipeline, speed
 // column and all — must reproduce the per-report (sim-path) decision
 // sequence of the same controller, per terminal per epoch.
@@ -74,11 +75,11 @@ func TestAdaptiveColumnarMatchesPerReport(t *testing.T) {
 						t.Fatal(err)
 					}
 					// The point of the test is the columnar pipeline: the
-					// shards must score through AdaptiveFuzzy's own batch
-					// stage, not a per-report adapter.
+					// shards must score through the adaptive controller's
+					// own batch stage, not a per-report adapter.
 					for _, s := range e.shards {
-						if _, ok := s.scorer.(*handover.AdaptiveFuzzy); !ok {
-							t.Fatalf("shard scorer is %T, not AdaptiveFuzzy; its batch stage is not under test", s.scorer)
+						if _, ok := s.scorer.(*handover.Fuzzy); !ok {
+							t.Fatalf("shard scorer is %T, not handover.Fuzzy; its batch stage is not under test", s.scorer)
 						}
 					}
 					if err := e.Start(); err != nil {

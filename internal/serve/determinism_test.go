@@ -372,6 +372,10 @@ func TestDeterminismAcrossQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	compiled, err := handover.AlgorithmFactoryFor("fuzzy", true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	speeds := []float64{0, 30, 50}
 	var paper []sim.Config
 	for _, base := range []sim.Config{sim.PaperBoundaryConfig(), sim.PaperCrossingConfig()} {
@@ -380,7 +384,7 @@ func TestDeterminismAcrossQueueDepth(t *testing.T) {
 	}
 	trendCfgs, _ := sim.SweepGrid("trend", sim.TrendDriftConfig(), 4, speeds)
 	for i := range paper {
-		paper[i].CompiledFLC, paper[i].NWalk = true, 80
+		paper[i].AlgorithmFactory, paper[i].NWalk = compiled, 80
 	}
 	for i := range trendCfgs {
 		trendCfgs[i].AlgorithmFactory, trendCfgs[i].NWalk = trend, 80

@@ -242,16 +242,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	factory := cfg.AlgorithmFactory
 	if factory == nil {
-		if cfg.Compiled {
-			if _, err := handover.NewCompiledFuzzy(); err != nil {
-				return nil, fmt.Errorf("serve: compiled control surface: %w", err)
-			}
-			factory = func() handover.Algorithm {
-				f, _ := handover.NewCompiledFuzzy() // compile already succeeded above
-				return f
-			}
-		} else {
-			factory = func() handover.Algorithm { return handover.NewFuzzy(nil) }
+		var err error
+		if factory, err = handover.AlgorithmFactoryFor("fuzzy", cfg.Compiled); err != nil {
+			return nil, fmt.Errorf("serve: compiled control surface: %w", err)
 		}
 	} else if cfg.Compiled {
 		return nil, fmt.Errorf("serve: Compiled applies to the default algorithm only; compile inside the custom AlgorithmFactory instead")

@@ -346,19 +346,20 @@ func (s *shard) decideRun(run []Report, off int) {
 	for i := range run {
 		r := &run[i]
 		t := slots[i]
+		var dec handover.Decision
 		if !measFits(&r.Meas) {
 			s.errors.Add(1)
-			s.deliver(r, t, handover.Decision{}, ErrCellOutOfRange, false, false)
+			s.deliver(r, t, &dec, ErrCellOutOfRange, false, false)
 			continue
 		}
 		if !s.stateful {
 			s.observe(r, t)
 		}
-		dec, derr := handover.Decision{}, err
+		derr := err
 		if err == nil {
 			dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
 		}
-		s.commit(r, t, dec, derr)
+		s.commit(r, t, &dec, derr)
 	}
 }
 
@@ -432,15 +433,16 @@ func (s *shard) observe(r *Report, t *terminal) {
 
 // commit applies one decision to the terminal's state, updates counters
 // and delivers the outcome.  Both of the report's cells fit (measFits).
+// An algorithm error clears *dec.
 //
 //fuzzyho:hotpath
-func (s *shard) commit(r *Report, t *terminal, dec handover.Decision, err error) {
+func (s *shard) commit(r *Report, t *terminal, dec *handover.Decision, err error) {
 	m := &r.Meas
 	executed := false
 	pingPong := false
 	if err != nil {
 		s.errors.Add(1)
-		dec = handover.Decision{}
+		*dec = handover.Decision{}
 	} else if dec.Handover {
 		executed = true
 		t.handovers++
@@ -472,9 +474,9 @@ func (s *shard) commit(r *Report, t *terminal, dec handover.Decision, err error)
 // into telemetry and hands the outcome to the delivery hook.
 //
 //fuzzyho:hotpath
-func (s *shard) deliver(r *Report, t *terminal, dec handover.Decision, err error, executed, pingPong bool) {
+func (s *shard) deliver(r *Report, t *terminal, dec *handover.Decision, err error, executed, pingPong bool) {
 	if s.metrics != nil {
-		s.classifyVerdict(&dec, err, executed)
+		s.classifyVerdict(dec, err, executed)
 	}
 	seq := t.seq
 	t.seq++
@@ -483,7 +485,7 @@ func (s *shard) deliver(r *Report, t *terminal, dec handover.Decision, err error
 		if s.traceSkip >= s.traceEvery {
 			s.traceSkip = 0
 			//fuzzyho:allow sampled tracing: reached once per traceEvery decisions by construction of the countdown above, and the ring slot is preallocated
-			s.captureTrace(r, &dec, err, executed, pingPong, seq)
+			s.captureTrace(r, dec, err, executed, pingPong, seq)
 		}
 	}
 	if s.onDecision != nil {
@@ -491,7 +493,7 @@ func (s *shard) deliver(r *Report, t *terminal, dec handover.Decision, err error
 		s.onDecision(Outcome{
 			Terminal: r.Terminal,
 			Seq:      seq,
-			Decision: dec,
+			Decision: *dec,
 			Executed: executed,
 			PingPong: pingPong,
 			Shard:    s.id,

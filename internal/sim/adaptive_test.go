@@ -10,7 +10,7 @@ import (
 // TestAdaptiveCompiledMatchesExact pins the sim-level decision-sequence
 // equivalence of the speed-adaptive controller on the compiled control
 // surface: across the paper's scenario grid and speed sweep, an
-// AdaptiveFuzzy built on core.DefaultCompiledFLC must reproduce the exact
+// adaptive controller built on core.DefaultCompiledFLC must reproduce the exact
 // controller's verdicts epoch by epoch.  This is the sim-side counterpart
 // of the serve-level columnar pin in internal/serve.
 func TestAdaptiveCompiledMatchesExact(t *testing.T) {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/handover"
 )
 
 // TestCompiledFLCDecisionSequenceEquivalence is the sim-level acceptance
@@ -20,9 +22,13 @@ func TestCompiledFLCDecisionSequenceEquivalence(t *testing.T) {
 		{"crossing", PaperCrossingConfig()},
 	} {
 		exactCfgs, points := SweepGrid(base.label, base.cfg, 3, []float64{0, 10, 30, 50})
+		factory, err := handover.AlgorithmFactoryFor("fuzzy", true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		compiledCfgs := make([]Config, len(exactCfgs))
 		for i, cfg := range exactCfgs {
-			cfg.CompiledFLC = true
+			cfg.AlgorithmFactory = factory
 			compiledCfgs[i] = cfg
 		}
 		exact, err := RunFleet(exactCfgs, 0)

@@ -55,13 +55,6 @@ type Config struct {
 	// fleet-safe way to sweep a custom algorithm (each RunFleet worker gets
 	// its own instance).
 	AlgorithmFactory func() handover.Algorithm
-	// CompiledFLC runs the default fuzzy controller on the compiled
-	// control surface (the process-wide shared kernel; see
-	// core.DefaultCompiledFLC) instead of per-decision Mamdani inference.
-	// Only consulted when Algorithm and AlgorithmFactory are nil.  Fleet
-	// runs inherit it per cell, so a whole SweepGrid shares one compiled
-	// surface.
-	CompiledFLC bool
 	// PingPongWindowKm is the return window of the ping-pong detector.
 	PingPongWindowKm float64
 	// OutageFloorDB is the outage threshold for link-quality accounting.
@@ -154,8 +147,8 @@ func PaperCrossingConfig() Config {
 // TrendDriftConfig is the SSN-trend scenario family: the crossing walk
 // class with a moving terminal and correlated shadow fading, so the
 // neighbour signal drifts on a scale the per-epoch paper inputs cannot
-// see — the regime where a trend antecedent (handover.TrendFuzzy's
-// fourth input) changes decisions.  Replica sweeps vary ShadowSeed like
+// see — the regime where a trend antecedent (the fourth input of
+// handover.NewTrendFuzzy) changes decisions.  Replica sweeps vary ShadowSeed like
 // every other family.
 func TrendDriftConfig() Config {
 	return Config{

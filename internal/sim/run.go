@@ -86,15 +86,7 @@ func Run(cfg Config) (*Result, error) {
 		algo = cfg.AlgorithmFactory()
 	}
 	if algo == nil {
-		if cfg.CompiledFLC {
-			f, err := handover.NewCompiledFuzzy()
-			if err != nil {
-				return nil, fmt.Errorf("sim: compiled FLC: %w", err)
-			}
-			algo = f
-		} else {
-			algo = handover.NewFuzzy(nil)
-		}
+		algo = handover.NewFuzzy(nil)
 	}
 	algo.Reset()
 

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint escape-check bench-build microbench-smoke bench bench-ab load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check lint escape-check bench-build microbench-smoke bench bench-ab sim-smoke load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,29 @@ bench:
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
 	$(GO) run ./cmd/hobench $(BASE)
+
+# End-to-end runs of the simulator CLI on the paper's two resolved walks,
+# for every fuzzy configuration (algo:crossing:boundary handover counts),
+# exact and compiled: each must print its count with no ping-pong.  A
+# baseline given -compiled must be rejected.
+SIM_SMOKE = fuzzy:3:0 adaptive:3:0 trendfuzzy:3:1
+
+sim-smoke:
+	$(GO) build -o /tmp/fuzzyho-hosim ./cmd/hosim
+	@for spec in $(SIM_SMOKE); do \
+		algo=$${spec%%:*}; counts=$${spec#*:}; \
+		for mode in "" -compiled; do \
+			for run in crossing:$${counts%%:*} boundary:$${counts#*:}; do \
+				sc=$${run%%:*}; want="handovers: $${run#*:} (ping-pong 0),"; \
+				out=$$(/tmp/fuzzyho-hosim -algo $$algo $$mode -scenario $$sc) || exit 1; \
+				echo "$$out" | grep -q "^$$want" || \
+					{ echo "sim-smoke: -algo $$algo $$mode -scenario $$sc: want \"$$want\"" >&2; echo "$$out" >&2; exit 1; }; \
+				echo "sim-smoke: -algo $$algo $$mode -scenario $$sc: $$want"; \
+			done; \
+		done; \
+	done
+	@! /tmp/fuzzyho-hosim -algo hysteresis -compiled -scenario crossing >/dev/null 2>&1 || \
+		{ echo "sim-smoke: -algo hysteresis -compiled was accepted" >&2; exit 1; }
 
 # Short end-to-end load runs through the serve engine, one per decision
 # mode (exact, compiled, speed-adaptive, SSN-trend).  The first also
@@ -211,4 +234,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine $(FUZZ_FLAGS)
 	$(GO) test ./internal/fuzzy -run '^$$' -fuzz FuzzCompiledKernel $(FUZZ_FLAGS)
 
-ci: vet fmt-check lint escape-check build bench-build test microbench-smoke race load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke
+ci: vet fmt-check lint escape-check build bench-build test microbench-smoke race sim-smoke load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

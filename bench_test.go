@@ -367,17 +367,16 @@ func BenchmarkFLCInferenceTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerDecide measures the full POTLC → FLC → PRTLC pipeline.
-func BenchmarkControllerDecide(b *testing.B) {
-	ctrl := NewController()
-	r := Report{
-		ServingDB: -98, PrevServingDB: -96.5, HavePrev: true,
-		CSSPdB: -3.5, SSNdB: -93.7, DMBNorm: 1.2,
-	}
+// BenchmarkFuzzyDecide measures the full POTLC → FLC → threshold → PRTLC
+// pipeline on one crossing report, through the scalar Decide path the
+// simulator calls every epoch.
+func BenchmarkFuzzyDecide(b *testing.B) {
+	alg := NewFuzzyAlgorithm(nil)
+	m := Measurement{ServingDB: -98, CSSPdB: -3.5, NeighborDB: -93.7, DMBNorm: 1.2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.Decide(r); err != nil {
+		if _, err := alg.Decide(m, -96.5, true); err != nil {
 			b.Fatal(err)
 		}
 	}

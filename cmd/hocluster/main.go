@@ -291,14 +291,9 @@ func main() {
 // restoreCluster loads a whole-cluster snapshot file and scatters it
 // across the ring.
 func restoreCluster(l *cluster.Local, path string) error {
-	f, err := os.Open(path)
+	snaps, err := serve.ReadSnapshotFile(path)
 	if err != nil {
 		return fmt.Errorf("restore: %w", err)
-	}
-	defer f.Close()
-	snaps, err := serve.ReadSnapshots(f)
-	if err != nil {
-		return fmt.Errorf("restore %s: %w", path, err)
 	}
 	if err := l.RestoreAll(snaps); err != nil {
 		return fmt.Errorf("restore %s: %w", path, err)

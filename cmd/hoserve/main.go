@@ -252,14 +252,9 @@ func snapshotStatus() map[string]any {
 
 // restoreNode loads a whole-node snapshot file into the engine.
 func restoreNode(engine *serve.Engine, path string) error {
-	f, err := os.Open(path)
+	snaps, err := serve.ReadSnapshotFile(path)
 	if err != nil {
 		return fmt.Errorf("restore: %w", err)
-	}
-	defer f.Close()
-	snaps, err := serve.ReadSnapshots(f)
-	if err != nil {
-		return fmt.Errorf("restore %s: %w", path, err)
 	}
 	if err := engine.RestoreSnapshots(snaps); err != nil {
 		return fmt.Errorf("restore %s: %w", path, err)

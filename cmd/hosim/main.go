@@ -6,8 +6,14 @@
 //
 //	hosim -seed 200 -radius 2 -nwalk 10          # raw run of one seed
 //	hosim -scenario crossing                     # resolved paper scenario
+//	hosim -scenario crossing -algo trendfuzzy -compiled
 //	hosim -scenario boundary -speed 30 -algo hysteresis -margin 4
 //	hosim -print-config                          # dump the Table 2 defaults
+//
+// -algo fuzzy, adaptive and trendfuzzy resolve through the same selector
+// as hoserve, hocluster, hoload and hofleet (fuzzyho.ServeAlgorithmFactory),
+// and -compiled puts them on the shared compiled control surface; the
+// baselines (rss, hysteresis, ttt, distance) have no compiled form.
 package main
 
 import (
@@ -28,7 +34,8 @@ func main() {
 		spacing   = flag.Float64("spacing", 0, "measurement spacing in km (0 = default 0.6)")
 		shadow    = flag.Float64("shadow", 0, "shadow-fading sigma in dB (0 = off)")
 		decorr    = flag.Float64("decorr", 0.05, "shadowing decorrelation distance in km")
-		algoName  = flag.String("algo", "fuzzy", "algorithm: fuzzy, fuzzy-compiled, rss, hysteresis, ttt, distance")
+		algoName  = flag.String("algo", "fuzzy", "algorithm: fuzzy (the paper controller), adaptive (speed-adaptive threshold), trendfuzzy (SSN-trend antecedent), rss, hysteresis, ttt or distance")
+		compiled  = flag.Bool("compiled", false, "decide on the compiled control surface (fuzzy, adaptive and trendfuzzy only)")
 		margin    = flag.Float64("margin", 4, "hysteresis margin in dB (for -algo hysteresis/ttt)")
 		tttEpochs = flag.Int("ttt", 2, "time-to-trigger epochs (for -algo ttt)")
 		rssFloor  = flag.Float64("rss-floor", -85, "serving threshold in dB (for -algo rss)")
@@ -47,6 +54,10 @@ func main() {
 		return
 	}
 
+	algo, err := buildAlgorithm(*algoName, *compiled, *margin, *tttEpochs, *rssFloor)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := fuzzyho.SimConfig{
 		Seed:            *seed,
 		CellRadiusKm:    *radius,
@@ -60,27 +71,18 @@ func main() {
 	switch *scenario {
 	case "":
 		// Run the raw seed.
-	case "boundary":
-		base := fuzzyho.PaperBoundaryConfig()
-		base.SpeedKmh = *speed
-		resolved, sr, err := fuzzyho.ResolveScenario(base, 0)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("resolved boundary scenario: iseed %d replica %d (seed %d), cells %v\n",
-			sr.BaseSeed, sr.Replica, sr.Seed, sr.Cells)
-		cfg = resolved
-		cfg.ShadowSigmaDB = *shadow
-		cfg.ShadowDecorrKm = *decorr
-	case "crossing":
+	case "boundary", "crossing":
 		base := fuzzyho.PaperCrossingConfig()
+		if *scenario == "boundary" {
+			base = fuzzyho.PaperBoundaryConfig()
+		}
 		base.SpeedKmh = *speed
 		resolved, sr, err := fuzzyho.ResolveScenario(base, 0)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("resolved crossing scenario: iseed %d replica %d (seed %d), cells %v\n",
-			sr.BaseSeed, sr.Replica, sr.Seed, sr.Cells)
+		fmt.Printf("resolved %s scenario: iseed %d replica %d (seed %d), cells %v\n",
+			*scenario, sr.BaseSeed, sr.Replica, sr.Seed, sr.Cells)
 		cfg = resolved
 		cfg.ShadowSigmaDB = *shadow
 		cfg.ShadowDecorrKm = *decorr
@@ -88,10 +90,6 @@ func main() {
 		fatal(fmt.Errorf("unknown scenario %q (want boundary or crossing)", *scenario))
 	}
 
-	algo, err := buildAlgorithm(*algoName, *margin, *tttEpochs, *rssFloor)
-	if err != nil {
-		fatal(err)
-	}
 	cfg.Algorithm = algo
 
 	res, err := fuzzyho.RunSim(cfg)
@@ -101,7 +99,7 @@ func main() {
 
 	fmt.Printf("walk: %d legs, %.2f km, cells %v\n",
 		len(res.Path.Points)-1, res.Path.Length(), res.GeoCells)
-	fmt.Printf("algorithm: %s, speed %g km/h\n", algoLabel(algo), cfg.SpeedKmh)
+	fmt.Printf("algorithm: %s, speed %g km/h\n", algo.Name(), cfg.SpeedKmh)
 	if *verbose {
 		fmt.Println("epochs:")
 		for _, e := range res.Epochs {
@@ -122,26 +120,34 @@ func main() {
 	fmt.Printf("serving sequence: %v\n", res.ServingCells)
 }
 
-func buildAlgorithm(name string, margin float64, ttt int, rssFloor float64) (fuzzyho.Algorithm, error) {
+// buildAlgorithm resolves -algo: the fuzzy configurations through the
+// shared selector, the baselines here.  A baseline has no compiled form,
+// so -compiled with one is an error rather than silently ignored.
+func buildAlgorithm(name string, compiled bool, margin float64, ttt int, rssFloor float64) (fuzzyho.Algorithm, error) {
+	var baseline fuzzyho.Algorithm
 	switch name {
-	case "fuzzy":
-		return fuzzyho.NewFuzzyAlgorithm(nil), nil
-	case "fuzzy-compiled":
-		return fuzzyho.NewCompiledFuzzyAlgorithm()
+	case "fuzzy", "adaptive", "trendfuzzy":
+		factory, err := fuzzyho.ServeAlgorithmFactory(name, compiled)
+		if err != nil {
+			return nil, err
+		}
+		return factory(), nil
 	case "rss":
-		return fuzzyho.AbsoluteThreshold{ThresholdDB: rssFloor}, nil
+		baseline = fuzzyho.AbsoluteThreshold{ThresholdDB: rssFloor}
 	case "hysteresis":
-		return fuzzyho.Hysteresis{MarginDB: margin}, nil
+		baseline = fuzzyho.Hysteresis{MarginDB: margin}
 	case "ttt":
-		return fuzzyho.NewHysteresisTTT(margin, ttt), nil
+		baseline = fuzzyho.NewHysteresisTTT(margin, ttt)
 	case "distance":
-		return fuzzyho.DistanceBased{TriggerNorm: 1.0}, nil
+		baseline = fuzzyho.DistanceBased{TriggerNorm: 1.0}
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", name)
 	}
+	if compiled {
+		return nil, fmt.Errorf("-compiled needs a fuzzy algorithm (fuzzy, adaptive or trendfuzzy), not %q", name)
+	}
+	return baseline, nil
 }
-
-func algoLabel(a fuzzyho.Algorithm) string { return a.Name() }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hosim:", err)

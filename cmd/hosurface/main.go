@@ -100,7 +100,7 @@ func systemFor(algo string) (*fuzzyho.InferenceSystem, error) {
 		if err != nil {
 			return nil, err
 		}
-		return t.Controller().FLC().System(), nil
+		return t.FLC().System(), nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q (want fuzzy or trendfuzzy)", algo)
 	}

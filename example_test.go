@@ -22,23 +22,24 @@ func ExampleNewFLC() {
 	// HD = 0.867, handover = true
 }
 
-// ExampleNewController runs the full POTLC → FLC → PRTLC pipeline.
+// ExampleNewController runs the full POTLC → FLC → threshold → PRTLC
+// pipeline on the paper's controller configuration.
 func ExampleNewController() {
-	ctrl := fuzzyho.NewController()
-	decision, err := ctrl.Decide(fuzzyho.Report{
-		ServingDB:     -98.0,
-		PrevServingDB: -96.5,
-		HavePrev:      true,
-		CSSPdB:        -3.5,
-		SSNdB:         -93.7,
-		DMBNorm:       1.2,
-	})
+	alg := fuzzyho.NewFuzzyAlgorithm(fuzzyho.NewController())
+	// The same terminal as above, whose serving signal fell from −96.5 dB
+	// at the previous epoch to −98 dB now.
+	d, err := alg.Decide(fuzzyho.Measurement{
+		ServingDB:  -98.0,
+		CSSPdB:     -3.5,
+		NeighborDB: -93.7,
+		DMBNorm:    1.2,
+	}, -96.5, true)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(decision)
+	fmt.Printf("handover=%v (%s, HD=%.3f)\n", d.Handover, d.Reason, d.Score)
 	// Output:
-	// handover (stage execute-handover, HD=0.867)
+	// handover=true (execute-handover, HD=0.867)
 }
 
 // ExampleParseRules builds a custom fuzzy system from the rule DSL.

@@ -47,18 +47,16 @@ func main() {
 
 	// The full pipeline adds the POTLC quality gate (no handover machinery
 	// while the serving signal is strong) and the PRTLC confirmation (only
-	// hand over while the signal is still falling).
-	ctrl := fuzzyho.NewController()
-	decision, err := ctrl.Decide(fuzzyho.Report{
-		ServingDB:     -98.0,
-		PrevServingDB: -96.5,
-		HavePrev:      true,
-		CSSPdB:        -3.5,
-		SSNdB:         -93.7,
-		DMBNorm:       1.2,
-	})
+	// hand over while the signal is still falling: here it fell from
+	// −96.5 dB at the previous epoch to −98 dB).
+	d, err := fuzzyho.NewFuzzyAlgorithm(nil).Decide(fuzzyho.Measurement{
+		ServingDB:  -98.0,
+		CSSPdB:     -3.5,
+		NeighborDB: -93.7,
+		DMBNorm:    1.2,
+	}, -96.5, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfull pipeline: %v\n", decision)
+	fmt.Printf("\nfull pipeline: handover=%v (%s, HD=%.3f)\n", d.Handover, d.Reason, d.Score)
 }

@@ -5,8 +5,9 @@
 //
 // The package re-exports the building blocks a downstream user needs:
 //
-//   - the paper's fuzzy logic controller (FLC) and the POTLC → FLC → PRTLC
-//     decision pipeline (Controller);
+//   - the paper's fuzzy logic controller (FLC), and its POTLC → FLC →
+//     threshold → PRTLC decision pipeline (FuzzyAlgorithm, configured by a
+//     Controller);
 //   - the generic fuzzy-inference library it is built on (variables, rules,
 //     engines, defuzzifiers, rule DSL);
 //   - the cellular simulation substrate (hex lattice, dipole radio model,
@@ -46,31 +47,19 @@ import (
 // out when the FLC output exceeds 0.7 (§5).
 const HandoverThreshold = core.DefaultHandoverThreshold
 
-// The paper's fuzzy controller and decision pipeline.
+// The paper's fuzzy controller and the configuration of its decision
+// pipeline.
 type (
 	// FLC is the paper's fuzzy logic controller (Fig. 5 variables,
 	// Table 1 rules, Mamdani max–min inference).
 	FLC = core.FLC
 	// FLCOptions overrides FLC operators/variables/rules for ablations.
 	FLCOptions = core.FLCOptions
-	// Controller is the full POTLC → FLC → PRTLC pipeline of Fig. 4.
+	// Controller is the resolved configuration of the Fig. 4 pipeline
+	// (FLC, threshold, POTLC gate, PRTLC flag) that a FuzzyAlgorithm runs.
 	Controller = core.Controller
 	// ControllerConfig configures a Controller.
 	ControllerConfig = core.ControllerConfig
-	// Report is the controller's per-epoch measurement input.
-	Report = core.Report
-	// Decision is the controller's verdict.
-	Decision = core.Decision
-	// Stage identifies the pipeline stage that settled a decision.
-	Stage = core.Stage
-)
-
-// Pipeline stages (re-exported from the core package).
-const (
-	StageQualityGate = core.StageQualityGate
-	StageFLC         = core.StageFLC
-	StagePRTLC       = core.StagePRTLC
-	StageExecute     = core.StageExecute
 )
 
 // NewFLC returns the paper's fuzzy logic controller.
@@ -82,10 +71,11 @@ func NewFLCWithOptions(opts FLCOptions) (*FLC, error) {
 	return core.NewFLCWithOptions(opts)
 }
 
-// NewController returns the paper's handover controller with defaults.
+// NewController returns the paper's controller configuration.
 func NewController() *Controller { return core.NewController() }
 
-// NewControllerWithConfig returns a controller with overrides.
+// NewControllerWithConfig returns a controller configuration with
+// overrides (the ablation entry point of the pipeline).
 func NewControllerWithConfig(cfg ControllerConfig) *Controller {
 	return core.NewControllerWithConfig(cfg)
 }
@@ -188,6 +178,8 @@ type (
 	Measurement = cell.Measurement
 	// Algorithm is the handover decision interface.
 	Algorithm = handover.Algorithm
+	// Decision is an algorithm's verdict for one measurement epoch.
+	Decision = handover.Decision
 	// HandoverEvent is one executed handover.
 	HandoverEvent = metrics.HandoverEvent
 	// Series is a named (x, y) data series for CSV/ASCII output.
@@ -291,8 +283,8 @@ const (
 // compiled control surface, wrapped as an Algorithm.
 func NewCompiledFuzzyAlgorithm() (*FuzzyAlgorithm, error) { return handover.NewCompiledFuzzy() }
 
-// NewFuzzyAlgorithm wraps a controller (nil = paper defaults) as a
-// simulator algorithm.
+// NewFuzzyAlgorithm runs the Fig. 4 pipeline on a controller
+// configuration (nil = paper defaults).
 func NewFuzzyAlgorithm(ctrl *Controller) *FuzzyAlgorithm {
 	return handover.NewFuzzy(ctrl)
 }

@@ -27,20 +27,17 @@ func TestFacadeFLCQuickstart(t *testing.T) {
 }
 
 func TestFacadeControllerPipeline(t *testing.T) {
-	ctrl := NewController()
-	d, err := ctrl.Decide(Report{
-		ServingDB:     -98,
-		PrevServingDB: -96.5,
-		HavePrev:      true,
-		CSSPdB:        -3.5,
-		SSNdB:         -93.7,
-		DMBNorm:       1.2,
-	})
+	d, err := NewFuzzyAlgorithm(NewController()).Decide(Measurement{
+		ServingDB:  -98,
+		CSSPdB:     -3.5,
+		NeighborDB: -93.7,
+		DMBNorm:    1.2,
+	}, -96.5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Handover || d.Stage != StageExecute {
-		t.Errorf("decision = %v", d)
+	if !d.Handover || d.Reason != "execute-handover" {
+		t.Errorf("decision = %+v", d)
 	}
 }
 

@@ -188,39 +188,3 @@ func TestDefaultCompiledFLCIsShared(t *testing.T) {
 		t.Fatal("DefaultCompiledFLC returned an FLC without a compiled surface")
 	}
 }
-
-// TestControllerDecideFromHD pins the factored pipeline tail: DecideInto
-// must equal POTLC gate + FLC + DecideFromHD composed by hand.
-func TestControllerDecideFromHD(t *testing.T) {
-	ctrl := NewController()
-	sc := ctrl.FLC().NewScratch()
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 2000; i++ {
-		cssp, ssn, dmb := randomFLCInputs(rng)
-		r := Report{
-			ServingDB:     -110 + rng.Float64()*40,
-			PrevServingDB: -110 + rng.Float64()*40,
-			HavePrev:      rng.Intn(3) > 0,
-			CSSPdB:        cssp,
-			SSNdB:         ssn,
-			DMBNorm:       dmb,
-		}
-		want, err := ctrl.DecideInto(sc, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got Decision
-		if r.ServingDB >= ctrl.QualityGateDB() {
-			got = Decision{Handover: false, Stage: StageQualityGate}
-		} else {
-			hd, err := ctrl.FLC().EvaluateInto(sc, r.CSSPdB, r.SSNdB, r.DMBNorm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = ctrl.DecideFromHD(r, hd)
-		}
-		if got != want {
-			t.Fatalf("report %+v: composed %+v ≠ DecideInto %+v", r, got, want)
-		}
-	}
-}

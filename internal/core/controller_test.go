@@ -1,31 +1,58 @@
-package core
+package core_test
 
 import (
 	"math"
-	"strings"
 	"testing"
+
+	"repro/internal/cell"
+	"repro/internal/core"
+	"repro/internal/handover"
 )
 
-// crossingReport is a Report deep in a crossing: FLC votes handover and the
-// signal is still falling.
-func crossingReport() Report {
-	return Report{
-		ServingDB:     -98,
-		PrevServingDB: -96.5,
-		HavePrev:      true,
-		CSSPdB:        -3.5,
-		SSNdB:         -93.7,
-		DMBNorm:       1.2,
+// crossing is a measurement deep in a crossing: the FLC votes handover
+// (HD ≈ 0.867), and against crossingPrevDB the signal is still falling.
+func crossing() cell.Measurement {
+	return cell.Measurement{ServingDB: -98, CSSPdB: -3.5, NeighborDB: -93.7, DMBNorm: 1.2}
+}
+
+const crossingPrevDB = -96.5
+
+// hover turns m into the boundary-hover profile, where HD = 0.60.
+func hover(m cell.Measurement) cell.Measurement {
+	m.CSSPdB, m.NeighborDB, m.DMBNorm = -1.0, -93, 0.9
+	return m
+}
+
+// decide runs one epoch through handover.Fuzzy, the one Fig. 4 pipeline,
+// built from cfg on the exact FLC and on the shared compiled one.  It
+// fails unless both reach the same verdict, and returns the exact
+// decision.
+func decide(t *testing.T, cfg core.ControllerConfig, m cell.Measurement, prevDB float64, havePrev bool) handover.Decision {
+	t.Helper()
+	d, err := handover.NewFuzzy(core.NewControllerWithConfig(cfg)).Decide(m, prevDB, havePrev)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if cfg.FLC, err = core.DefaultCompiledFLC(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := handover.NewFuzzy(core.NewControllerWithConfig(cfg)).Decide(m, prevDB, havePrev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Handover != d.Handover || c.Reason != d.Reason || c.Scored != d.Scored || math.Abs(c.Score-d.Score) > 1e-9 {
+		t.Fatalf("compiled decision %+v, exact %+v", c, d)
+	}
+	return d
 }
 
 func TestControllerDefaults(t *testing.T) {
-	c := NewController()
-	if c.Threshold() != DefaultHandoverThreshold {
+	c := core.NewController()
+	if c.Threshold() != core.DefaultHandoverThreshold {
 		t.Errorf("threshold = %g, want 0.7", c.Threshold())
 	}
-	if c.QualityGateDB() != DefaultQualityGateDB {
-		t.Errorf("gate = %g, want %g", c.QualityGateDB(), DefaultQualityGateDB)
+	if c.QualityGateDB() != core.DefaultQualityGateDB {
+		t.Errorf("gate = %g, want %g", c.QualityGateDB(), core.DefaultQualityGateDB)
 	}
 	if c.FLC() == nil {
 		t.Error("FLC not constructed")
@@ -33,168 +60,97 @@ func TestControllerDefaults(t *testing.T) {
 }
 
 func TestQualityGateShortCircuits(t *testing.T) {
-	c := NewController()
-	r := crossingReport()
-	r.ServingDB = -60 // strong serving signal: POTLC keeps the call
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Handover || d.Stage != StageQualityGate || d.Evaluated {
+	m := crossing()
+	m.ServingDB = -60 // strong serving signal: POTLC keeps the call
+	d := decide(t, core.ControllerConfig{}, m, crossingPrevDB, true)
+	if d.Handover || d.Reason != "POTLC-quality-gate" || d.Scored {
 		t.Errorf("decision = %+v, want POTLC stay without FLC evaluation", d)
 	}
 }
 
 func TestFLCStageRejectsLowHD(t *testing.T) {
-	c := NewController()
-	r := crossingReport()
-	r.CSSPdB = -1.0
-	r.SSNdB = -93
-	r.DMBNorm = 0.9 // boundary-hover profile: HD ≈ 0.66
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
+	d := decide(t, core.ControllerConfig{}, hover(crossing()), crossingPrevDB, true)
+	if d.Handover || d.Reason != "FLC-threshold" || !d.Scored {
+		t.Errorf("decision = %+v, want FLC-threshold stay", d)
 	}
-	if d.Handover || d.Stage != StageFLC || !d.Evaluated {
-		t.Errorf("decision = %+v, want FLC-stage stay", d)
-	}
-	if d.HD <= 0 || d.HD > DefaultHandoverThreshold {
-		t.Errorf("HD = %g, want in (0, 0.7]", d.HD)
+	if d.Score <= 0 || d.Score > core.DefaultHandoverThreshold {
+		t.Errorf("HD = %g, want in (0, 0.7]", d.Score)
 	}
 }
 
 func TestPRTLCCancelsWhenSignalRecovers(t *testing.T) {
-	c := NewController()
-	r := crossingReport()
-	r.PrevServingDB = -99 // present (-98) ≥ previous (-99): recovering
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Handover || d.Stage != StagePRTLC {
+	// present (-98) ≥ previous (-99): recovering
+	d := decide(t, core.ControllerConfig{}, crossing(), -99, true)
+	if d.Handover || d.Reason != "PRTLC-confirmation" {
 		t.Errorf("decision = %+v, want PRTLC cancel", d)
 	}
-	if !d.Evaluated || d.HD <= DefaultHandoverThreshold {
+	if !d.Scored || d.Score <= core.DefaultHandoverThreshold {
 		t.Errorf("PRTLC cancel must carry the FLC vote, got %+v", d)
 	}
 }
 
 func TestPRTLCRequiresHistory(t *testing.T) {
-	c := NewController()
-	r := crossingReport()
-	r.HavePrev = false
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Handover || d.Stage != StagePRTLC {
+	d := decide(t, core.ControllerConfig{}, crossing(), 0, false)
+	if d.Handover || d.Reason != "PRTLC-confirmation" {
 		t.Errorf("decision without history = %+v, want PRTLC cancel", d)
 	}
 }
 
 func TestExecuteHandover(t *testing.T) {
-	c := NewController()
-	d, err := c.Decide(crossingReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Handover || d.Stage != StageExecute {
+	d := decide(t, core.ControllerConfig{}, crossing(), crossingPrevDB, true)
+	if !d.Handover || d.Reason != "execute-handover" {
 		t.Errorf("decision = %+v, want executed handover", d)
 	}
-	if d.HD <= DefaultHandoverThreshold {
-		t.Errorf("executed handover with HD = %g ≤ threshold", d.HD)
+	if d.Score <= core.DefaultHandoverThreshold {
+		t.Errorf("executed handover with HD = %g ≤ threshold", d.Score)
 	}
 }
 
 func TestDisablePRTLCAblation(t *testing.T) {
-	c := NewControllerWithConfig(ControllerConfig{DisablePRTLC: true})
-	r := crossingReport()
-	r.PrevServingDB = -99 // recovering — PRTLC would cancel
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
+	cfg := core.ControllerConfig{DisablePRTLC: true}
+	if core.NewControllerWithConfig(cfg).ConfirmPRTLC() {
+		t.Error("DisablePRTLC left the confirmation on")
 	}
+	// recovering — PRTLC would cancel
+	d := decide(t, cfg, crossing(), -99, true)
 	if !d.Handover {
 		t.Errorf("with PRTLC disabled, decision = %+v, want handover", d)
 	}
 }
 
 func TestDisableQualityGateAblation(t *testing.T) {
-	c := NewControllerWithConfig(ControllerConfig{DisableQualityGate: true})
-	r := crossingReport()
-	r.ServingDB = -60
-	r.PrevServingDB = -59
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gate bypassed: the FLC runs even on a strong signal.
-	if !d.Evaluated {
-		t.Errorf("gate not bypassed: %+v", d)
-	}
-	if !math.IsInf(c.QualityGateDB(), 1) {
+	cfg := core.ControllerConfig{DisableQualityGate: true}
+	if !math.IsInf(core.NewControllerWithConfig(cfg).QualityGateDB(), 1) {
 		t.Error("disabled gate should report +Inf level")
+	}
+	m := crossing()
+	m.ServingDB = -60
+	// Gate bypassed: the FLC runs even on a strong signal, and a signal
+	// still falling (-59 → -60) executes.
+	d := decide(t, cfg, m, -59, true)
+	if !d.Handover || d.Reason != "execute-handover" {
+		t.Errorf("gate not bypassed: %+v", d)
 	}
 }
 
 func TestCustomThreshold(t *testing.T) {
-	strict := NewControllerWithConfig(ControllerConfig{Threshold: 0.95})
-	d, err := strict.Decide(crossingReport())
-	if err != nil {
-		t.Fatal(err)
+	d := decide(t, core.ControllerConfig{Threshold: 0.95}, crossing(), crossingPrevDB, true)
+	if d.Handover || d.Reason != "FLC-threshold" {
+		t.Errorf("0.95-threshold controller handed over at HD=%g", d.Score)
 	}
-	if d.Handover {
-		t.Errorf("0.95-threshold controller handed over at HD=%g", d.HD)
-	}
-	lax := NewControllerWithConfig(ControllerConfig{Threshold: 0.3})
-	r := crossingReport()
-	r.CSSPdB, r.SSNdB, r.DMBNorm = -1.0, -93, 0.9 // HD ≈ 0.66
-	d, err = lax.Decide(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = decide(t, core.ControllerConfig{Threshold: 0.3}, hover(crossing()), crossingPrevDB, true)
 	if !d.Handover {
-		t.Errorf("0.3-threshold controller stayed at HD=%g", d.HD)
-	}
-}
-
-func TestStageStrings(t *testing.T) {
-	for stage, want := range map[Stage]string{
-		StageQualityGate: "POTLC-quality-gate",
-		StageFLC:         "FLC-threshold",
-		StagePRTLC:       "PRTLC-confirmation",
-		StageExecute:     "execute-handover",
-		Stage(99):        "Stage(99)",
-	} {
-		if got := stage.String(); got != want {
-			t.Errorf("Stage(%d).String() = %q, want %q", int(stage), got, want)
-		}
-	}
-}
-
-func TestDecisionString(t *testing.T) {
-	d := Decision{Handover: true, Stage: StageExecute, HD: 0.85, Evaluated: true}
-	s := d.String()
-	if !strings.Contains(s, "handover") || !strings.Contains(s, "0.850") {
-		t.Errorf("Decision.String() = %q", s)
-	}
-	gate := Decision{Stage: StageQualityGate}
-	if s := gate.String(); !strings.Contains(s, "stay") || strings.Contains(s, "HD=") {
-		t.Errorf("gate Decision.String() = %q", s)
+		t.Errorf("0.3-threshold controller stayed at HD=%g", d.Score)
 	}
 }
 
 func TestPipelineOrderGateBeforeFLC(t *testing.T) {
 	// A report that would trip the FLC must still be short-circuited by the
 	// quality gate — the POTLC runs first per Fig. 4's system operation.
-	c := NewController()
-	r := crossingReport()
-	r.ServingDB = c.QualityGateDB() // exactly at the gate: "still good"
-	d, err := c.Decide(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Stage != StageQualityGate {
-		t.Errorf("stage = %v, want quality gate at the boundary level", d.Stage)
+	m := crossing()
+	m.ServingDB = core.DefaultQualityGateDB // exactly at the gate: "still good"
+	d := decide(t, core.ControllerConfig{}, m, crossingPrevDB, true)
+	if d.Reason != "POTLC-quality-gate" {
+		t.Errorf("reason = %q, want quality gate at the boundary level", d.Reason)
 	}
 }

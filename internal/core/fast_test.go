@@ -78,47 +78,3 @@ func TestFLCEvaluateIntoZeroAllocs(t *testing.T) {
 		t.Fatalf("FLC.EvaluateInto allocates %.1f times per call, want 0", allocs)
 	}
 }
-
-func TestControllerDecideIntoZeroAllocs(t *testing.T) {
-	ctrl := NewController()
-	sc := ctrl.FLC().NewScratch()
-	r := Report{
-		ServingDB: -98, PrevServingDB: -96.5, HavePrev: true,
-		CSSPdB: -3.5, SSNdB: -93.7, DMBNorm: 1.2,
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ctrl.DecideInto(sc, r); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Controller.DecideInto allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestControllerDecideIntoMatchesDecide runs the full pipeline both ways
-// across representative reports.
-func TestControllerDecideIntoMatchesDecide(t *testing.T) {
-	ctrl := NewController()
-	sc := ctrl.FLC().NewScratch()
-	reports := []Report{
-		{ServingDB: -60}, // POTLC gate holds
-		{ServingDB: -98, CSSPdB: -3.5, SSNdB: -93.7, DMBNorm: 1.2},
-		{ServingDB: -98, PrevServingDB: -96.5, HavePrev: true, CSSPdB: -3.5, SSNdB: -93.7, DMBNorm: 1.2},
-		{ServingDB: -98, PrevServingDB: -99.5, HavePrev: true, CSSPdB: -3.5, SSNdB: -93.7, DMBNorm: 1.2},
-		{ServingDB: -120, PrevServingDB: -110, HavePrev: true, CSSPdB: -8, SSNdB: -80, DMBNorm: 1.5},
-	}
-	for _, r := range reports {
-		a, err := ctrl.Decide(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ctrl.DecideInto(sc, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("report %+v: Decide %v != DecideInto %v", r, a, b)
-		}
-	}
-}

@@ -1,7 +1,9 @@
 // Package core implements the paper's primary contribution: the fuzzy-based
 // handover system of Barolli et al. (ICPP-W 2008) — the FLC with the Fig. 5
-// linguistic variables and the 64-rule FRB of Table 1, wrapped in the
-// POTLC → FLC → PRTLC decision pipeline of Fig. 4.
+// linguistic variables and the 64-rule FRB of Table 1, and the Controller
+// configuration (threshold, POTLC gate level, PRTLC flag) that
+// handover.Fuzzy runs as the POTLC → FLC → threshold → PRTLC pipeline of
+// Fig. 4.
 package core
 
 import (

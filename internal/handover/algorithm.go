@@ -140,12 +140,17 @@ func (d *decideScorer) DecideScored(m *cell.Measurement, prevServingDB float64, 
 	return d.Algorithm.Decide(*m, prevServingDB, havePrev)
 }
 
-// The reasons every fuzzy configuration shares: core.Stage's strings for
-// the gate, PRTLC and execute stages.  The below-threshold reason is the
-// configuration's own (Fuzzy.below).
+// The reasons of the Fig. 4 pipeline's verdicts.  Every fuzzy
+// configuration shares the gate, PRTLC and execute reasons; the
+// below-threshold reason is the configuration's own (Fuzzy.below), and
+// reasonFLC is the paper controller's.
 const (
-	reasonGate    = "POTLC-quality-gate"
-	reasonPRTLC   = "PRTLC-confirmation"
+	reasonGate = "POTLC-quality-gate"
+	reasonFLC  = "FLC-threshold"
+	// ReasonPRTLC is the one scored verdict that is not below a
+	// threshold: the FLC voted handover and the PRTLC confirmation
+	// cancelled it on a recovering signal.
+	ReasonPRTLC   = "PRTLC-confirmation"
 	reasonExecute = "execute-handover"
 )
 
@@ -165,9 +170,8 @@ const (
 // per-instance scratch, so — like every stateful Algorithm — one
 // instance must not be driven from multiple goroutines at once.
 type Fuzzy struct {
-	ctrl *core.Controller
-	// flc, gateDB, base and prtlc are read from ctrl once, at
-	// construction.
+	// flc, gateDB, base and prtlc are read from the configuring
+	// core.Controller once, at construction.
 	flc    *core.FLC
 	gateDB float64
 	base   float64 // the threshold at 0 km/h
@@ -196,7 +200,6 @@ func newFuzzy(ctrl *core.Controller, schema *FeatureSchema, slope float64, name,
 		ctrl = core.NewController()
 	}
 	return &Fuzzy{
-		ctrl:   ctrl,
 		flc:    ctrl.FLC(),
 		gateDB: ctrl.QualityGateDB(),
 		base:   ctrl.Threshold(),
@@ -300,9 +303,10 @@ func (g *batchGather) scatter(f *FeatureFrame) {
 	}
 }
 
-// NewFuzzy wraps the given controller; nil uses the paper's defaults.
+// NewFuzzy runs the pipeline on the given controller configuration; nil
+// uses the paper's defaults.
 func NewFuzzy(ctrl *core.Controller) *Fuzzy {
-	return newFuzzy(ctrl, paperSchema, 0, "fuzzy", core.StageFLC.String())
+	return newFuzzy(ctrl, paperSchema, 0, "fuzzy", reasonFLC)
 }
 
 // NewCompiledFuzzy returns the paper's controller on the process-wide
@@ -316,8 +320,9 @@ func NewCompiledFuzzy() (*Fuzzy, error) {
 	return NewFuzzy(core.NewControllerWithConfig(core.ControllerConfig{FLC: flc})), nil
 }
 
-// Controller exposes the wrapped controller.
-func (f *Fuzzy) Controller() *core.Controller { return f.ctrl }
+// FLC returns the fuzzy logic controller the pipeline scores with: the
+// 3-input paper FLC, or the 4-input one of the SSN-trend configuration.
+func (f *Fuzzy) FLC() *core.FLC { return f.flc }
 
 // Name implements Algorithm.
 func (f *Fuzzy) Name() string { return f.name }
@@ -423,7 +428,7 @@ func (f *Fuzzy) DecideScored(m *cell.Measurement, prevServingDB float64, havePre
 		return Decision{Score: hd, Scored: true, Reason: f.below}, nil
 	}
 	if f.prtlc && (!havePrev || m.ServingDB >= prevServingDB) {
-		return Decision{Score: hd, Scored: true, Reason: reasonPRTLC}, nil
+		return Decision{Score: hd, Scored: true, Reason: ReasonPRTLC}, nil
 	}
 	return Decision{Handover: true, Score: hd, Scored: true, Reason: reasonExecute}, nil
 }

@@ -23,13 +23,17 @@ func meas(servingDB, neighborDB, dmbNorm float64, csspDB float64) cell.Measureme
 	}
 }
 
+// TestFuzzyAdapterMatchesController checks that Fuzzy adopts the
+// controller configuration it is built from (its FLC, gate level and
+// threshold) and decides the paper's crossing and boundary profiles.
 func TestFuzzyAdapterMatchesController(t *testing.T) {
-	f := NewFuzzy(nil)
+	ctrl := core.NewController()
+	f := NewFuzzy(ctrl)
 	if f.Name() != "fuzzy" {
 		t.Errorf("Name = %q", f.Name())
 	}
-	if f.Controller() == nil {
-		t.Fatal("controller not constructed")
+	if f.FLC() != ctrl.FLC() || f.gateDB != ctrl.QualityGateDB() || f.Threshold(50) != ctrl.Threshold() {
+		t.Fatal("Fuzzy did not adopt the controller's FLC, gate and threshold")
 	}
 	// Crossing profile: degrading signal, strong neighbor, far out.
 	m := meas(-98, -93.7, 1.2, -3.5)
@@ -53,6 +57,41 @@ func TestFuzzyAdapterMatchesController(t *testing.T) {
 		t.Errorf("boundary decision = %+v, want stay", d)
 	}
 	f.Reset() // must be a no-op
+}
+
+// TestFuzzyDecideZeroAllocs pins the scalar Decide path, which the
+// simulator calls every epoch, at 0 allocations in every fuzzy
+// configuration, exact and compiled, across all four verdicts.
+func TestFuzzyDecideZeroAllocs(t *testing.T) {
+	epochs := []struct {
+		m      cell.Measurement
+		prevDB float64
+	}{
+		{meas(-60, -93.7, 1.2, -3.5), -59},   // POTLC gate
+		{meas(-83, -93, 0.9, -1.0), -82.5},   // below the threshold
+		{meas(-98, -93.7, 1.2, -3.5), -99},   // PRTLC: recovering
+		{meas(-98, -93.7, 1.2, -3.5), -96.5}, // execute
+	}
+	for _, sel := range []string{"fuzzy", "adaptive", "trendfuzzy"} {
+		for _, compiled := range []bool{false, true} {
+			factory, err := AlgorithmFactoryFor(sel, compiled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := factory()
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				e := epochs[i%len(epochs)]
+				if _, err := a.Decide(e.m, e.prevDB, true); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s (compiled %v): Decide allocates %.1f times per call, want 0", a.Name(), compiled, allocs)
+			}
+		}
+	}
 }
 
 // TestNoRuleFiredWrapsSentinel pins the one error wrap of the fuzzy

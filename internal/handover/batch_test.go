@@ -228,7 +228,7 @@ func TestTrendScoreFrameMatchesDecide(t *testing.T) {
 
 // evalRow scores one raw input row on a's FLC through EvaluateRow.
 func evalRow(a *Fuzzy, xs ...float64) (float64, error) {
-	flc := a.Controller().FLC()
+	flc := a.FLC()
 	return flc.EvaluateRow(flc.NewScratch(), xs)
 }
 

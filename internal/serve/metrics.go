@@ -31,11 +31,6 @@ const (
 	numVerdicts
 )
 
-// prtlcReason matches core.StagePRTLC.String() and the adaptive
-// controller's PRTLC reason — the only scored-no-handover reason that is
-// a cancellation rather than a sub-threshold verdict.
-const prtlcReason = "PRTLC-confirmation"
-
 // verdictNames label the serve_verdicts_total counter.
 var verdictNames = [numVerdicts]string{
 	verdictGated:    "quality-gate",
@@ -157,7 +152,7 @@ func (s *shard) classifyVerdict(dec *handover.Decision, err error, executed bool
 	case executed:
 		s.verdictLocal[verdictExecuted]++
 	case dec.Scored:
-		if dec.Reason == prtlcReason {
+		if dec.Reason == handover.ReasonPRTLC {
 			s.verdictLocal[verdictPRTLC]++
 		} else {
 			s.verdictLocal[verdictBelow]++

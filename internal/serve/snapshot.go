@@ -599,7 +599,8 @@ func ReadSnapshotFile(path string) ([]TerminalSnapshot, error) {
 	defer f.Close()
 	snaps, err := ReadSnapshots(f)
 	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot %s: %w", path, err)
+		// A parse error already names the line and the package.
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return snaps, nil
 }

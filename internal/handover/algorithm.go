@@ -79,11 +79,12 @@ const (
 // and the FLC score, which depend only on the gathered feature row) is
 // computed for a whole frame of reports at once, and the stateful
 // remainder (PRTLC history comparison, commit) completes per report with
-// DecideScored.  Splitting the pipeline this way lets a serving shard
-// drain its queue into a reusable FeatureFrame and amortize the
-// per-report call and branch overhead across the batch, while preserving
-// exactly the per-terminal decision sequence of the one-report Decide
-// path.
+// DecideScored.  Splitting the pipeline this way amortizes the
+// per-report call and branch overhead across a reusable FeatureFrame,
+// and lets the serve engine score a stateless schema's frames on the
+// submitting goroutine, off the shard that completes them, while
+// preserving exactly the per-terminal decision sequence of the
+// one-report Decide path.
 //
 // The scorer declares its input shape with Schema(): the frame a caller
 // scores must have been gathered for that schema (same features, same

@@ -8,14 +8,16 @@ import (
 
 // This file is the feature-schema layer of the columnar decision pipeline.
 // A FeatureSchema is the declared, ordered antecedent list of a scoring
-// algorithm, and a FeatureFrame is the reusable column container a shard
-// gathers by that schema and a BatchScorer scores against.  There are two
-// built-in schemas: the paper's (CSSP, SSN, DMB — the three antecedents
-// the measurement carries) and the trend schema, which adds the
-// per-terminal SSN slope the trend controller reads.  Adding an
-// antecedent means a new Gather column and a BatchScorer that reads it; a
-// derived feature also needs its state in DerivedState and in the
-// snapshot codec, so it migrates with the terminal.
+// algorithm, and a FeatureFrame is the reusable column container the
+// serve engine gathers by that schema (on the submitting goroutine for a
+// stateless schema, on the shard for a stateful one) and a BatchScorer
+// scores against.  There are two built-in schemas: the paper's (CSSP,
+// SSN, DMB — the three antecedents the measurement carries) and the
+// trend schema, which adds the per-terminal SSN slope the trend
+// controller reads.  Adding an antecedent means a new Gather column and a
+// BatchScorer that reads it; a derived feature also needs its state in
+// DerivedState and in the snapshot codec, so it migrates with the
+// terminal.
 
 // TrendState is the per-terminal derived state behind the SSN-trend
 // feature: an exponentially weighted moving average of the epoch-to-epoch

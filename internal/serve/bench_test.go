@@ -106,8 +106,10 @@ func BenchmarkServeShards(b *testing.B) {
 }
 
 // BenchmarkServeCompiled is BenchmarkServeShards on the compiled control
-// surface: the shard decide loop drains sub-batches through the columnar
-// EvaluateBatch pipeline instead of per-decision Mamdani inference.
+// surface: sub-batches are scored through the columnar EvaluateBatch
+// pipeline instead of per-decision Mamdani inference — on the
+// submitters, as for every stateless schema — and the shards complete
+// them.
 func BenchmarkServeCompiled(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -172,8 +174,10 @@ func BenchmarkServeIngestOnly(b *testing.B) {
 	runLoad(b, e, batches, b.N)
 }
 
-// BenchmarkServeSubmitBatch measures the producer-side cost alone: one
-// goroutine submitting against idle-enough shards (large queue, 4 shards).
+// BenchmarkServeSubmitBatch measures the producer side: one goroutine
+// submitting against idle-enough shards (large queue, 4 shards).  The
+// paper schema is stateless, so that cost includes gathering and scoring
+// every sub-batch before it is queued.
 func BenchmarkServeSubmitBatch(b *testing.B) {
 	e := benchEngine(b, 4, false)
 	batch := steadyBatch(512, 64)

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/handover"
@@ -26,13 +27,16 @@ func simStreams(t *testing.T, cfgs []sim.Config) ([][]Report, []*sim.Result) {
 	return streams, results
 }
 
-// submitModes are the ingest shapes the determinism pins replay: one
-// SubmitBatch (sub-batches of up to maxSubBatch reports) and one
-// SubmitBatch per report (1-row sub-batches).
-var submitModes = []struct {
+// submitMode is one ingest shape a pin replays a report stream through.
+type submitMode struct {
 	name   string
 	submit func(e *Engine, rs []Report) error
-}{
+}
+
+// submitModes are the single-goroutine ingest shapes: one SubmitBatch
+// (sub-batches of up to maxSubBatch reports) and one SubmitBatch per
+// report (1-row sub-batches).
+var submitModes = []submitMode{
 	{"batch", (*Engine).SubmitBatch},
 	{"submit", func(e *Engine, rs []Report) error {
 		for i := range rs {
@@ -43,6 +47,45 @@ var submitModes = []struct {
 		return nil
 	}},
 }
+
+// concurrentSubmit splits the reports by terminal into four streams and
+// submits each, in order, from its own goroutine, in SubmitBatch calls
+// of up to 32 reports.  Every terminal's reports keep their order, so
+// its decision sequence must not change, while the streams race through
+// ingest: stateless sub-batches are scored on four submitting goroutines
+// at once, each with its own ingest state.
+var concurrentSubmit = submitMode{"concurrent", func(e *Engine, rs []Report) error {
+	const streams, chunk = 4, 32
+	var parts [streams][]Report
+	for _, r := range rs {
+		k := uint64(r.Terminal) % streams
+		parts[k] = append(parts[k], r)
+	}
+	errs := make(chan error, streams)
+	var wg sync.WaitGroup
+	for _, part := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for len(part) > 0 {
+				n := min(len(part), chunk)
+				if err := e.SubmitBatch(part[:n]); err != nil {
+					errs <- err
+					return
+				}
+				part = part[n:]
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}}
+
+// pinSubmitModes are the ingest shapes of the determinism pins: the
+// single-goroutine ones and concurrentSubmit.  The allocation pins keep
+// to submitModes: goroutines allocate.
+var pinSubmitModes = append(slices.Clip(submitModes), concurrentSubmit)
 
 // paperFleetConfigs expands both paper scenarios across replicas × speeds —
 // a small fleet with runs that do and do not hand over.
@@ -157,8 +200,9 @@ func checkAgainstSim(t *testing.T, rec recorder, results []*sim.Result, shards i
 // TestDeterminismMatchesSim is the multi-shard determinism guarantee:
 // replaying sim-generated walks for a fleet of terminals through the
 // engine — reports interleaved round-robin across terminals, any shard
-// count, batched or one SubmitBatch per report — yields per-terminal
-// decision sequences identical to the single-threaded sim path.
+// count, batched, one SubmitBatch per report or from concurrent
+// submitters — yields per-terminal decision sequences identical to the
+// single-threaded sim path.
 func TestDeterminismMatchesSim(t *testing.T) {
 	cfgs := paperFleetConfigs()
 	streams, results := simStreams(t, cfgs)
@@ -166,7 +210,7 @@ func TestDeterminismMatchesSim(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			for _, mode := range submitModes {
+			for _, mode := range pinSubmitModes {
 				t.Run(mode.name, func(t *testing.T) {
 					rec := newRecorder(len(cfgs))
 					e, err := New(Config{
@@ -223,9 +267,10 @@ func trendFleetConfigs(factory func() handover.Algorithm) []sim.Config {
 // 4-input trend controller's serve decisions — the SSN-trend feature
 // extracted from shard-held per-terminal derived state and scored through
 // the whole-frame gather — must match the single-threaded sim path, which
-// advances the same derivation inside the scalar Decide.  Interleaved
-// streams keep sub-batch terminals distinct, so this drives the
-// whole-frame stateful gather.
+// advances the same derivation inside the scalar Decide, whether one
+// goroutine submits or several.  Interleaved streams keep sub-batch
+// terminals distinct, so batched ingest drives the whole-frame stateful
+// gather.
 func TestDeterminismTrendFuzzy(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
@@ -238,31 +283,33 @@ func TestDeterminismTrendFuzzy(t *testing.T) {
 			reports := InterleaveReports(streams)
 
 			for _, shards := range []int{1, 4} {
-				rec := newRecorder(len(cfgs))
-				e, err := New(Config{
-					Shards:           shards,
-					QueueDepth:       64,
-					AlgorithmFactory: factory,
-					PingPongWindowKm: sim.DefaultPingPongWindowKm,
-					OnDecision:       rec.record,
-				})
-				if err != nil {
-					t.Fatal(err)
+				for _, mode := range pinSubmitModes {
+					rec := newRecorder(len(cfgs))
+					e, err := New(Config{
+						Shards:           shards,
+						QueueDepth:       64,
+						AlgorithmFactory: factory,
+						PingPongWindowKm: sim.DefaultPingPongWindowKm,
+						OnDecision:       rec.record,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := handover.TrendFeatureSchema().Hash(); e.SchemaHash() != want {
+						t.Fatalf("engine schema hash %#x, want trend schema %#x", e.SchemaHash(), want)
+					}
+					if err := e.Start(); err != nil {
+						t.Fatal(err)
+					}
+					if err := mode.submit(e, reports); err != nil {
+						t.Fatal(err)
+					}
+					e.Flush()
+					if err := e.Stop(); err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstSim(t, rec, results, shards)
 				}
-				if want := handover.TrendFeatureSchema().Hash(); e.SchemaHash() != want {
-					t.Fatalf("engine schema hash %#x, want trend schema %#x", e.SchemaHash(), want)
-				}
-				if err := e.Start(); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.SubmitBatch(reports); err != nil {
-					t.Fatal(err)
-				}
-				e.Flush()
-				if err := e.Stop(); err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstSim(t, rec, results, shards)
 			}
 		})
 	}
@@ -276,7 +323,8 @@ func TestDeterminismTrendFuzzy(t *testing.T) {
 // terminal.  Gathering a repeat before its predecessor commits lets the
 // handover's trend reset land after the later reports advanced the
 // derivation, wiping it, and the terminal's next sub-batch scores from a
-// wrong trend — which the sim reference rejects.
+// wrong trend — which the sim reference rejects.  The stream replays
+// through every pinSubmitModes shape.
 func TestDeterminismTrendFuzzySequentialBatches(t *testing.T) {
 	factory, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
 	if err != nil {
@@ -293,54 +341,56 @@ func TestDeterminismTrendFuzzySequentialBatches(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 4} {
-		rec := newRecorder(len(cfgs))
-		e, err := New(Config{
-			Shards:           shards,
-			QueueDepth:       64,
-			AlgorithmFactory: factory,
-			PingPongWindowKm: sim.DefaultPingPongWindowKm,
-			OnDecision:       rec.record,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The stream must exercise the ordering: an executed handover
-		// followed, inside the same sub-batch, by an FLC-scored report of
-		// the same terminal.
-		pos := make([]int, shards)
-		epoch := make([]int, len(cfgs))
-		hoBatch := make([]int, len(cfgs))
-		scoredAfterHO := 0
-		for i := range hoBatch {
-			hoBatch[i] = -1
-		}
-		for _, r := range reports {
-			sh, id := e.ShardOf(r.Terminal), r.Terminal
-			sub := pos[sh] / maxSubBatch
-			pos[sh]++
-			ep := results[id].Epochs[epoch[id]]
-			epoch[id]++
-			if hoBatch[id] == sub && ep.Decision.Scored {
-				scoredAfterHO++
+		for _, mode := range pinSubmitModes {
+			rec := newRecorder(len(cfgs))
+			e, err := New(Config{
+				Shards:           shards,
+				QueueDepth:       64,
+				AlgorithmFactory: factory,
+				PingPongWindowKm: sim.DefaultPingPongWindowKm,
+				OnDecision:       rec.record,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ep.Executed {
-				hoBatch[id] = sub
+			// The stream must exercise the ordering: an executed handover
+			// followed, inside the same sub-batch, by an FLC-scored report of
+			// the same terminal.
+			pos := make([]int, shards)
+			epoch := make([]int, len(cfgs))
+			hoBatch := make([]int, len(cfgs))
+			scoredAfterHO := 0
+			for i := range hoBatch {
+				hoBatch[i] = -1
 			}
+			for _, r := range reports {
+				sh, id := e.ShardOf(r.Terminal), r.Terminal
+				sub := pos[sh] / maxSubBatch
+				pos[sh]++
+				ep := results[id].Epochs[epoch[id]]
+				epoch[id]++
+				if hoBatch[id] == sub && ep.Decision.Scored {
+					scoredAfterHO++
+				}
+				if ep.Executed {
+					hoBatch[id] = sub
+				}
+			}
+			if scoredAfterHO == 0 {
+				t.Fatalf("shards=%d: no FLC-scored report follows a handover inside a sub-batch; the ordering is not under test", shards)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := mode.submit(e, reports); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			if err := e.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstSim(t, rec, results, shards)
 		}
-		if scoredAfterHO == 0 {
-			t.Fatalf("shards=%d: no FLC-scored report follows a handover inside a sub-batch; the ordering is not under test", shards)
-		}
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SubmitBatch(reports); err != nil {
-			t.Fatal(err)
-		}
-		e.Flush()
-		if err := e.Stop(); err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstSim(t, rec, results, shards)
 	}
 }
 
@@ -361,7 +411,8 @@ func simOutcomes(id TerminalID, res *sim.Result) []Outcome {
 // TestDeterminismAcrossQueueDepth pins that the queue bound shapes timing
 // only.  Each seeded fleet replays through engines whose shard queues
 // hold 1, 2, 16, DefaultQueueDepth or 1,024 messages, on 1 and 4 shards,
-// batched or one report per SubmitBatch.  Every terminal's (Seq,
+// batched, one report per SubmitBatch or from concurrent submitters.
+// Every terminal's (Seq,
 // Decision, Executed, PingPong, Err) sequence must equal the sim's, for
 // the compiled paper controller, for trendfuzzy and for a plain
 // Algorithm (hysteresisFleetConfigs).  The 80-leg walks give ~2,000 and
@@ -415,7 +466,7 @@ func TestDeterminismAcrossQueueDepth(t *testing.T) {
 			}
 			for _, depth := range slices.Compact(slices.Sorted(slices.Values([]int{1, 2, 16, DefaultQueueDepth, 1024}))) {
 				for _, shards := range []int{1, 4} {
-					for _, mode := range submitModes {
+					for _, mode := range pinSubmitModes {
 						t.Run(fmt.Sprintf("depth=%d,shards=%d,%s", depth, shards, mode.name), func(t *testing.T) {
 							rec := newRecorder(len(fleet.cfgs))
 							cfg := fleet.cfg

@@ -49,10 +49,14 @@ var verdictNames = [numVerdicts]string{
 type engineMetrics struct {
 	// queueWait is the submit→dequeue wait of one sub-batch.
 	queueWait *obs.Histogram
-	// service is the dequeue→done time of one sub-batch: decision kernel
-	// plus outcome delivery (OnDecision callbacks).
+	// service is the dequeue→done time of one sub-batch on its shard:
+	// routing, completion and outcome delivery (OnDecision callbacks),
+	// plus — for a stateful schema only — the gather and the score.  A
+	// stateless sub-batch arrives scored (see ingest.score).
 	service *obs.Histogram
-	// score is the columnar ScoreFrame kernel time of one sub-batch.
+	// score is the columnar ScoreFrame kernel time of one frame: a
+	// stateless sub-batch's on the submitting goroutine, a stateful run's
+	// on the shard.
 	score *obs.Histogram
 	// snapshot/restore are whole-call durations of the snapshot /
 	// migration control plane.
@@ -105,8 +109,9 @@ func (e *Engine) registerCollector(r *obs.Registry, labels []obs.Label) {
 }
 
 // ServiceHistogram returns the engine's sub-batch service-time histogram
-// (decision kernel plus outcome delivery), or nil when the engine was
-// built without a metrics registry.  The -stats loops print its windowed
+// (a shard's routing, completion and outcome delivery, plus the gather
+// and score of a stateful schema), or nil when the engine was built
+// without a metrics registry.  The -stats loops print its windowed
 // quantiles.
 func (e *Engine) ServiceHistogram() *obs.Histogram {
 	if e.metrics == nil {
@@ -177,9 +182,10 @@ func (s *shard) flushVerdicts() {
 
 // stageSampleEvery is the sub-batch sampling period of the per-stage
 // latency histograms (queue wait, batch service, batch score): every
-// stageSampleEvery-th sub-batch per shard is timed and observed.  The
-// histograms remain unbiased distribution estimates — sub-batches are
-// sampled by count, independent of their content — while the steady
+// stageSampleEvery-th sub-batch per shard — per ingest state, for a score
+// taken at ingest — is timed and observed.  The histograms remain
+// unbiased distribution estimates — sub-batches are sampled by count,
+// independent of their content — while the steady
 // state pays the clock reads and the engine-wide histogram atomics on
 // 1/stageSampleEvery of sub-batches, which is what keeps always-on
 // metrics within the serve hot path's throughput budget.  Decision,

@@ -14,7 +14,14 @@
 // stream, regardless of the shard count (see the determinism tests).
 //
 // Ingest is SubmitBatch, through bounded per-shard queues: it blocks while
-// an owning shard's queue is full (backpressure).  Per-shard counters
+// an owning shard's queue is full (backpressure).  For a stateless feature
+// schema (the paper's and the speed-adaptive controller, and every plain
+// Algorithm) SubmitBatch also gathers each filled sub-batch and scores it —
+// the POTLC gate and the FLC, which read only the measurement — on the
+// submitting goroutine, so the shard only routes the sub-batch, completes
+// each decision from its carried score and commits.  A stateful schema
+// (the SSN trend) is gathered and scored on the shard, which owns the
+// per-terminal derived state the gather advances.  Per-shard counters
 // (decisions, handovers, ping-pongs, queue depth) are readable at any time
 // through Stats without stopping the world.
 package serve
@@ -71,18 +78,22 @@ type Config struct {
 	// QueueDepth bounds each shard's ingest queue, in queued messages:
 	// SubmitBatch packs per-shard messages of up to 64 reports.  A full
 	// queue of depth D therefore holds up to D × 64 reports, about
-	// D × 26 µs of compiled-paper decisions that a newly queued report
-	// waits behind, but only about 2.5·D from a node daemon fed wire
-	// lines (one SubmitBatch of ~2.5 reports per line).  0 selects
-	// DefaultQueueDepth; negative is invalid.
+	// D × 13 µs of compiled-paper decisions (which arrive scored) that a
+	// newly queued report waits behind, but only about 2.5·D from a node
+	// daemon fed wire lines (one SubmitBatch of ~2.5 reports per line).
+	// 0 selects DefaultQueueDepth; negative is invalid.
 	QueueDepth int
 	// AlgorithmFactory builds the decision algorithm (nil: the paper's
-	// fuzzy controller).  It is called once per shard, from multiple
-	// goroutines, and the one instance it returns decides every terminal
-	// of that shard: it must keep no per-terminal cross-epoch state.
-	// Per-terminal history lives in the engine (previous serving power,
-	// handover ring, the schema's DerivedState).  HysteresisTTT, whose
-	// streak counter is such state, is a sim baseline.
+	// fuzzy controller).  New calls it once per shard, and the one
+	// instance it returns decides every terminal of that shard: it must
+	// keep no per-terminal cross-epoch state.  Per-terminal history lives
+	// in the engine (previous serving power, handover ring, the schema's
+	// DerivedState).  HysteresisTTT, whose streak counter is such state,
+	// is a sim baseline.  For a stateless schema SubmitBatch also calls it
+	// once per live ingest state — built on a free-list miss, so about
+	// one per concurrent submitter — possibly from several goroutines at
+	// once; those instances only score frames (ScoreFrame) and never
+	// decide.  A stateful schema's factory is called by New only.
 	AlgorithmFactory func() handover.Algorithm
 	// Compiled serves decisions from the compiled control surface: the
 	// default fuzzy controller is built around the process-wide compiled
@@ -123,7 +134,7 @@ const (
 	// 16–1,024 sweep (seed-paired perfbench engine-paper runs, recorded
 	// in CHANGES.md) whose decisions/s and CPU per decision held parity
 	// with 1,024.  A full queue of SubmitBatch messages holds 1,024
-	// reports, ~0.4 ms of compiled-paper work.
+	// reports, ~0.2 ms of compiled-paper work.
 	DefaultQueueDepth = 16
 	// DefaultPingPongWindowKm matches the simulator's detector window.
 	DefaultPingPongWindowKm = 1.0
@@ -148,40 +159,123 @@ const (
 // enough to keep queueing granularity fine.
 const maxSubBatch = 64
 
+// subBatch is one queued unit of report work: up to maxSubBatch reports
+// bound for one shard, in submission order.  For a stateless schema it
+// also carries the scores SubmitBatch computed for them (see
+// ingest.score); a stateful sub-batch is scored on the shard.
+type subBatch struct {
+	reports []Report
+	// hd and status hold one ScoreFrame row per report, and err the
+	// ScoreFrame error.  They are allocated only for a stateless schema.
+	hd     []float64
+	status []handover.ScoreStatus
+	err    error
+}
+
 // Sub-batch buffers cycle producer → queue → shard → per-shard free list
 // (a plain buffered channel rather than a sync.Pool), so steady-state
 // recycling is deterministic and immune to GC pool clearing.
 //
 // The only allocation this scheme performs after warm-up is population
 // growth: a queue of depth D can hold D sub-batches, and those buffers
-// (7 KiB each) are built lazily on first use, so an engine whose queues
-// have filled once owns up to shards × (depth+16) buffers and never
-// allocates again (pinned per shard count by
-// TestServeSteadyStateBytesPerShardCount).  BenchmarkServeShards warms
-// until the population is complete, so it measures steady state rather
-// than the population build.
+// (7 KiB each, plus 0.6 KiB of score columns for a stateless schema) are
+// built lazily on first use, so an engine whose queues have filled once
+// owns up to shards × (depth+16) buffers and never allocates again
+// (pinned per shard count by TestServeSteadyStateBytesPerShardCount).
+// BenchmarkServeShards warms until the population is complete, so it
+// measures steady state rather than the population build.
 
 // getBuf takes an empty sub-batch buffer from the shard's free list,
 // growing the population when the list is empty.
-func (s *shard) getBuf() *[]Report {
+func (s *shard) getBuf() *subBatch {
 	select {
 	case b := <-s.free:
 		return b
 	default:
-		b := make([]Report, 0, maxSubBatch)
-		return &b
+		b := &subBatch{reports: make([]Report, 0, maxSubBatch)}
+		if !s.stateful {
+			b.hd = make([]float64, 0, maxSubBatch)
+			b.status = make([]handover.ScoreStatus, 0, maxSubBatch)
+		}
+		return b
 	}
 }
 
 // putBuf returns a drained buffer to the shard's free list.
 //
 //fuzzyho:hotpath
-func (s *shard) putBuf(b *[]Report) {
-	*b = (*b)[:0]
+func (s *shard) putBuf(b *subBatch) {
+	b.reports = b.reports[:0]
 	select {
 	case s.free <- b:
 	default: // free list full: let the GC take the surplus
 	}
+}
+
+// ingest is the state one SubmitBatch call stages with: the per-shard
+// scatter table and, for a stateless schema, a scorer of its own and the
+// frame it gathers into, so each filled sub-batch is scored on the
+// submitting goroutine before it is queued.  A scorer is not safe for
+// concurrent use, so no two SubmitBatch calls share an ingest state: they
+// cycle through the engine's bounded free list.
+type ingest struct {
+	table  []*subBatch
+	scorer handover.BatchScorer // nil for a stateful schema
+	frame  *handover.FeatureFrame
+	// stageSkip counts scored sub-batches toward the next sampled
+	// serve_score_ns observation (see stageSampleEvery).
+	stageSkip int
+}
+
+// getIngest takes an ingest state from the free list, building one on a
+// miss.  It runs before SubmitBatch takes e.mu: a stateless schema's
+// scorer comes from the caller's AlgorithmFactory, which must not run
+// under the engine's lock.
+func (e *Engine) getIngest() *ingest {
+	select {
+	case in := <-e.ingests:
+		return in
+	default:
+	}
+	in := &ingest{table: make([]*subBatch, len(e.shards))}
+	if e.factory != nil {
+		in.scorer = handover.AsBatchScorer(e.factory())
+		in.frame = handover.NewFeatureFrame(in.scorer.Schema(), maxSubBatch)
+	}
+	return in
+}
+
+// score gathers a filled stateless sub-batch into the ingest frame and
+// scores it — the POTLC gate and the FLC, which read only the measurement
+// — then copies the scores and ScoreFrame's error into the sub-batch, so
+// its shard only routes and completes it.  A stateless gather reads no
+// derived state (d = nil).  If ScoreFrame fails, every report of the
+// sub-batch commits as an algorithm error.
+//
+//fuzzyho:hotpath
+func (in *ingest) score(b *subBatch, m *engineMetrics, epoch time.Time) {
+	n := len(b.reports)
+	f := in.frame
+	f.Reset(n)
+	for i := range b.reports {
+		f.Gather(i, &b.reports[i].Meas, nil)
+	}
+	var start int64
+	sampled := false
+	if m != nil {
+		in.stageSkip++
+		if sampled = in.stageSkip >= stageSampleEvery; sampled {
+			in.stageSkip = 0
+			start = int64(time.Since(epoch))
+		}
+	}
+	b.err = in.scorer.ScoreFrame(f)
+	if sampled {
+		m.score.Observe(uint64(int64(time.Since(epoch)) - start))
+	}
+	b.hd, b.status = b.hd[:n], b.status[:n]
+	copy(b.hd, f.HD)
+	copy(b.status, f.Status)
 }
 
 // Engine is the sharded streaming decision engine.  Construct with New,
@@ -189,10 +283,16 @@ func (s *shard) putBuf(b *[]Report) {
 // drains the queues) when done.  An Engine cannot be restarted.
 type Engine struct {
 	shards []*shard
-	// staging recycles the per-call shard→sub-batch scatter tables of
-	// SubmitBatch on a bounded free list (same GC-immunity rationale as
-	// the shards' sub-batch free lists; see getBuf).
-	staging chan []*[]Report
+	// ingests recycles SubmitBatch's ingest states on a bounded free list
+	// (same GC-immunity rationale as the shards' sub-batch free lists;
+	// see getBuf).  Its bound, 2×shards+8, keeps a state for each of a
+	// few concurrent submitters per shard; a state returned to a full
+	// list is dropped, and rebuilding one costs a factory call.  factory
+	// builds an ingest state's scorer: the configured AlgorithmFactory for
+	// a stateless schema, nil for a stateful one, whose sub-batches are
+	// scored on the shard.
+	ingests chan *ingest
+	factory func() handover.Algorithm
 	// metrics/traces are the optional telemetry surfaces (Config.Metrics
 	// / Config.TraceEvery); epoch is the monotonic base the queue-wait
 	// stamps are taken against.
@@ -251,7 +351,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		shards:  make([]*shard, nshards),
-		staging: make(chan []*[]Report, 2*nshards+8),
+		ingests: make(chan *ingest, 2*nshards+8),
 		epoch:   time.Now(),
 	}
 	if cfg.Metrics != nil {
@@ -269,7 +369,7 @@ func New(cfg Config) (*Engine, error) {
 		s := &shard{
 			id:         i,
 			in:         make(chan shardMsg, depth),
-			free:       make(chan *[]Report, depth+16),
+			free:       make(chan *subBatch, depth+16),
 			store:      newTerminalStore(),
 			window:     window,
 			onDecision: cfg.OnDecision,
@@ -286,6 +386,9 @@ func New(cfg Config) (*Engine, error) {
 	// The engine's schema hash is what cluster peers compare in the hello
 	// exchange.
 	e.schemaHash = e.shards[0].scorer.Schema().Hash()
+	if !e.shards[0].stateful {
+		e.factory = factory
+	}
 	return e, nil
 }
 
@@ -363,11 +466,15 @@ func (e *Engine) ShardOf(id TerminalID) int {
 	return int(mix64(uint64(id)) % uint64(len(e.shards)))
 }
 
-// send accounts and enqueues one filled sub-batch, blocking while the
-// shard's queue is full.
-func (e *Engine) send(s *shard, buf *[]Report) {
-	s.submitted.Add(uint64(len(*buf)))
-	msg := shardMsg{batch: buf}
+// send scores a filled stateless sub-batch, accounts it and enqueues it,
+// blocking while the shard's queue is full.  The channel send orders the
+// score writes before the shard reads them.
+func (e *Engine) send(in *ingest, s *shard, b *subBatch) {
+	if in.scorer != nil {
+		in.score(b, e.metrics, e.epoch)
+	}
+	s.submitted.Add(uint64(len(b.reports)))
+	msg := shardMsg{batch: b}
 	if s.metrics != nil {
 		msg.enq = int64(time.Since(s.epoch))
 	}
@@ -378,43 +485,48 @@ func (e *Engine) send(s *shard, buf *[]Report) {
 // shard's queue is full (backpressure).  Reports are scattered into
 // per-shard sub-batches of up to maxSubBatch — one channel operation
 // amortized over up to 64 decisions — preserving each terminal's in-batch
-// order; the steady-state path performs no heap allocations.  It fails
-// with ErrNotRunning before Start or after Stop.
+// order; for a stateless schema each filled sub-batch is scored before it
+// is queued.  The steady-state path performs no heap allocations; an
+// ingest free-list miss builds one ingest state, which for a stateless
+// schema calls the AlgorithmFactory.  It fails with ErrNotRunning before
+// Start or after Stop.
 func (e *Engine) SubmitBatch(rs []Report) error {
+	in := e.getIngest()
+	err := e.submit(in, rs)
+	select {
+	case e.ingests <- in:
+	default: // free list full: let the GC take the surplus
+	}
+	return err
+}
+
+// submit is SubmitBatch under the engine's read lock.
+func (e *Engine) submit(in *ingest, rs []Report) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.state != stateRunning {
 		return ErrNotRunning
 	}
-	var staging []*[]Report
-	select {
-	case staging = <-e.staging:
-	default:
-		staging = make([]*[]Report, len(e.shards))
-	}
+	table := in.table
 	for i := range rs {
 		r := &rs[i] // by reference: a Report is ~112 bytes, copy it once (into the sub-batch)
 		idx := e.ShardOf(r.Terminal)
-		buf := staging[idx]
-		if buf == nil {
-			buf = e.shards[idx].getBuf()
-			staging[idx] = buf
+		b := table[idx]
+		if b == nil {
+			b = e.shards[idx].getBuf()
+			table[idx] = b
 		}
-		*buf = append(*buf, *r)
-		if len(*buf) == maxSubBatch {
-			staging[idx] = nil
-			e.send(e.shards[idx], buf)
-		}
-	}
-	for idx, buf := range staging {
-		if buf != nil {
-			staging[idx] = nil
-			e.send(e.shards[idx], buf)
+		b.reports = append(b.reports, *r)
+		if len(b.reports) == maxSubBatch {
+			table[idx] = nil
+			e.send(in, e.shards[idx], b)
 		}
 	}
-	select {
-	case e.staging <- staging:
-	default: // free list full: let the GC take the surplus
+	for idx, b := range table {
+		if b != nil {
+			table[idx] = nil
+			e.send(in, e.shards[idx], b)
+		}
 	}
 	return nil
 }

@@ -134,12 +134,14 @@ const routeBuckets = 128
 // maxSubBatch ever outgrows it.
 const _ uint = 127 - maxSubBatch
 
-// batchCols is a shard's staging for the frame pipeline: a drained
-// sub-batch's measurements gathered into the scorer's FeatureFrame
-// (struct-of-arrays columns in the scorer's schema), scored in one
-// BatchScorer call, decisions completed per row.  Sized once to
-// maxSubBatch; reused for every sub-batch.
+// batchCols is a shard's staging for the frame pipeline: the resolved
+// terminal slots of a drained sub-batch and, for a stateful schema, the
+// scorer's FeatureFrame (struct-of-arrays columns in the scorer's schema)
+// its runs are gathered into and scored from in one BatchScorer call.
+// Sized once to maxSubBatch; reused for every sub-batch.
 type batchCols struct {
+	// frame is nil for a stateless schema: its sub-batches arrive scored
+	// (see ingest.score).
 	frame *handover.FeatureFrame
 	// slots holds the sub-batch's resolved terminal state, one entry per
 	// report, and repeat flags the reports whose terminal already
@@ -157,10 +159,11 @@ type batchCols struct {
 }
 
 func newBatchCols(schema *handover.FeatureSchema) *batchCols {
-	return &batchCols{
-		frame: handover.NewFeatureFrame(schema, maxSubBatch),
-		slots: make([]*terminal, maxSubBatch),
+	c := &batchCols{slots: make([]*terminal, maxSubBatch)}
+	if schema.Stateful() {
+		c.frame = handover.NewFeatureFrame(schema, maxSubBatch)
 	}
+	return c
 }
 
 // shardMsg is one queued unit of shard work: a pooled report sub-batch
@@ -169,7 +172,7 @@ func newBatchCols(schema *handover.FeatureSchema) *batchCols {
 // "everything submitted before the control" is drained by construction —
 // the queue itself is the migration protocol's barrier.
 type shardMsg struct {
-	batch *[]Report
+	batch *subBatch
 	ctl   *shardCtl
 	// enq is the enqueue timestamp (nanoseconds since the engine epoch),
 	// stamped only when metrics are enabled; the shard observes the
@@ -188,17 +191,18 @@ type shard struct {
 	// free recycles this shard's drained sub-batch buffers back to
 	// producers (see getBuf/putBuf): buffers cycle producer → queue →
 	// shard → free list without touching the garbage collector.
-	free chan *[]Report
+	free chan *subBatch
 
 	// store indexes the shard's terminal state: an open-addressing table
 	// over dense slabs (see terminalStore) whose pointers stay stable
 	// across growth.
 	store *terminalStore
 	// scorer is the shard's one algorithm instance (handover.AsBatchScorer
-	// of the configured algorithm): it scores every frame and decides
-	// every report.  stateful mirrors scorer.Schema().Stateful() — the
-	// gather advances per-terminal derived state, so repeated terminals
-	// split the sub-batch into runs (see processBatch).
+	// of the configured algorithm): it decides every report and, for a
+	// stateful schema, scores every frame.  stateful mirrors
+	// scorer.Schema().Stateful() — the gather advances per-terminal
+	// derived state, so the shard gathers and scores, and repeated
+	// terminals split the sub-batch into runs (see processBatch).
 	scorer   handover.BatchScorer
 	stateful bool
 	cols     *batchCols
@@ -264,8 +268,8 @@ func (s *shard) run() {
 			}
 		}
 		batch := msg.batch
-		s.processBatch(*batch)
-		s.processed.Add(uint64(len(*batch)))
+		s.processBatch(batch)
+		s.processed.Add(uint64(len(batch.reports)))
 		if m := s.metrics; m != nil {
 			if s.stageSample {
 				m.service.Observe(uint64(int64(time.Since(s.epoch)) - start))
@@ -278,38 +282,44 @@ func (s *shard) run() {
 
 // processBatch serves one sub-batch through the frame pipeline — the one
 // decision path of every algorithm and mode: routeBatch resolves every
-// report's terminal slot, each run of reports is gathered into the
-// scorer's FeatureFrame by its declared schema, the history-free stages
-// (POTLC gate, FLC score, and — for adaptive scorers — the
-// speed-dependent threshold) score the run in one ScoreFrame call —
-// through the compiled control surface's EvaluateBatch when the
-// controller is compiled — and the stateful remainder completes per
-// report, in order, against each resolved slot (DecideScored, commit).
-// Algorithms without a batch stage take the same path through
-// handover.AsBatchScorer, whose DecideScored is their Decide.
+// report's terminal slot, the history-free stages (POTLC gate, FLC score,
+// and — for adaptive scorers — the speed-dependent threshold) score the
+// reports through one ScoreFrame call per frame — through the compiled
+// control surface's EvaluateBatch when the controller is compiled — and
+// the stateful remainder completes per report, in order, against each
+// resolved slot (DecideScored, commit).  Algorithms without a batch stage
+// take the same path through handover.AsBatchScorer, whose DecideScored is
+// their Decide.
 //
-// A stateless schema scores the whole sub-batch as one run: its batched
-// stages depend only on the measurement.  A stateful schema's gather
-// advances per-terminal derived state, which a mid-batch executed
-// handover resets, so its runs end before every report whose terminal
-// already appeared in the sub-batch: each terminal appears at most once
-// per run and is gathered after its previous report committed — exactly
-// the per-report order.
+// A stateless schema's batched stages depend only on the measurement, so
+// SubmitBatch scored the whole sub-batch before queueing it and the shard
+// completes it in one pass from the carried scores.  A stateful schema's
+// gather advances per-terminal derived state, which a mid-batch executed
+// handover resets, so the shard gathers and scores it in runs that end
+// before every report whose terminal already appeared in the sub-batch:
+// each terminal appears at most once per run and is gathered after its
+// previous report committed — exactly the per-report order.
 //
 //fuzzyho:hotpath
-func (s *shard) processBatch(batch []Report) {
+func (s *shard) processBatch(b *subBatch) {
+	batch := b.reports
 	s.routeBatch(batch)
+	if !s.stateful {
+		s.complete(batch, s.cols.slots, b.hd, b.status, b.err)
+		return
+	}
 	lo := 0
 	for hi := 1; hi <= len(batch); hi++ {
-		if hi == len(batch) || s.stateful && s.cols.repeat[hi] {
+		if hi == len(batch) || s.cols.repeat[hi] {
 			s.decideRun(batch[lo:hi], lo)
 			lo = hi
 		}
 	}
 }
 
-// decideRun gathers, scores and completes one run: the sub-batch reports
-// from index off on, whose slots routeBatch resolved.
+// decideRun gathers, scores and completes one run of a stateful
+// sub-batch: the reports from index off on, whose slots routeBatch
+// resolved.
 //
 //fuzzyho:hotpath
 func (s *shard) decideRun(run []Report, off int) {
@@ -318,16 +328,13 @@ func (s *shard) decideRun(run []Report, off int) {
 	f.Reset(len(run))
 	for i := range run {
 		r := &run[i]
-		var d *handover.DerivedState
-		if s.stateful {
-			// Stateful features read per-terminal derived state: apply the
-			// reattachment correction before extraction so the derivation
-			// restarts exactly where the per-report order restarts it.
-			d = &s.cols.discard
-			if measFits(&r.Meas) {
-				s.observe(r, slots[i])
-				d = &slots[i].derived
-			}
+		// Stateful features read per-terminal derived state: apply the
+		// reattachment correction before extraction so the derivation
+		// restarts exactly where the per-report order restarts it.
+		d := &s.cols.discard
+		if measFits(&r.Meas) {
+			s.observe(r, slots[i])
+			d = &slots[i].derived
 		}
 		f.Gather(i, &r.Meas, d)
 	}
@@ -338,11 +345,20 @@ func (s *shard) decideRun(run []Report, off int) {
 	}
 	// Shard-owned frames never fail the schema guard.  Should a scorer
 	// fail anyway, every report of the run commits as an algorithm error:
-	// a stateful derivation has already advanced, so none is re-decided.
+	// the derivation has already advanced, so none is re-decided.
 	err := s.scorer.ScoreFrame(f)
 	if sampled {
 		s.metrics.score.Observe(uint64(int64(time.Since(s.epoch)) - scoreStart))
 	}
+	s.complete(run, slots, f.HD, f.Status, err)
+}
+
+// complete decides and commits scored reports in order: row i of hd and
+// st is report i's score, slots[i] its resolved terminal, and err the
+// ScoreFrame error, which commits every report as an algorithm error.
+//
+//fuzzyho:hotpath
+func (s *shard) complete(run []Report, slots []*terminal, hd []float64, st []handover.ScoreStatus, err error) {
 	for i := range run {
 		r := &run[i]
 		t := slots[i]
@@ -357,7 +373,7 @@ func (s *shard) decideRun(run []Report, off int) {
 		}
 		derr := err
 		if err == nil {
-			dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
+			dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, hd[i], st[i])
 		}
 		s.commit(r, t, &dec, derr)
 	}
@@ -371,9 +387,9 @@ func (s *shard) decideRun(run []Report, off int) {
 // population cycling through the batch) hit a small hash-bucket grouping
 // table chained over the sub-batch's first occurrences.  Only the slot
 // pointers are resolved here — the reattachment correction and state
-// commits stay in decideRun, in report order, so per-terminal sequences
-// are untouched.  Each report's repeat flag records whether its terminal
-// already appeared in the sub-batch.
+// commits stay in decideRun and complete, in report order, so
+// per-terminal sequences are untouched.  Each report's repeat flag
+// records whether its terminal already appeared in the sub-batch.
 //
 //fuzzyho:hotpath
 func (s *shard) routeBatch(batch []Report) {

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint escape-check bench-build microbench-smoke bench bench-ab sim-smoke load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check loc lint escape-check bench-build microbench-smoke bench bench-ab sim-smoke load-smoke cluster-throughput-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')) || exit 1; \
 	if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:" >&2; echo "$$out" >&2; exit 1; fi
+
+# Non-test Go lines, the size measure simplicity changes report: tracked
+# *.go files other than _test.go, outside perfbench/ and every testdata/,
+# counting neither blank lines nor lines holding only a // comment.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' ':!:testdata/*' ':!:*/testdata/*' \
+		| xargs grep -Ehv '^[[:space:]]*(//.*)?$$' | wc -l
 
 # Project analyzer suite (cmd/hovet): hotpath allocation audit,
 # determinism, lock-safety and wire codec pairing, driven by //fuzzyho:

@@ -62,7 +62,8 @@ type (
 	ControllerConfig = core.ControllerConfig
 )
 
-// NewFLC returns the paper's fuzzy logic controller.
+// NewFLC returns a freshly built instance of the paper's fuzzy logic
+// controller (NewController shares one built once per process).
 func NewFLC() *FLC { return core.NewFLC() }
 
 // NewFLCWithOptions returns an FLC with overridden operators, variables or
@@ -111,14 +112,16 @@ type (
 // CompileSurface compiles an inference system's control surface, or
 // reports why the system does not fit the kernel; see
 // fuzzy.CompileSurface.  FLC.Compile is the controller-level entry point
-// and core.DefaultCompiledFLC the shared compiled paper controller.
+// (it returns a compiled FLC and leaves its receiver exact) and
+// DefaultCompiledFLC the shared compiled paper controller.
 func CompileSurface(s *InferenceSystem) (*CompiledSurface, error) {
 	return fuzzy.CompileSurface(s)
 }
 
 // DefaultCompiledFLC returns the process-wide compiled instance of the
-// paper's controller (NewCompiledFuzzyAlgorithm and ServeConfig.Compiled
-// use it under the hood).
+// paper's controller, compiled once from the shared exact one
+// (NewCompiledFuzzyAlgorithm and ServeConfig.Compiled use it under the
+// hood).
 func DefaultCompiledFLC() (*FLC, error) { return core.DefaultCompiledFLC() }
 
 // Membership-function constructors (re-exported).

@@ -18,15 +18,19 @@ func randomFLCInputs(rng *rand.Rand) (cssp, ssn, dmb float64) {
 
 // TestFLCCompiledMatchesExact pins the acceptance accuracy criterion: the
 // paper's FLC compiles to the exact kernel, and a random sweep of the
-// universe stays within 1e-12 of per-decision Mamdani inference.
+// universe stays within 1e-12 of per-decision Mamdani inference.  Compile
+// returns a new FLC over the same system and leaves its receiver exact.
 func TestFLCCompiledMatchesExact(t *testing.T) {
 	exact := NewFLC()
-	compiled := NewFLC()
-	if err := compiled.Compile(); err != nil {
+	compiled, err := exact.Compile()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !compiled.Compiled() || compiled.Surface() == nil {
-		t.Fatal("Compile did not install a surface")
+	if compiled.Surface() == nil || compiled.System() != exact.System() {
+		t.Fatal("Compile did not return a compiled FLC over the same system")
+	}
+	if exact.Surface() != nil {
+		t.Fatal("Compile installed a surface on its receiver")
 	}
 	const bound = 1e-12
 	rng := rand.New(rand.NewSource(11))
@@ -75,11 +79,11 @@ func TestFLCCompiledAblationProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := compiled.Compile(); (err == nil) != p.compiles {
+			// A failed Compile leaves the caller on its exact FLC.
+			if c, err := compiled.Compile(); (err == nil) != p.compiles {
 				t.Fatalf("Compile() error %v, want compiled = %v", err, p.compiles)
-			}
-			if compiled.Compiled() != p.compiles {
-				t.Fatalf("Compiled() = %v, want %v", compiled.Compiled(), p.compiles)
+			} else if err == nil {
+				compiled = c
 			}
 			// same reports whether compiled answers as the exact twin must:
 			// within 1e-12 on the kernel, or bit for bit on the exact path.
@@ -133,13 +137,14 @@ func TestFLCCompiledAblationProfiles(t *testing.T) {
 
 // TestFLCEvaluateBatchMatchesScalar pins the columnar entry point against
 // the scalar path on both the exact and compiled FLC, including the
-// NaN-measurement policy (ClampInputs maps NaN to the universe floor on
+// NaN-measurement policy (the FLC clamps NaN to the universe floor on
 // both paths).
 func TestFLCEvaluateBatchMatchesScalar(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
 		flc := NewFLC()
 		if compiled {
-			if err := flc.Compile(); err != nil {
+			var err error
+			if flc, err = flc.Compile(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -170,8 +175,9 @@ func TestFLCEvaluateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestDefaultCompiledFLCIsShared pins the process-wide singleton: every
-// consumer (sim fleet cells, serve shards) must share one compiled kernel.
+// TestDefaultCompiledFLCIsShared pins the process-wide singletons: every
+// consumer (sim fleet cells, serve shards) must share one compiled kernel,
+// compiled from the one exact paper FLC every default controller shares.
 func TestDefaultCompiledFLCIsShared(t *testing.T) {
 	a, err := DefaultCompiledFLC()
 	if err != nil {
@@ -184,7 +190,14 @@ func TestDefaultCompiledFLCIsShared(t *testing.T) {
 	if a != b {
 		t.Fatal("DefaultCompiledFLC returned distinct instances")
 	}
-	if !a.Compiled() {
+	if a.Surface() == nil {
 		t.Fatal("DefaultCompiledFLC returned an FLC without a compiled surface")
+	}
+	exact := NewController().FLC()
+	if exact != NewController().FLC() || exact != defaultFLC() {
+		t.Fatal("default controllers do not share one FLC")
+	}
+	if exact.Surface() != nil || a.System() != exact.System() {
+		t.Fatal("DefaultCompiledFLC is not the shared exact FLC compiled")
 	}
 }

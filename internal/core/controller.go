@@ -30,7 +30,8 @@ type Controller struct {
 
 // ControllerConfig configures a Controller; the zero value is the paper's.
 type ControllerConfig struct {
-	// FLC overrides the fuzzy controller (nil = paper's).
+	// FLC overrides the fuzzy controller (nil = the paper's, built once per
+	// process and shared).
 	FLC *FLC
 	// Threshold is the HD handover threshold (0 = paper's 0.7).
 	Threshold float64
@@ -57,7 +58,7 @@ func NewControllerWithConfig(cfg ControllerConfig) *Controller {
 		confirmPRTLC:  !cfg.DisablePRTLC,
 	}
 	if c.flc == nil {
-		c.flc = NewFLC()
+		c.flc = defaultFLC()
 	}
 	if c.threshold == 0 {
 		c.threshold = DefaultHandoverThreshold

@@ -23,7 +23,7 @@ func TestFLCEvaluateIntoMatchesMapPath(t *testing.T) {
 			ssn := grid(SsnMin, SsnMax, j)
 			for k := 0; k < n; k++ {
 				dmb := grid(DmbMin, DmbMax, k)
-				cc, sc2, dc := ClampInputs(cssp, ssn, dmb)
+				cc, sc2, dc := Clamp(cssp, CsspMin, CsspMax), Clamp(ssn, SsnMin, SsnMax), Clamp(dmb, DmbMin, DmbMax)
 				want, err := sys.Evaluate(map[string]float64{
 					VarCSSP: cc, VarSSN: sc2, VarDMB: dc,
 				})

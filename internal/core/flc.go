@@ -12,8 +12,11 @@ import (
 // FLC is the paper's fuzzy logic controller: the Fig. 5 variables, the
 // Table 1 rule base and a Mamdani max–min engine with height
 // defuzzification ("triangular and trapezoidal membership functions …
-// suitable for real-time operation", §4).  An FLC is immutable and safe for
-// concurrent use.
+// suitable for real-time operation", §4).  An FLC is immutable (every
+// field is set when it is built; Compile returns a new FLC) and safe for
+// concurrent use.  The paper's FLC is built once per process and shared
+// by NewController and every default fuzzy algorithm; NewFLC returns a
+// fresh one.
 //
 // The system's first three inputs are CSSP, SSN and DMB; a variant may
 // add antecedents after them (the SSN-trend controller adds a fourth).
@@ -21,14 +24,13 @@ import (
 // form; EvaluateRow and EvaluateCols answer any number of inputs.
 type FLC struct {
 	sys *fuzzy.System
-	// bounds is the universe of every input past the third, in input
-	// order: the first three clamp to the Fig. 5 universes (ClampInputs),
-	// the rest to their own.
+	// bounds is the universe of every input, in input order: each input
+	// clamps to its own variable's universe before inference.
 	bounds [][2]float64
 	// surface, when non-nil, is the compiled control surface: every
 	// Evaluate* query answers from it instead of running Mamdani
-	// inference per decision.  Set once by Compile before the FLC
-	// is shared; immutable afterwards.
+	// inference per decision.  Only Compile sets it, on the FLC it
+	// returns.
 	surface *fuzzy.CompiledSurface
 	// scratches recycles inference buffers for callers that use the
 	// convenience Evaluate; hot loops should hold their own Scratch and
@@ -101,55 +103,37 @@ func NewFLCFromSystem(sys *fuzzy.System) (*FLC, error) {
 			return nil, fmt.Errorf("core: variable named %q, want %q", check.got, check.want)
 		}
 	}
-	f := &FLC{sys: sys}
-	for _, v := range in[3:] {
-		f.bounds = append(f.bounds, [2]float64{v.Min, v.Max})
+	f := &FLC{sys: sys, bounds: make([][2]float64, len(in))}
+	for k, v := range in {
+		f.bounds[k] = [2]float64{v.Min, v.Max}
 	}
 	return f, nil
 }
 
-// Compile builds the compiled control surface and routes every subsequent
-// Evaluate* query through it.  The paper's
-// configuration compiles into the exact segment-table kernel
-// (bit-equivalent).  Call before the FLC is shared across goroutines.
-// Operator ablations outside the kernel's shape (non-min/max norms,
-// non-height defuzzifiers) fail compilation, leaving the FLC on the exact
-// path.
-func (f *FLC) Compile() error {
+// Compile returns the FLC on its compiled control surface: every
+// Evaluate* query of the returned FLC answers from the surface, and f
+// stays on the exact path.  The paper's configuration compiles into the
+// exact segment-table kernel.  Operator ablations outside the kernel's
+// shape (non-min/max norms, non-height defuzzifiers) fail compilation.
+func (f *FLC) Compile() (*FLC, error) {
 	cs, err := fuzzy.CompileSurface(f.sys)
 	if err != nil {
-		return fmt.Errorf("core: compile control surface: %w", err)
+		return nil, fmt.Errorf("core: compile control surface: %w", err)
 	}
-	f.surface = cs
-	return nil
+	return &FLC{sys: f.sys, bounds: f.bounds, surface: cs}, nil
 }
 
-// Compiled reports whether the FLC answers from the compiled surface.
-func (f *FLC) Compiled() bool { return f.surface != nil }
-
-// defaultCompiled lazily builds the process-wide compiled paper FLC: the
-// default configuration is immutable, so every consumer of the compiled
-// default (sim fleets, serve shards, CLIs) can share one kernel instead of
-// paying the compile per run or per shard.
-var defaultCompiled struct {
-	once sync.Once
-	flc  *FLC
-	err  error
-}
+// defaultFLC is the paper's exact FLC and defaultCompiledFLC its compiled
+// form, each built once per process on first use and shared by every
+// default consumer (sim runs, serve shards and ingest states, CLIs).
+var (
+	defaultFLC         = sync.OnceValue(NewFLC)
+	defaultCompiledFLC = sync.OnceValues(func() (*FLC, error) { return defaultFLC().Compile() })
+)
 
 // DefaultCompiledFLC returns the shared compiled instance of the paper's
 // controller (built once per process; safe for concurrent use).
-func DefaultCompiledFLC() (*FLC, error) {
-	defaultCompiled.once.Do(func() {
-		flc := NewFLC()
-		if err := flc.Compile(); err != nil {
-			defaultCompiled.err = err
-			return
-		}
-		defaultCompiled.flc = flc
-	})
-	return defaultCompiled.flc, defaultCompiled.err
-}
+func DefaultCompiledFLC() (*FLC, error) { return defaultCompiledFLC() }
 
 // Surface returns the compiled control surface (nil on the exact path).
 func (f *FLC) Surface() *fuzzy.CompiledSurface { return f.surface }
@@ -181,9 +165,9 @@ func (f *FLC) putScratch(sc *fuzzy.Scratch) {
 }
 
 // Evaluate computes the handover-decision output HD ∈ [0, 1] for the given
-// raw inputs.  Inputs are clamped to the Fig. 5 universes, so out-of-range
-// measurements saturate rather than fail; the complete Table 1 grid
-// guarantees some rule always fires.  Evaluate runs on the positional fast
+// raw inputs.  Inputs are clamped to their variables' universes, so
+// out-of-range measurements saturate rather than fail; the complete
+// Table 1 grid guarantees some rule always fires.  Evaluate runs on the positional fast
 // path with pooled buffers; per-goroutine hot loops should prefer
 // EvaluateInto with their own Scratch.
 func (f *FLC) Evaluate(csspDB, ssnDB, dmbNorm float64) (float64, error) {
@@ -211,19 +195,17 @@ func (f *FLC) EvaluateInto(sc *fuzzy.Scratch, csspDB, ssnDB, dmbNorm float64) (f
 var errInputCount = errors.New("core: input count differs from the system's")
 
 // EvaluateRow is EvaluateInto for any number of inputs: xs holds one raw
-// value per system input, in input order, and is clamped in place — the
-// first three to the Fig. 5 universes (ClampInputs), the rest to their
-// own universes, NaN to the floor.
+// value per system input, in input order, and is clamped in place, each
+// value to its own variable's universe and NaN to the floor.
 //
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func (f *FLC) EvaluateRow(sc *fuzzy.Scratch, xs []float64) (float64, error) {
-	if len(xs) != 3+len(f.bounds) {
+	if len(xs) != len(f.bounds) {
 		return 0, errInputCount
 	}
-	xs[0], xs[1], xs[2] = ClampInputs(xs[0], xs[1], xs[2])
 	for k, b := range f.bounds {
-		xs[3+k] = Clamp(xs[3+k], b[0], b[1])
+		xs[k] = Clamp(xs[k], b[0], b[1])
 	}
 	if f.surface != nil {
 		return f.surface.Evaluate(xs)
@@ -254,9 +236,9 @@ func (f *FLC) EvaluateBatch(dst, cssp, ssn, dmb []float64) error {
 //fuzzyho:hotpath
 //fuzzyho:deterministic
 func (f *FLC) EvaluateCols(dst []float64, cols [][]float64) error {
-	if len(cols) != 3+len(f.bounds) {
+	if len(cols) != len(f.bounds) {
 		//fuzzyho:allow shape guard: scorers pass columns gathered for their own schema, so this formats only on a caller contract violation
-		return fmt.Errorf("core: %d columns for %d inputs", len(cols), 3+len(f.bounds))
+		return fmt.Errorf("core: %d columns for %d inputs", len(cols), len(f.bounds))
 	}
 	for _, c := range cols {
 		if len(c) != len(dst) {
@@ -264,12 +246,8 @@ func (f *FLC) EvaluateCols(dst []float64, cols [][]float64) error {
 			return fmt.Errorf("core: column length %d ≠ batch length %d", len(c), len(dst))
 		}
 	}
-	cssp, ssn, dmb := cols[0], cols[1], cols[2]
-	for i := range dst {
-		cssp[i], ssn[i], dmb[i] = ClampInputs(cssp[i], ssn[i], dmb[i])
-	}
 	for k, b := range f.bounds {
-		col := cols[3+k]
+		col := cols[k]
 		for i := range col {
 			col[i] = Clamp(col[i], b[0], b[1])
 		}
@@ -295,10 +273,13 @@ func (f *FLC) EvaluateCols(dst []float64, cols [][]float64) error {
 
 // EvaluateTrace is Evaluate with the full inference explanation.
 func (f *FLC) EvaluateTrace(csspDB, ssnDB, dmbNorm float64) (float64, *fuzzy.Trace, error) {
-	cssp, ssn, dmb := ClampInputs(csspDB, ssnDB, dmbNorm)
+	xs := [3]float64{csspDB, ssnDB, dmbNorm}
+	for k, b := range f.bounds[:len(xs)] {
+		xs[k] = Clamp(xs[k], b[0], b[1])
+	}
 	return f.sys.EvaluateTrace(map[string]float64{
-		VarCSSP: cssp,
-		VarSSN:  ssn,
-		VarDMB:  dmb,
+		VarCSSP: xs[0],
+		VarSSN:  xs[1],
+		VarDMB:  xs[2],
 	})
 }

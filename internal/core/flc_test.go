@@ -76,14 +76,64 @@ func TestInputPartitionsAreComplete(t *testing.T) {
 	}
 }
 
+// TestClampInputs pins the FLC's input saturation: EvaluateRow and
+// EvaluateCols clamp every input in place to its own variable's universe,
+// NaN to the floor, on the exact and the compiled path, and score the
+// clamped row as the system itself does.  The DMB override over [0, 2]
+// pins that an overridden universe replaces the Fig. 5 one.
 func TestClampInputs(t *testing.T) {
-	c, s, d := ClampInputs(-50, -300, 9)
-	if c != -10 || s != -120 || d != 1.5 {
-		t.Errorf("ClampInputs(-50,-300,9) = (%g,%g,%g)", c, s, d)
+	wideDMB, err := NewFLCWithOptions(FLCOptions{DMB: fuzzy.MustVariable(VarDMB, 0, 2,
+		fuzzy.Term{Name: DmbNR, MF: fuzzy.ShoulderLeft(0.25, 0.4)},
+		fuzzy.Term{Name: DmbNSN, MF: fuzzy.Tri(0.25, 0.4, 0.75)},
+		fuzzy.Term{Name: DmbNSF, MF: fuzzy.Tri(0.4, 0.75, 1.6)},
+		fuzzy.Term{Name: DmbFA, MF: fuzzy.ShoulderRight(1.2, 2.0)},
+	)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, s, d = ClampInputs(math.NaN(), -90, 0.5)
-	if c != -10 || s != -90 || d != 0.5 {
-		t.Errorf("NaN handling = (%g,%g,%g)", c, s, d)
+	for _, tc := range []struct {
+		name     string
+		flc      *FLC
+		in, want [3]float64
+	}{
+		{"paper saturation", NewFLC(), [3]float64{-50, -300, 9}, [3]float64{-10, -120, 1.5}},
+		{"paper NaN", NewFLC(), [3]float64{math.NaN(), -90, 0.5}, [3]float64{-10, -90, 0.5}},
+		{"DMB override inside", wideDMB, [3]float64{-3.5, -93.7, 1.8}, [3]float64{-3.5, -93.7, 1.8}},
+		{"DMB override saturation", wideDMB, [3]float64{-3.5, -93.7, 9}, [3]float64{-3.5, -93.7, 2}},
+	} {
+		compiled, err := tc.flc.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.flc.System().EvaluateInto(tc.flc.NewScratch(), tc.want[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*FLC{tc.flc, compiled} {
+			row := tc.in
+			hd, err := f.EvaluateRow(f.NewScratch(), row[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cols [3][]float64
+			for k := range cols {
+				cols[k] = []float64{tc.in[k]}
+			}
+			dst := []float64{0}
+			if err := f.EvaluateCols(dst, cols[:]); err != nil {
+				t.Fatal(err)
+			}
+			for k := range row {
+				if row[k] != tc.want[k] || cols[k][0] != tc.want[k] {
+					t.Errorf("%s compiled=%v input %d: row %g, column %g, want %g",
+						tc.name, f.Surface() != nil, k, row[k], cols[k][0], tc.want[k])
+				}
+			}
+			if math.Abs(hd-want) > 1e-12 || math.Abs(dst[0]-want) > 1e-12 {
+				t.Errorf("%s compiled=%v: row %g, column %g, system %g",
+					tc.name, f.Surface() != nil, hd, dst[0], want)
+			}
+		}
 	}
 }
 

@@ -116,15 +116,6 @@ func NewHD() *fuzzy.Variable {
 	)
 }
 
-// ClampInputs clamps raw measurements to the Fig. 5 universes; exported so
-// that report generators can show the effective FLC inputs.
-//
-//fuzzyho:hotpath
-//fuzzyho:deterministic
-func ClampInputs(cssp, ssn, dmb float64) (float64, float64, float64) {
-	return Clamp(cssp, CsspMin, CsspMax), Clamp(ssn, SsnMin, SsnMax), Clamp(dmb, DmbMin, DmbMax)
-}
-
 // Clamp bounds x to [lo, hi], mapping NaN to lo: the saturation every
 // decision-path input gets before the FLC or the compiled surface sees it
 // (the SSN-trend antecedent included).  The builtin min and max give the

@@ -290,7 +290,7 @@ func (s *System) EvaluateInto(dst *Scratch, xs []float64) (float64, error) {
 	for i, v := range s.inputs {
 		x := xs[i]
 		if x != x {
-			//fuzzyho:allow NaN guard: core.ClampInputs maps NaN to the universe floor before any decision-path query
+			//fuzzyho:allow NaN guard: core.FLC clamps NaN to the universe floor before any decision-path query
 			return 0, fmt.Errorf("fuzzy: input %q is NaN", v.Name)
 		}
 		x = v.Clamp(x)

@@ -305,7 +305,7 @@ func (g *batchGather) scatter(f *FeatureFrame) {
 }
 
 // NewFuzzy runs the pipeline on the given controller configuration; nil
-// uses the paper's defaults.
+// uses the paper's defaults over the process-wide paper FLC.
 func NewFuzzy(ctrl *core.Controller) *Fuzzy {
 	return newFuzzy(ctrl, paperSchema, 0, "fuzzy", reasonFLC)
 }

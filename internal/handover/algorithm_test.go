@@ -59,6 +59,36 @@ func TestFuzzyAdapterMatchesController(t *testing.T) {
 	f.Reset() // must be a no-op
 }
 
+// sinkFuzzy keeps TestFuzzyConfigurationsShareFLC's constructions alive.
+var sinkFuzzy *Fuzzy
+
+// TestFuzzyConfigurationsShareFLC pins that constructing a configuration
+// builds no FLC: the paper and speed-adaptive controllers share the one
+// process-wide paper FLC, so NewFuzzy(nil) allocates only its controller
+// and itself, and trend instances share one FLC per path.
+func TestFuzzyConfigurationsShareFLC(t *testing.T) {
+	flc := core.NewController().FLC()
+	if NewFuzzy(nil).FLC() != flc || NewAdaptiveFuzzy().FLC() != flc {
+		t.Fatal("default fuzzy configurations do not share the paper FLC")
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkFuzzy = NewFuzzy(nil) }); n > 2 {
+		t.Errorf("NewFuzzy(nil) made %g allocations, want at most 2", n)
+	}
+	for _, build := range []func() (*Fuzzy, error){NewTrendFuzzy, NewCompiledTrendFuzzy} {
+		a, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.FLC() != b.FLC() {
+			t.Errorf("two %s instances (compiled=%v) hold distinct FLCs", a.Name(), a.FLC().Surface() != nil)
+		}
+	}
+}
+
 // TestFuzzyDecideZeroAllocs pins the scalar Decide path, which the
 // simulator calls every epoch, at 0 allocations in every fuzzy
 // configuration, exact and compiled, across all four verdicts.

@@ -110,43 +110,26 @@ func NewTrendSystem() (*fuzzy.System, error) {
 		core.NewCSSP(), core.NewSSN(), core.NewDMB(), NewTrendVariable())
 }
 
-// trendFLCs holds the process-wide trend controllers: the exact FLC and
-// its compiled form, each built once and shared by every instance (an
-// FLC is immutable; instances own only their scratch).
-var trendFLCs struct {
-	exact, compiled       sync.Once
-	exactFLC, compiledFLC *core.FLC
-	exactErr, compiledErr error
-}
-
-// trendFLC returns the shared exact trend FLC.
-func trendFLC() (*core.FLC, error) {
-	trendFLCs.exact.Do(func() {
+// trendFLC and compiledTrendFLC are the process-wide trend controllers:
+// the exact FLC and its compiled form (the 4-axis exercise of the
+// generalized exact kernel), each built once and shared by every instance
+// (an FLC is immutable; instances own only their scratch).
+var (
+	trendFLC = sync.OnceValues(func() (*core.FLC, error) {
 		sys, err := NewTrendSystem()
 		if err != nil {
-			trendFLCs.exactErr = err
-			return
+			return nil, err
 		}
-		trendFLCs.exactFLC, trendFLCs.exactErr = core.NewFLCFromSystem(sys)
+		return core.NewFLCFromSystem(sys)
 	})
-	return trendFLCs.exactFLC, trendFLCs.exactErr
-}
-
-// compiledTrendFLC returns the shared compiled trend FLC — the 4-axis
-// exercise of the generalized exact kernel.
-func compiledTrendFLC() (*core.FLC, error) {
-	trendFLCs.compiled.Do(func() {
+	compiledTrendFLC = sync.OnceValues(func() (*core.FLC, error) {
 		exact, err := trendFLC()
-		if err == nil {
-			trendFLCs.compiledFLC, err = core.NewFLCFromSystem(exact.System())
+		if err != nil {
+			return nil, err
 		}
-		if err == nil {
-			err = trendFLCs.compiledFLC.Compile()
-		}
-		trendFLCs.compiledErr = err
+		return exact.Compile()
 	})
-	return trendFLCs.compiledFLC, trendFLCs.compiledErr
-}
+)
 
 // DefaultTrendSurface returns the compiled control surface of the shared
 // compiled trend FLC, the one all compiled trendfuzzy users share.

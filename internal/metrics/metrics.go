@@ -1,13 +1,9 @@
 // Package metrics provides the evaluation instrumentation: the ping-pong
-// detector, handover event accounting, outage tracking and summary
-// statistics with confidence intervals (the paper averages "10 times
-// simulations").
+// detector, handover event accounting and outage tracking.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/hexgrid"
 )
@@ -74,24 +70,12 @@ func (d *PingPongDetector) Observe(e HandoverEvent) bool {
 	if pingPong {
 		d.count++
 	}
-	e.PingPong = pingPong
 	d.history = append(d.history, e)
 	return pingPong
 }
 
 // Count returns the number of ping-pong returns observed so far.
 func (d *PingPongDetector) Count() int { return d.count }
-
-// Events returns all observed handovers with ping-pong flags applied.
-func (d *PingPongDetector) Events() []HandoverEvent {
-	return append([]HandoverEvent(nil), d.history...)
-}
-
-// Reset clears the detector for a new run.
-func (d *PingPongDetector) Reset() {
-	d.history = d.history[:0]
-	d.count = 0
-}
 
 // OutageTracker accumulates the fraction of epochs the serving signal spends
 // below a quality floor — the link-quality cost of late handovers.
@@ -117,123 +101,4 @@ func (o *OutageTracker) Fraction() float64 {
 		return 0
 	}
 	return float64(o.outage) / float64(o.epochs)
-}
-
-// Epochs returns the number of observed epochs.
-func (o *OutageTracker) Epochs() int { return o.epochs }
-
-// Reset clears the tracker.
-func (o *OutageTracker) Reset() { o.epochs, o.outage = 0, 0 }
-
-// Summary holds order statistics of a sample, as reported in
-// EXPERIMENTS.md: mean, standard deviation, min/max and a 95% normal
-// confidence interval for the mean.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	CI95Lo, CI95Hi float64
-}
-
-// Summarize computes a Summary of the sample.  An empty sample yields the
-// zero Summary.
-func Summarize(xs []float64) Summary {
-	n := len(xs)
-	if n == 0 {
-		return Summary{}
-	}
-	s := Summary{N: n, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(n)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if n > 1 {
-		s.Std = math.Sqrt(ss / float64(n-1))
-	}
-	half := 1.96 * s.Std / math.Sqrt(float64(n))
-	s.CI95Lo, s.CI95Hi = s.Mean-half, s.Mean+half
-	return s
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4f std=%.4f min=%.4f max=%.4f ci95=[%.4f, %.4f]",
-		s.N, s.Mean, s.Std, s.Min, s.Max, s.CI95Lo, s.CI95Hi)
-}
-
-// Histogram builds a fixed-width histogram over [lo, hi] with the given
-// number of bins; values outside the range clamp to the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with bins over [lo, hi].
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if !(hi > lo) || bins < 1 {
-		panic(fmt.Sprintf("metrics: bad histogram range [%g, %g] / %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Observe adds a value.
-func (h *Histogram) Observe(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Quantile returns the approximate q-quantile (q in [0, 1]) from the
-// histogram, using the left edge of the containing bin.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	q = math.Min(math.Max(q, 0), 1)
-	target := int(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	acc := 0
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		acc += c
-		if acc >= target {
-			return h.Lo + float64(i)*width
-		}
-	}
-	return h.Hi
-}
-
-// Median of a raw sample (exact, not histogram-based).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }

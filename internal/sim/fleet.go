@@ -22,7 +22,8 @@ import (
 // Configs must not share mutable state: a non-nil Config.Algorithm or
 // Config.Walk that keeps internal state (Fuzzy's scratch, HysteresisTTT's
 // streak counter, …) must appear in at most one config.  Leaving Algorithm
-// nil — each run then builds its own fuzzy controller — is always safe.
+// nil — each run then builds its own fuzzy algorithm instance over the
+// process-wide paper FLC, which is immutable — is always safe.
 //
 // If any run fails, RunFleet still completes the remaining configs and
 // returns the partially filled results slice together with the error of the

@@ -25,7 +25,8 @@
 //	//fuzzyho:deterministic  this function feeds decision sequences or
 //	                         wire bytes
 //	//fuzzyho:nolockio       this function runs while holding TCP.memMu /
-//	                         the ring-flip lock
+//	                         the ring-flip lock or DecisionMux's
+//	                         claim-table lock
 //	//fuzzyho:allow <why>    suppress findings on the annotated line
 //	                         (the justification string is mandatory)
 //	//fuzzyho:wirepair parse=P fuzz=F   explicit encoder/decoder pairing

@@ -8,11 +8,12 @@ import (
 
 // LockcheckAnalyzer enforces the no-blocking-I/O-under-the-membership-
 // lock invariant on functions annotated //fuzzyho:nolockio: everything
-// that runs while holding TCP.memMu / Local.memMu (the ring-flip lock)
-// or inside a paused shard.  The two-phase migration rework exists
-// precisely because blocking under that lock stalls every submitter; the
-// runtime guard is the -race chaos smoke, which only catches the
-// schedules it happens to drive.
+// that runs while holding TCP.memMu / Local.memMu (the ring-flip lock),
+// inside a paused shard, or under serve.DecisionMux's claim-table lock,
+// which every submitting connection and every routed outcome takes.  The
+// two-phase migration rework exists precisely because blocking under
+// such a lock stalls every submitter; the runtime guard is the -race
+// chaos smoke, which only catches the schedules it happens to drive.
 //
 // The analyzer computes, for every function in the analyzed packages, a
 // "reaches blocking I/O" fact — direct network reads/writes and dials,
@@ -52,6 +53,11 @@ var blockingFuncs = map[string]string{
 	"(*os.File).Sync":           "fsync",
 	"time.Sleep":                "sleep",
 	"(*sync.WaitGroup).Wait":    "waitgroup wait",
+	// A buffered writer passes through to an io.Writer, which is how a
+	// serve.Sink reaches its connection; the call behind it through the
+	// interface is not resolved, so the buffer is where it is caught.
+	"(*bufio.Writer).Write": "buffered write",
+	"(*bufio.Writer).Flush": "buffered flush",
 }
 
 func runLockcheck(pass *Pass) error {
@@ -172,7 +178,7 @@ func runLockcheck(pass *Pass) error {
 				return false
 			case *ast.SendStmt:
 				if selectDepth == 0 {
-					pass.Reportf(n.Pos(), "unbounded channel send in %s, annotated //fuzzyho:nolockio (runs under TCP.memMu / the ring-flip lock): a full channel would stall every submitter and the membership change itself — the failure class the two-phase migration was rebuilt to remove", name)
+					pass.Reportf(n.Pos(), "unbounded channel send in %s, annotated //fuzzyho:nolockio (runs under the ring-flip lock or the claim-table lock): a full channel would stall every submitter and the membership change itself — the failure class the two-phase migration was rebuilt to remove", name)
 				}
 			case *ast.CallExpr:
 				kind, obj := callee(pkg.Info, n)
@@ -181,11 +187,11 @@ func runLockcheck(pass *Pass) error {
 				}
 				fn := obj.(*types.Func)
 				if why, ok := blockingFuncs[fn.FullName()]; ok {
-					pass.Reportf(n.Pos(), "%s (%s) in %s, annotated //fuzzyho:nolockio (runs under TCP.memMu / the ring-flip lock): blocking under the membership lock stalls every submitter until the peer answers", why, fn.FullName(), name)
+					pass.Reportf(n.Pos(), "%s (%s) in %s, annotated //fuzzyho:nolockio (runs under the ring-flip lock or the claim-table lock): blocking under it stalls every submitter until the peer answers", why, fn.FullName(), name)
 					return true
 				}
 				if r, ok := lookup(fn); ok {
-					pass.Reportf(n.Pos(), "%s, annotated //fuzzyho:nolockio (runs under TCP.memMu / the ring-flip lock), reaches blocking I/O: %s → %s", name, funcDisplayName(fn), r)
+					pass.Reportf(n.Pos(), "%s, annotated //fuzzyho:nolockio (runs under the ring-flip lock or the claim-table lock), reaches blocking I/O: %s → %s", name, funcDisplayName(fn), r)
 				}
 			}
 			return true

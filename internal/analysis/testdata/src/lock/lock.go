@@ -2,6 +2,7 @@
 package lock
 
 import (
+	"bufio"
 	"net"
 	"time"
 )
@@ -22,6 +23,14 @@ func DirectWrite(c net.Conn, b []byte) {
 //fuzzyho:nolockio
 func Transitive() {
 	sleepy() // want:lockcheck
+}
+
+// BufferedWrite writes through a bufio.Writer, which may flush to the
+// connection behind it.
+//
+//fuzzyho:nolockio
+func BufferedWrite(w *bufio.Writer, b []byte) {
+	w.Write(b) // want:lockcheck
 }
 
 //fuzzyho:nolockio

@@ -127,18 +127,23 @@ func NewRingMembers(members []int, virtualNodes int) (*Ring, error) {
 	return r, nil
 }
 
-// buildLUT fills the prefix lookup table from the sorted points.
+// buildLUT fills the prefix lookup table from the sorted points in one
+// pass over both.  A bucket with a point at or past its first hash and
+// before its last straddles an arc boundary (-1); every hash of any
+// other bucket resolves to the first point at or past the bucket's
+// start, wrapping past the last point to the first.
 func (r *Ring) buildLUT() {
 	r.lut = make([]int16, 1<<lutBits)
+	p := 0
 	for b := range r.lut {
-		lo := r.search(uint64(b) << lutShift)
-		hi := r.search(uint64(b)<<lutShift | (1<<lutShift - 1))
-		if lo == hi {
-			// The whole bucket resolves past the same set of points to
-			// one successor.
-			r.lut[b] = int16(r.points[lo%len(r.points)].node)
-		} else {
+		start := uint64(b) << lutShift
+		for p < len(r.points) && r.points[p].hash < start {
+			p++
+		}
+		if p < len(r.points) && r.points[p].hash < start|(1<<lutShift-1) {
 			r.lut[b] = -1
+		} else {
+			r.lut[b] = int16(r.points[p%len(r.points)].node)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -116,6 +117,56 @@ func TestRingLUTMatchesSearch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// searchLUT is the lookup table built bucket by bucket with two binary
+// searches, the reference buildLUT's single pass must reproduce: a
+// bucket whose first and last hash resolve to the same point takes that
+// point's member, any other is -1.
+func searchLUT(r *Ring) []int16 {
+	lut := make([]int16, 1<<lutBits)
+	for b := range lut {
+		lo := r.search(uint64(b) << lutShift)
+		hi := r.search(uint64(b)<<lutShift | (1<<lutShift - 1))
+		if lo == hi {
+			lut[b] = int16(r.points[lo%len(r.points)].node)
+		} else {
+			lut[b] = -1
+		}
+	}
+	return lut
+}
+
+// TestRingLUTMatchesSearchConstruction compares whole lookup tables
+// against the two-search construction, over member sets and virtual-node
+// counts from sparse to dense, plus hand-placed points on bucket
+// boundaries and at both ends of the hash space.
+func TestRingLUTMatchesSearchConstruction(t *testing.T) {
+	check := func(name string, r *Ring) {
+		t.Helper()
+		want := searchLUT(r)
+		for b := range want {
+			if r.lut[b] != want[b] {
+				t.Fatalf("%s: bucket %d is %d, two searches give %d", name, b, r.lut[b], want[b])
+			}
+		}
+	}
+	for _, members := range [][]int{{0, 1}, {0, 1, 2}, {1, 2}, {0, 5, 9, 300}, {3, 4, 5, 6, 7, 8, 9, 10}} {
+		for _, vnodes := range []int{1, 2, 7, 128, 1000} {
+			r, err := NewRingMembers(members, vnodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("members %v, %d virtual nodes", members, vnodes), r)
+		}
+	}
+	const mask = 1<<lutShift - 1
+	r := &Ring{points: []ringPoint{
+		{0, 1}, {mask - 1, 2}, {mask, 3}, {5 << lutShift, 4}, {5<<lutShift | mask, 5},
+		{7<<lutShift | mask, 6}, {8 << lutShift, 7}, {math.MaxUint64, 8},
+	}}
+	r.buildLUT()
+	check("boundary points", r)
 }
 
 // TestRingMatchesRouterNodeOf: both backends must expose the ring's

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"io"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/handover"
@@ -233,6 +236,64 @@ func BenchmarkServeParseOutcomeLine(b *testing.B) {
 	b.SetBytes(int64(len(line)))
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseOutcomeLine(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchClaims returns a mux claiming n terminals at seeded random IDs,
+// dealt round-robin to owners bindings that each route to their own
+// sink over io.Discard.
+func benchClaims(b *testing.B, n, owners int) (*DecisionMux, []*Binding, []TerminalID) {
+	b.Helper()
+	mux := NewDecisionMux()
+	bs := make([]*Binding, owners)
+	for i := range bs {
+		bs[i] = NewBinding(mux, NewSink(io.Discard))
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	ids := make([]TerminalID, n)
+	for i := range ids {
+		ids[i] = TerminalID(rng.Uint64())
+		if err := bindTerminals(bs[i%owners], ids[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return mux, bs, ids
+}
+
+// BenchmarkServeMuxRoute routes outcomes of 65,536 claimed terminals
+// from parallel goroutines, as shard goroutines do: one claim lookup and
+// one sink write per op.
+func BenchmarkServeMuxRoute(b *testing.B) {
+	mux, _, ids := benchClaims(b, 1<<16, 64)
+	var goroutines atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := goroutines.Add(1) * 4099
+		for pb.Next() {
+			mux.Route(Outcome{Terminal: ids[i%uint64(len(ids))]})
+			i++
+		}
+	})
+}
+
+// BenchmarkServeMuxBind submits 64-report batches for terminals their
+// binding already claims, out of 65,536 claims: the claim check every
+// ingested report pays.  ns/op is per batch.
+func BenchmarkServeMuxBind(b *testing.B) {
+	_, bs, ids := benchClaims(b, 1<<16, 1)
+	rs := make([]Report, 64)
+	submit := func([]Report) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * len(rs) % len(ids)
+		for k := range rs {
+			rs[k].Terminal = ids[off+k]
+		}
+		if err := bs[0].Submit(rs, submit); err != nil {
 			b.Fatal(err)
 		}
 	}

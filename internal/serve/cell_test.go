@@ -15,13 +15,16 @@ import (
 	"repro/internal/sim"
 )
 
-// TestTerminalLayout pins the per-terminal footprint — 264 B, of which the
-// ring is eight 24-B events — and keeps every field pointer-free, so the
-// store's slabs are allocated noscan and the garbage collector never
-// walks terminal state.
+// TestTerminalLayout pins the per-terminal footprint — 256 B, of which the
+// ring is eight 24-B events filling the last 192 B — and keeps every
+// field pointer-free, so the store's slabs are allocated noscan and the
+// garbage collector never walks terminal state.
 func TestTerminalLayout(t *testing.T) {
-	if got := unsafe.Sizeof(terminal{}); got != 264 {
-		t.Errorf("terminal is %d B, want 264", got)
+	if got := unsafe.Sizeof(terminal{}); got != 256 {
+		t.Errorf("terminal is %d B, want 256", got)
+	}
+	if got := unsafe.Offsetof(terminal{}.events); got != 64 {
+		t.Errorf("the ring starts at byte %d, want 64: the other fields no longer share one cache line", got)
 	}
 	if got := unsafe.Sizeof(hoEvent{}); got != 24 {
 		t.Errorf("hoEvent is %d B, want 24", got)

@@ -94,6 +94,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint64(5), uint64(9), -70.0, true, math.MaxInt32-pingPongHistory, math.MinInt32+pingPongHistory-1, true, uint64(9), uint64(2), uint64(9), 0.1, 0.0, 0.0, false)
 	f.Add(uint64(6), uint64(1), 0.0, false, math.MaxInt32, 0, true, uint64(1), uint64(0), uint64(1), 0.0, 0.0, 0.0, false)
 	f.Add(uint64(7), uint64(1), 0.0, false, 0, math.MinInt32-1, true, uint64(0), uint64(0), uint64(0), 0.0, 0.0, 0.0, false)
+	// Tallies are stored as uint32: both at the limit round-trip.
+	f.Add(uint64(8), uint64(2), -75.0, true, 1, 1, true, uint64(math.MaxUint32), uint64(math.MaxUint32), uint64(2), 0.5, 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, terminal, seq uint64, prevDB float64, havePrev bool,
 		si, sj int, haveServing bool, handovers, pingpongs, totalEvents uint64, walked float64,
 		trendPrevSSN, trendSlope float64, trendHave bool) {
@@ -105,6 +107,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Skip("trend state is finite by construction")
 		}
 		totalEvents %= maxSnapshotTotalEvents + 1
+		handovers %= maxSnapshotTally + 1
+		pingpongs %= maxSnapshotTally + 1
 		s := TerminalSnapshot{
 			Terminal:    TerminalID(terminal),
 			Seq:         seq,

@@ -117,6 +117,13 @@ var ErrSuperseded = errors.New("serve: connection superseded by a newer connecti
 //
 // Route runs on shard goroutines; Binding methods on connection
 // goroutines.
+//
+// The claim table is one plain map from terminal to owning binding
+// under one read-write lock: a claim costs its map slot (~36 B at
+// 65,536 claims), and routing an outcome or re-binding a claimed
+// terminal is one read-locked lookup that allocates nothing.  The lock
+// is a leaf lock: it is never held across Drain, a sink write or a
+// Binding's mutex.  The zero DecisionMux is ready to use.
 type DecisionMux struct {
 	// Drain blocks until every outcome for reports submitted so far has
 	// been routed.  Takeover uses it as the barrier between routing a
@@ -124,18 +131,74 @@ type DecisionMux struct {
 	// the barrier (outcomes may race the transfer).
 	Drain func() error
 
-	claims sync.Map // TerminalID → *Binding
+	// mu guards claims, which is made on the first claim and dropped
+	// when a release empties it.
+	mu     sync.RWMutex
+	claims map[TerminalID]*Binding
 }
 
 // NewDecisionMux returns an empty mux.
 func NewDecisionMux() *DecisionMux { return &DecisionMux{} }
 
+// owner returns the binding claiming id, or nil.
+//
+//fuzzyho:nolockio
+func (m *DecisionMux) owner(id TerminalID) *Binding {
+	m.mu.RLock()
+	b := m.claims[id]
+	m.mu.RUnlock()
+	return b
+}
+
+// claim returns id's owner, first making b the owner if no binding holds
+// id.
+//
+//fuzzyho:nolockio
+func (m *DecisionMux) claim(id TerminalID, b *Binding) *Binding {
+	if cur := m.owner(id); cur != nil {
+		return cur
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cur := m.claims[id]; cur != nil {
+		return cur
+	}
+	if m.claims == nil {
+		m.claims = make(map[TerminalID]*Binding)
+	}
+	m.claims[id] = b
+	return b
+}
+
+// reassign hands every claim of from to to, or drops it when to is nil.
+// A table it leaves empty is dropped, so a fully released mux holds no
+// claim storage.
+//
+//fuzzyho:nolockio
+func (m *DecisionMux) reassign(from, to *Binding) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, cur := range m.claims {
+		if cur != from {
+			continue
+		}
+		if to == nil {
+			delete(m.claims, id)
+		} else {
+			m.claims[id] = to
+		}
+	}
+	if len(m.claims) == 0 {
+		m.claims = nil
+	}
+}
+
 // Route delivers one outcome to the owning connection's sink (drops it
 // if the owner already released).  Use as the engine's OnDecision
 // callback.
 func (m *DecisionMux) Route(o Outcome) {
-	if v, ok := m.claims.Load(o.Terminal); ok {
-		v.(*Binding).sink.WriteOutcome(o)
+	if b := m.owner(o.Terminal); b != nil {
+		b.sink.WriteOutcome(o)
 	}
 }
 
@@ -150,19 +213,21 @@ type ClaimSummary struct {
 	Owners map[string]int `json:"owners,omitempty"`
 }
 
-// Claims summarizes the live claim table.  A snapshot under concurrent
-// claiming is consistent per entry, not across the table.
+// Claims summarizes the live claim table.
+//
+//fuzzyho:nolockio
 func (m *DecisionMux) Claims() ClaimSummary {
 	sum := ClaimSummary{Owners: make(map[string]int)}
-	m.claims.Range(func(_, v any) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, b := range m.claims {
 		sum.Terminals++
-		id := v.(*Binding).identityString()
+		id := b.identityString()
 		if id == "" {
 			id = "anonymous"
 		}
 		sum.Owners[id]++
-		return true
-	})
+	}
 	return sum
 }
 
@@ -229,11 +294,10 @@ func (b *Binding) Submit(rs []Report, submit func([]Report) error) error {
 // needed.  Called with b.mu held.
 func (b *Binding) bind(id TerminalID) error {
 	for {
-		cur, loaded := b.mux.claims.LoadOrStore(id, b)
-		if !loaded || cur == any(b) {
+		owner := b.mux.claim(id, b)
+		if owner == b {
 			return nil
 		}
-		owner := cur.(*Binding)
 		ident := b.identityString()
 		if ident == "" || owner.identityString() != ident {
 			return &OwnershipError{Terminal: id}
@@ -270,12 +334,7 @@ func (b *Binding) takeover(owner *Binding) error {
 			return fmt.Errorf("serve: drain before takeover: %w", err)
 		}
 	}
-	b.mux.claims.Range(func(k, v any) bool {
-		if v == any(owner) {
-			b.mux.claims.CompareAndSwap(k, owner, b)
-		}
-		return true
-	})
+	b.mux.reassign(owner, b)
 	return nil
 }
 
@@ -286,12 +345,7 @@ func (b *Binding) Release() {
 	b.revoked.Store(true)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.mux.claims.Range(func(k, v any) bool {
-		if v == any(b) {
-			b.mux.claims.CompareAndDelete(k, b)
-		}
-		return true
-	})
+	b.mux.reassign(b, nil)
 }
 
 // maxReusedBatch bounds the report slice an ingest connection keeps

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -357,5 +359,187 @@ func TestIngestReusesReportStorage(t *testing.T) {
 	}
 	if firsts[0] != firsts[1] {
 		t.Error("the second line did not reuse the first line's report storage")
+	}
+}
+
+// TestDecisionMuxBindAllocs: submitting reports for terminals the
+// binding already claims, and routing their outcomes, allocate nothing.
+// The IDs lie past 255, which a table keyed by interface values would
+// box on every lookup.
+func TestDecisionMuxBindAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the regression runs in the non-race job")
+	}
+	mux := NewDecisionMux()
+	b := NewBinding(mux, NewSink(io.Discard))
+	rs := make([]Report, 64)
+	for i := range rs {
+		rs[i] = Report{Terminal: TerminalID(1000 + 7*i)}
+	}
+	submit := func([]Report) error { return nil }
+	if err := b.Submit(rs, submit); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := b.Submit(rs, submit); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Submit of %d claimed terminals makes %v allocs, want 0", len(rs), n)
+	}
+	o := Outcome{Terminal: rs[5].Terminal, Seq: 3}
+	if n := testing.AllocsPerRun(100, func() { mux.Route(o) }); n != 0 {
+		t.Errorf("Route makes %v allocs, want 0", n)
+	}
+}
+
+// TestDecisionMuxBytesPerClaim bounds the heap of a mux and its claim
+// table per claimed terminal, at a node's share of a wire-cluster run
+// (4,096 claims) and at a large population, and checks that releasing
+// every claim returns the table.
+func TestDecisionMuxBytesPerClaim(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the regression runs in the non-race job")
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, n := range []int{1 << 12, 1 << 16} {
+		rs := make([]Report, 64)
+		submit := func([]Report) error { return nil }
+		before := heap()
+		mux := NewDecisionMux()
+		b := NewBinding(mux, nil)
+		for i := 0; i < n; i += len(rs) {
+			for k := range rs {
+				rs[k] = Report{Terminal: TerminalID(1000 + i + k)}
+			}
+			if err := b.Submit(rs, submit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		claimed := heap()
+		if got := mux.Claims().Terminals; got != n {
+			t.Fatalf("%d terminals claimed, want %d", got, n)
+		}
+		perClaim := float64(claimed-before) / float64(n)
+		t.Logf("%d claims cost %.1f B each", n, perClaim)
+		if perClaim > 64 {
+			t.Errorf("%d claims cost %.1f B each, want ≤ 64", n, perClaim)
+		}
+		b.Release()
+		if left := heap() - before; left > 256 {
+			t.Errorf("a fully released mux still holds %d B of %d former claims", left, n)
+		}
+		runtime.KeepAlive(b)
+	}
+}
+
+// TestDecisionMuxConcurrentClaims drives the claim table from several
+// connections at once while shard-side goroutines route outcomes:
+// bindings of distinct identities submit overlapping and disjoint
+// terminal ranges, a same-identity pair takes claims from each other,
+// and one binding releases part-way.  After the superseded bindings
+// release, as their connections would on ErrSuperseded, every claim
+// belongs to a live binding, no terminal was won by two distinct live
+// identities, and each of those identities still owns every terminal it
+// won.  Meant to run under -race.
+func TestDecisionMuxConcurrentClaims(t *testing.T) {
+	mux := NewDecisionMux()
+	mux.Drain = func() error { return nil }
+	type worker struct {
+		b       *Binding
+		lo, hi  TerminalID
+		release bool
+		won     []TerminalID
+	}
+	newWorker := func(ident string, lo, hi TerminalID, release bool) *worker {
+		b := NewBinding(mux, NewSink(io.Discard))
+		b.SetIdentity(ident)
+		return &worker{b: b, lo: 1000 + lo, hi: 1000 + hi, release: release}
+	}
+	// a and b share [256, 384), b and c [512, 640), c and the s pair
+	// [768, 896), s1 and s2 [896, 1024); each also has a range of its own.
+	a, b := newWorker("a", 0, 384, false), newWorker("b", 256, 768, false)
+	ws := []*worker{a, b, newWorker("c", 512, 896, true), newWorker("s", 768, 1024, false), newWorker("s", 896, 1152, false)}
+
+	var done sync.WaitGroup
+	var stop atomic.Bool
+	for r := 0; r < 2; r++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for !stop.Load() {
+				for id := TerminalID(1000); id < 1000+1152; id += 7 {
+					mux.Route(Outcome{Terminal: id})
+				}
+			}
+		}()
+	}
+	var submitters sync.WaitGroup
+	start := make(chan struct{})
+	for _, w := range ws {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			<-start
+			for round := 0; round < 4; round++ {
+				if w.release && round == 2 {
+					w.b.Release()
+					return
+				}
+				// Odd rounds walk the range backwards, so claim races
+				// meet from both ends.
+				for k := TerminalID(0); k < w.hi-w.lo; k++ {
+					id := w.lo + k
+					if round%2 == 1 {
+						id = w.hi - 1 - k
+					}
+					err := bindTerminals(w.b, id)
+					if errors.Is(err, ErrSuperseded) {
+						return
+					}
+					if err == nil {
+						w.won = append(w.won, id)
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	submitters.Wait()
+	stop.Store(true)
+	done.Wait()
+	for _, w := range ws {
+		if w.b.Superseded() {
+			w.b.Release()
+		}
+	}
+
+	for id, owner := range mux.claims {
+		if owner.Superseded() {
+			t.Errorf("terminal %d is still claimed by a released or superseded binding", id)
+		}
+	}
+	if got := mux.Claims().Terminals; got != len(mux.claims) {
+		t.Errorf("Claims counts %d terminals, the table holds %d", got, len(mux.claims))
+	}
+	wonByA := make(map[TerminalID]bool)
+	for _, id := range a.won {
+		wonByA[id] = true
+	}
+	for _, w := range []*worker{a, b} {
+		for _, id := range w.won {
+			if w == b && wonByA[id] {
+				t.Fatalf("terminal %d was won by both identity a and identity b", id)
+			}
+			if owner := mux.owner(id); owner != w.b {
+				t.Fatalf("terminal %d, won by identity %s, is owned by %v", id, w.b.identityString(), owner)
+			}
+		}
 	}
 }

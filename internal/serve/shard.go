@@ -63,8 +63,10 @@ type hoEvent struct {
 // single-threaded sim path keeps in its Measurer/algorithm/detector,
 // reduced to what streamed reports cannot carry themselves.  It holds no
 // pointer, so the store's slabs are noscan: the garbage collector never
-// walks terminal state.  Field order packs it into 264 B (pinned by
-// TestTerminalLayout).
+// walks terminal state.  Field order packs it into 256 B (pinned by
+// TestTerminalLayout): every field a report reads or writes fills the
+// first 64 B, the handover ring the other 192 B, and a 512-terminal slab
+// is exactly 16 pages.
 type terminal struct {
 	// seq counts reports served for this terminal.
 	seq uint64
@@ -81,13 +83,14 @@ type terminal struct {
 	serving cell32
 	// total counts events ever recorded (restore bounds it to 2^31−1);
 	// next indexes the ring slot the next event overwrites.
-	total       uint32
+	total uint32
+	// handovers/pingpongs are per-terminal tallies (restore bounds them
+	// to 2^32−1).
+	handovers   uint32
+	pingpongs   uint32
 	next        uint8
 	havePrev    bool
 	haveServing bool
-	// handovers/pingpongs are per-terminal tallies.
-	handovers uint64
-	pingpongs uint64
 	// events is the recent-handover ring.
 	events [pingPongHistory]hoEvent
 }

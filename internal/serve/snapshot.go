@@ -70,6 +70,10 @@ type TerminalSnapshot struct {
 // terminal's uint32 event counter never truncates.
 const maxSnapshotTotalEvents = 1<<31 - 1
 
+// maxSnapshotTally bounds Handovers and PingPongs, which the terminal
+// keeps as uint32.
+const maxSnapshotTally = math.MaxUint32
+
 // Validate rejects snapshots no engine can restore faithfully, among them
 // any cell label outside the int32 range the engine stores cells in.
 func (s TerminalSnapshot) Validate() error {
@@ -81,6 +85,9 @@ func (s TerminalSnapshot) Validate() error {
 	}
 	if s.TotalEvents > maxSnapshotTotalEvents {
 		return fmt.Errorf("serve: snapshot terminal %d: total_events %d out of range", s.Terminal, s.TotalEvents)
+	}
+	if s.Handovers > maxSnapshotTally || s.PingPongs > maxSnapshotTally {
+		return fmt.Errorf("serve: snapshot terminal %d: handovers %d or pingpongs %d out of range", s.Terminal, s.Handovers, s.PingPongs)
 	}
 	want := int(s.TotalEvents)
 	if want > pingPongHistory {
@@ -117,8 +124,8 @@ func (t *terminal) snapshot(id TerminalID) TerminalSnapshot {
 		HavePrev:    t.havePrev,
 		Serving:     t.serving.cell(),
 		HaveServing: t.haveServing,
-		Handovers:   t.handovers,
-		PingPongs:   t.pingpongs,
+		Handovers:   uint64(t.handovers),
+		PingPongs:   uint64(t.pingpongs),
 		TotalEvents: uint64(t.total),
 		Trend:       t.derived.Trend,
 	}
@@ -139,8 +146,8 @@ func (t *terminal) restoreFrom(s TerminalSnapshot) {
 	t.havePrev = s.HavePrev
 	t.serving = narrowCell(s.Serving)
 	t.haveServing = s.HaveServing
-	t.handovers = s.Handovers
-	t.pingpongs = s.PingPongs
+	t.handovers = uint32(s.Handovers)
+	t.pingpongs = uint32(s.PingPongs)
 	for i, e := range s.Events {
 		t.events[i] = hoEvent{from: narrowCell(e.From), to: narrowCell(e.To), walkedKm: e.WalkedKm}
 	}

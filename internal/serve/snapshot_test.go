@@ -111,10 +111,15 @@ func TestSnapshotParseRejects(t *testing.T) {
 		"broken-json":     {`{"v":1,`, "malformed"},
 		"event-mismatch":  {`{"v":1,"terminal":1,"total_events":2,"events":[]}`, "events"},
 		"overflow-total":  {`{"v":1,"terminal":1,"total_events":99999999999}`, "out of range"},
+		"overflow-tally":  {`{"v":1,"terminal":1,"handovers":4294967296}`, "out of range"},
+		"overflow-pp":     {`{"v":1,"terminal":1,"handovers":1,"pingpongs":4294967296}`, "out of range"},
 	} {
 		if _, err := ParseSnapshotLine([]byte(tc.line)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: ParseSnapshotLine = %v, want error containing %q", name, err, tc.want)
 		}
+	}
+	if _, err := ParseSnapshotLine([]byte(`{"v":1,"terminal":1,"handovers":4294967295,"pingpongs":4294967295}`)); err != nil {
+		t.Errorf("tallies at the uint32 bound: %v", err)
 	}
 	bad := sampleSnapshot()
 	bad.PrevDB = math.NaN()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -405,6 +406,42 @@ func TestBuildPaperTableSpeedShift(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("table string missing %q", want)
 		}
+	}
+}
+
+// TestBuildPaperTableSharesFLC: a nil FLC selects the process-wide paper
+// FLC — the tables equal ones built with an explicit fresh paper FLC, and
+// building one does not repeat the FLC's own construction.
+func TestBuildPaperTableSharesFLC(t *testing.T) {
+	cfg := corridorConfig()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs, speeds := res.CrossingTableEpochs(), []float64{0, 10, 50}
+	build := func(flc *core.FLC) *PaperTable {
+		tab, err := BuildPaperTable("t", res, flc, epochs, speeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	if got, want := build(nil), build(core.NewFLC()); !reflect.DeepEqual(got, want) {
+		t.Errorf("nil-FLC table %+v differs from the paper FLC's %+v", got, want)
+	}
+	averaged := func(flc *core.FLC) *PaperTable {
+		tab, err := BuildAveragedPaperTable("t", cfg, flc, epochs, speeds, 3, 4, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	if got, want := averaged(nil), averaged(core.NewFLC()); !reflect.DeepEqual(got, want) {
+		t.Errorf("nil-FLC averaged table %+v differs from the paper FLC's %+v", got, want)
+	}
+	// Building a paper FLC alone takes about 500 allocations.
+	if n := testing.AllocsPerRun(20, func() { build(nil) }); n > 100 {
+		t.Errorf("BuildPaperTable with a nil FLC makes %v allocs, want ≤ 100", n)
 	}
 }
 

@@ -163,10 +163,10 @@ type PaperTable struct {
 // sweep.  As in the paper, the walk (and therefore CSSP and the distance)
 // is speed-independent; speed only shifts SSN by −2 dB per 10 km/h.  For
 // the paper's "10 times simulations" averaging protocol under fading, see
-// BuildAveragedPaperTable.
+// BuildAveragedPaperTable.  A nil flc selects the process-wide paper FLC.
 func BuildPaperTable(title string, r *Result, flc *core.FLC, epochs []int, speeds []float64) (*PaperTable, error) {
 	if flc == nil {
-		flc = core.NewFLC()
+		flc = core.NewController().FLC()
 	}
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("sim: no measurement epochs selected")
@@ -220,13 +220,14 @@ func BuildPaperTable(title string, r *Result, flc *core.FLC, epochs []int, speed
 // Beyond the paper's point estimates, every averaged cell carries the
 // half-width of its two-sided 95% confidence interval over the replica
 // sub-streams (Student t with replicas−1 degrees of freedom), so the
-// tables report how tight the averaging protocol actually is.
+// tables report how tight the averaging protocol actually is.  A nil flc
+// selects the process-wide paper FLC, as in BuildPaperTable.
 func BuildAveragedPaperTable(title string, base Config, flc *core.FLC, epochs []int, speeds []float64, replicas int, shadowSigmaDB, shadowDecorrKm float64) (*PaperTable, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("sim: replicas %d < 1", replicas)
 	}
 	if flc == nil {
-		flc = core.NewFLC()
+		flc = core.NewController().FLC()
 	}
 	var acc *PaperTable
 	var samples [][][3][]float64 // [row][cell]{CSSP, SSN, HD} replica samples
